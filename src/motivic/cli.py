@@ -12,8 +12,8 @@ from typing import List, Optional, Sequence
 
 from .errors import MotivicError, ParseError, ValidationError
 from .grring import chi_realize, hodge_realize
-from .jets import (count_semialg, enumerate_jets, oesterle_sequence,
-                   poincare_table, stabilized_count)
+from .jets import (count_semialg, enumerate_jets, image_count,
+                   oesterle_sequence, poincare_table, stabilized_table)
 from .models import (ModelFile, PolyhedronModel, PresburgerModel, VarietyModel,
                      parse_model)
 from .motvol import (ResolutionData, kontsevich_invariant, realize_volume,
@@ -161,15 +161,17 @@ def _variety_arg(args) -> VarietyModel:
 
 def _cmd_jets_count(args) -> int:
     vm = _variety_arg(args)
-    print(enumerate_jets(vm.variety, args.n, args.q,
-                         budget=args.budget, threads=args.threads))
+    if args.j:
+        print(image_count(vm.variety, args.n, args.j, args.q, budget=args.budget))
+    else:
+        print(enumerate_jets(vm.variety, args.n, args.q, budget=args.budget))
     return EXIT_OK
 
 
 def _cmd_jets_poincare(args) -> int:
     vm = _variety_arg(args)
     table = poincare_table(vm.variety, args.q, args.n_max, args.j_max,
-                           budget=args.budget, threads=args.threads)
+                           budget=args.budget)
     _emit_csv([(n, N_n, int(stable)) for n, N_n, stable in table],
               ("n", "N_n", "stable"), args.output)
     return EXIT_OK
@@ -177,22 +179,18 @@ def _cmd_jets_poincare(args) -> int:
 
 def _cmd_jets_greenberg(args) -> int:
     vm = _variety_arg(args)
-    rows = []
-    for n in range(args.n_max + 1):
-        res = stabilized_count(vm.variety, n, args.q, args.j_max,
-                               budget=args.budget, threads=args.threads)
-        gamma_hat = n + res.j_star if res.stable else ""
-        rows.append((n, res.N_n, gamma_hat, int(res.stable)))
+    table = stabilized_table(vm.variety, args.q, args.n_max, args.j_max,
+                             budget=args.budget)
+    rows = [(n, res.N_n, n + res.j_star if res.stable else "", int(res.stable))
+            for n, res in enumerate(table)]
     _emit_csv(rows, ("n", "N_n", "gamma_hat", "stable"), args.output)
-    if any(not row[3] for row in rows):
-        return EXIT_DOMAIN
-    return EXIT_OK
+    return EXIT_OK if all(res.stable for res in table) else EXIT_DOMAIN
 
 
 def _cmd_jets_oesterle(args) -> int:
     vm = _variety_arg(args)
     seq = oesterle_sequence(vm.variety, args.q, args.n_max, args.j_max,
-                            budget=args.budget, threads=args.threads)
+                            budget=args.budget)
     _emit_csv([(n, r.numerator, r.denominator) for n, r in enumerate(seq)],
               ("n", "ratio_num", "ratio_den"), args.output)
     tail = [abs(b - a) for a, b in zip(seq, seq[1:])]
@@ -208,107 +206,112 @@ def _cmd_semialg_count(args) -> int:
     cond = vm.condition()
     if cond is None:
         raise ValidationError("the variety model declares no condition")
-    params = tuple(int(x) for x in args.params.split(",")) if args.params else ()
+    try:
+        params = tuple(int(x) for x in args.params.split(",")) if args.params else ()
+    except ValueError:
+        raise ParseError(f"--params must be comma-separated integers, "
+                         f"got {args.params!r}")
+    if len(params) != len(vm.param_names):
+        raise ParseError(f"--params gives {len(params)} values, the model declares "
+                         f"{len(vm.param_names)} parameters")
     true_count, unknown = count_semialg(vm.variety, cond, args.n, args.q,
                                         params=params, j_max=args.j_max,
-                                        budget=args.budget, threads=args.threads)
+                                        budget=args.budget)
     print(f"definitely_true={true_count} unknown={unknown}")
     return EXIT_OK
 
 
-def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False) -> None:
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False,
+                   j: bool = False) -> None:
     p.add_argument("--q", type=int, required=True, help="prime field size")
     if n_max:
-        p.add_argument("--n-max", type=int, required=True, dest="n_max")
+        p.add_argument("--n-max", type=_nonnegative_int, required=True, dest="n_max")
     else:
-        p.add_argument("--n", type=int, required=True, help="truncation level")
-    p.add_argument("--j-max", type=int, default=6, dest="j_max",
-                   help="maximum extra lifting depth (default 6)")
+        p.add_argument("--n", type=_nonnegative_int, required=True,
+                       help="truncation level")
+    if j:
+        p.add_argument("--j", type=_nonnegative_int, default=0,
+                       help="count the level-n truncations of level-(n+J) jets "
+                            "(default 0: all level-n jets)")
+    else:
+        p.add_argument("--j-max", type=_nonnegative_int, default=6, dest="j_max",
+                       help="maximum extra lifting depth (default 6)")
     p.add_argument("--budget", type=int, default=None,
-                   help="node-expansion budget (default from "
-                        "MOTIVIC_JETS_BUDGET or 10^8)")
+                   help="node-expansion budget for the whole command (default "
+                        "from MOTIVIC_JETS_BUDGET or 10^8)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for jet jobs (default 1)")
+                   help="accepted and ignored: jet commands run in one thread")
     p.add_argument("--output", default=None, help="CSV output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="motivic",
+        prog="motivic", allow_abbrev=False,
         description="Exact motivic-volume, zeta, generating-function, and "
                     "jet-counting computations.")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def command(name, fn, help_text):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
+
     for name, fn in (("volume", _cmd_volume), ("volume-ideal", _cmd_volume_ideal),
                      ("kontsevich", _cmd_kontsevich)):
-        p = sub.add_parser(name, help=f"{name} of a resolution model")
-        p.add_argument("model")
-        p.set_defaults(fn=fn)
+        command(name, fn, f"{name} of a resolution model").add_argument("model")
 
-    p = sub.add_parser("volume-polyhedra",
-                       help="volume of a polyhedron model with strata")
-    p.add_argument("model")
-    p.set_defaults(fn=_cmd_volume_polyhedra)
+    command("volume-polyhedra", _cmd_volume_polyhedra,
+            "volume of a polyhedron model with strata").add_argument("model")
 
     for name, fn in (("chi", _cmd_chi), ("hodge", _cmd_hodge)):
-        p = sub.add_parser(name, help=f"{name} realization of a class literal "
-                                      "or resolution model")
+        p = command(name, fn, f"{name} realization of a class literal "
+                              "or resolution model")
         p.add_argument("input", help="a class expression or a model path")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("zdelta", help="zeta value of a Newton polyhedron")
+    command("zdelta", _cmd_zdelta,
+            "zeta value of a Newton polyhedron").add_argument("model")
+    command("genfun", _cmd_genfun,
+            "generating function of a Presburger model").add_argument("model")
+
+    p = command("series-expand", _cmd_series_expand, "expand a series model")
     p.add_argument("model")
-    p.set_defaults(fn=_cmd_zdelta)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
 
-    p = sub.add_parser("genfun", help="generating function of a Presburger model")
-    p.add_argument("model")
-    p.set_defaults(fn=_cmd_genfun)
-
-    p = sub.add_parser("series-expand", help="expand a series model")
-    p.add_argument("model")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_series_expand)
-
-    p = sub.add_parser("series-limit",
-                       help="limit of a_n L^{-(n+1)d} for a series model")
+    p = command("series-limit", _cmd_series_limit,
+                "limit of a_n L^{-(n+1)d} for a series model")
     p.add_argument("model")
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(fn=_cmd_series_limit)
 
-    p = sub.add_parser("series-check",
-                       help="compare a series model against a count table")
+    p = command("series-check", _cmd_series_check,
+                "compare a series model against a count table")
     p.add_argument("model")
     p.add_argument("counts", help="CSV whose last column holds the counts")
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(fn=_cmd_series_check)
 
-    p = sub.add_parser("jets-count", help="count level-n jets")
+    p = command("jets-count", _cmd_jets_count, "count level-n jets")
     p.add_argument("model")
-    _add_jet_flags(p)
-    p.set_defaults(fn=_cmd_jets_count)
+    _add_jet_flags(p, j=True)
 
-    p = sub.add_parser("jets-poincare", help="stabilized count table")
-    p.add_argument("model")
-    _add_jet_flags(p, n_max=True)
-    p.set_defaults(fn=_cmd_jets_poincare)
+    for name, fn, help_text in (
+            ("jets-poincare", _cmd_jets_poincare, "stabilized count table"),
+            ("jets-greenberg", _cmd_jets_greenberg, "stabilization-level table"),
+            ("jets-oesterle", _cmd_jets_oesterle,
+             "scaled count sequence N_n / q^{(n+1)d}")):
+        p = command(name, fn, help_text)
+        p.add_argument("model")
+        _add_jet_flags(p, n_max=True)
 
-    p = sub.add_parser("jets-greenberg", help="stabilization-level table")
-    p.add_argument("model")
-    _add_jet_flags(p, n_max=True)
-    p.set_defaults(fn=_cmd_jets_greenberg)
-
-    p = sub.add_parser("jets-oesterle",
-                       help="scaled count sequence N_n / q^{(n+1)d}")
-    p.add_argument("model")
-    _add_jet_flags(p, n_max=True)
-    p.set_defaults(fn=_cmd_jets_oesterle)
-
-    p = sub.add_parser("semialg-count",
-                       help="three-valued counting of a condition on jets")
+    p = command("semialg-count", _cmd_semialg_count,
+                "three-valued counting of a condition on jets")
     p.add_argument("model")
     _add_jet_flags(p)
     p.add_argument("--params", default="", help="comma-separated parameters")
-    p.set_defaults(fn=_cmd_semialg_count)
 
     return top
 

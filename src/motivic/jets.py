@@ -10,13 +10,14 @@ ord/angular-component conditions are built on top of the enumerator.
 """
 from __future__ import annotations
 
+import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import BudgetExceeded, Unstable, ValidationError
+from .errors import BudgetExceeded, ParseError, Unstable, ValidationError
+from .parsing import parse_int_poly, read_sexp
 from .presburger import And, Not, Or
 
 Poly = Dict[Tuple[int, ...], int]
@@ -161,20 +162,21 @@ def _solve_affine(rows: List[List[int]], rhs: List[int], q: int
 
 
 class _Lifter:
-    """Level-by-level jet extension for one variety over one prime field."""
+    """Level-by-level jet extension for one variety over one prime field.
 
-    def __init__(self, X: JetVariety, q: int, budget: int):
+    One lifter serves one whole computation, so its budget caps all of it.
+    """
+
+    def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None):
         _check_q(q)
         self.X = X
         self.q = q
-        self.budget = budget
+        self.budget = default_budget() if budget is None else budget
         self.expansions = 0
         self.polys = [{m: c % q for m, c in p.items() if c % q} for p in X.polys]
         self.polys = [p for p in self.polys if p]
         self.jacobian = [[_poly_derivative(p, v) for v in range(X.N)]
                          for p in self.polys]
-        self._solution_cache: Dict[Tuple[int, ...], Optional[
-            Tuple[List[int], List[List[int]]]]] = {}
 
     def _charge(self) -> None:
         self.expansions += 1
@@ -183,8 +185,6 @@ class _Lifter:
                 f"jet enumeration exceeded the budget of {self.budget} node expansions")
 
     def level0(self) -> List[Jet]:
-        import itertools
-
         out = []
         for point in itertools.product(range(self.q), repeat=self.X.N):
             self._charge()
@@ -197,13 +197,11 @@ class _Lifter:
         self._charge()
         q = self.q
         s = len(jet[0])  # new coefficient sits at t^s
-        x0 = tuple(c[0] for c in jet)
         if not self.polys:
-            import itertools
-
             return [tuple(c + (a,) for c, a in zip(jet, vec))
                     for vec in itertools.product(range(q), repeat=self.X.N)]
-        rows = self._jacobian_rows(x0)
+        x0 = tuple(c[0] for c in jet)
+        rows = [[_poly_eval_point(dp, x0, q) for dp in row] for row in self.jacobian]
         padded = tuple(c + (0,) for c in jet)
         rhs = []
         for p in self.polys:
@@ -214,8 +212,6 @@ class _Lifter:
             return []
         particular, basis = sol
         out = []
-        import itertools
-
         for combo in itertools.product(range(q), repeat=len(basis)):
             vec = list(particular)
             for coef, bvec in zip(combo, basis):
@@ -225,14 +221,13 @@ class _Lifter:
             out.append(tuple(c + (a,) for c, a in zip(jet, vec)))
         return out
 
-    def _jacobian_rows(self, x0: Tuple[int, ...]) -> List[List[int]]:
-        return [[_poly_eval_point(dp, x0, self.q) for dp in row]
-                for row in self.jacobian]
+    def next_level(self, jets: List[Jet]) -> List[Jet]:
+        return [child for jet in jets for child in self.children(jet)]
 
-    def all_jets(self, n: int, seeds: Optional[List[Jet]] = None) -> List[Jet]:
-        frontier = self.level0() if seeds is None else list(seeds)
-        while frontier and len(frontier[0][0]) < n + 1:
-            frontier = [child for jet in frontier for child in self.children(jet)]
+    def all_jets(self, n: int) -> List[Jet]:
+        frontier = self.level0()
+        for _ in range(n):
+            frontier = self.next_level(frontier)
         return frontier
 
     def can_extend(self, jet: Jet, target_len: int) -> Optional[Jet]:
@@ -247,30 +242,20 @@ class _Lifter:
         return None
 
 
-def _partitioned_count(lifter: _Lifter, n: int, threads: int) -> int:
-    seeds = lifter.level0()
-    if n == 0:
-        return len(seeds)
-    if threads <= 1 or len(seeds) <= 1:
-        return len(lifter.all_jets(n, seeds))
-    # partition by level-0 solutions; merging is order-independent addition
-    def count_part(seed: Jet) -> int:
-        return len(lifter.all_jets(n, [seed]))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count_part, seeds))
+def _is_affine_space(X: JetVariety, q: int) -> bool:
+    """Every polynomial vanishes mod q, so every tuple of series is a jet."""
+    return not any(c % q for p in X.polys for c in p.values())
 
 
 def enumerate_jets(X: JetVariety, n: int, q: int,
-                   budget: Optional[int] = None, threads: int = 1) -> int:
+                   budget: Optional[int] = None) -> int:
     """|L_n(X)(F_q)|: the number of level-n jets."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_q(q)
-    if not any(any(c % q for c in p.values()) for p in X.polys):
-        return q ** (X.N * (n + 1))  # affine space: every tuple is a jet
-    lifter = _Lifter(X, q, budget if budget is not None else default_budget())
-    return _partitioned_count(lifter, n, threads)
+    if _is_affine_space(X, q):
+        return q ** (X.N * (n + 1))
+    return len(_Lifter(X, q, budget).all_jets(n))
 
 
 def enumerate_jet_points(X: JetVariety, n: int, q: int,
@@ -278,31 +263,22 @@ def enumerate_jet_points(X: JetVariety, n: int, q: int,
     """Stream of the level-n jets themselves."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lifter = _Lifter(X, q, budget if budget is not None else default_budget())
-    for jet in lifter.all_jets(n):
+    for jet in _Lifter(X, q, budget).all_jets(n):
         yield JetPoint(q=q, n=n, coords=jet)
 
 
 def image_count(X: JetVariety, n: int, j: int, q: int,
-                budget: Optional[int] = None, threads: int = 1) -> int:
+                budget: Optional[int] = None) -> int:
     """Number of distinct level-n truncations of level-(n+j) jets."""
     if n < 0 or j < 0:
         raise ValueError("n and j must be nonnegative")
-    if not any(any(c % q for c in p.values()) for p in X.polys):
+    _check_q(q)
+    if _is_affine_space(X, q):
         return q ** (X.N * (n + 1))
-    lifter = _Lifter(X, q, budget if budget is not None else default_budget())
-    level_n = lifter.all_jets(n)
-    if j == 0:
-        return len(level_n)
+    lifter = _Lifter(X, q, budget)
     target = n + j + 1
-
-    def survives(jet: Jet) -> int:
-        return 1 if lifter.can_extend(jet, target) is not None else 0
-
-    if threads > 1 and len(level_n) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(survives, level_n))
-    return sum(survives(jet) for jet in level_n)
+    return sum(1 for jet in lifter.all_jets(n)
+               if lifter.can_extend(jet, target) is not None)
 
 
 @dataclass
@@ -316,63 +292,84 @@ class StabilizedResult:
         return iter((self.N_n, self.j_star, self.stable))
 
 
+def _affine_space_result(X: JetVariety, n: int, q: int, j_max: int) -> StabilizedResult:
+    count = q ** (X.N * (n + 1))
+    return StabilizedResult(N_n=count, j_star=0, stable=True,
+                            counts=[count] * (j_max + 3))
+
+
+def _stabilize(lifter: _Lifter, level_n_jets: List[Jet], n: int, j_max: int
+               ) -> Tuple[StabilizedResult, List[Jet]]:
+    """Image counts of the level-n jets at lifting depths j = 0, 1, ...,
+    j_max + 2, stopping at the first three equal consecutive counts; returns
+    the result and the level-n jets that lift to the last depth reached.
+
+    A jet that lifts to depth j + 1 lifts to depth j, so the survivor sets
+    shrink as j grows: equal counts mean equal sets, and only the newest
+    triple of counts needs checking.
+    """
+    # keep a witness extension per surviving level-n jet; extending the
+    # witness one more level is almost always enough, a fresh search runs
+    # only when the witness path dies
+    witnesses: Dict[Jet, Jet] = {jet: jet for jet in level_n_jets}
+    counts = [len(witnesses)]
+    for j in range(1, j_max + 3):
+        target = n + j + 1
+        nxt: Dict[Jet, Jet] = {}
+        for jet, wit in witnesses.items():
+            found = lifter.can_extend(wit, target)
+            if found is None and len(wit[0]) > n + 1:
+                found = lifter.can_extend(jet, target)
+            if found is not None:
+                nxt[jet] = found
+        witnesses = nxt
+        counts.append(len(witnesses))
+        if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
+            return (StabilizedResult(N_n=counts[j], j_star=j - 2, stable=True,
+                                     counts=counts), list(witnesses))
+    return (StabilizedResult(N_n=counts[-1], j_star=len(counts) - 1, stable=False,
+                             counts=counts), list(witnesses))
+
+
 def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
-                     budget: Optional[int] = None, threads: int = 1
-                     ) -> StabilizedResult:
+                     budget: Optional[int] = None) -> StabilizedResult:
     """Smallest j_star <= j_max with image counts equal at j_star, j_star+1,
     j_star+2 (two confirmations); the count there approximates the truncated
     arc space |pi_n(L(X))(F_q)|."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     _check_q(q)
-    if not any(any(c % q for c in p.values()) for p in X.polys):
-        count = q ** (X.N * (n + 1))
-        return StabilizedResult(N_n=count, j_star=0, stable=True,
-                                counts=[count] * (j_max + 3))
-    lifter = _Lifter(X, q, budget if budget is not None else default_budget())
-    survivors = lifter.all_jets(n)
-    counts = [len(survivors)]
-    # keep a witness extension per surviving level-n jet; extending the
-    # witness one more level is almost always enough, a fresh search runs
-    # only when the witness path dies
-    witnesses: Dict[Jet, Jet] = {jet: jet for jet in survivors}
-    j = 0
-    while j < j_max + 2:
-        j += 1
-        target = n + j + 1
-        nxt: Dict[Jet, Jet] = {}
+    if _is_affine_space(X, q):
+        return _affine_space_result(X, n, q, j_max)
+    lifter = _Lifter(X, q, budget)
+    return _stabilize(lifter, lifter.all_jets(n), n, j_max)[0]
 
-        def try_lift(item: Tuple[Jet, Jet]) -> Optional[Tuple[Jet, Jet]]:
-            jet, wit = item
-            found = lifter.can_extend(wit, target)
-            if found is None and len(wit[0]) > n + 1:
-                found = lifter.can_extend(jet, target)
-            return None if found is None else (jet, found)
 
-        items = list(witnesses.items())
-        if threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(try_lift, items))
-        else:
-            results = [try_lift(it) for it in items]
-        for r in results:
-            if r is not None:
-                nxt[r[0]] = r[1]
-        witnesses = nxt
-        counts.append(len(witnesses))
-        for js in range(len(counts) - 2):
-            if counts[js] == counts[js + 1] == counts[js + 2] and js <= j_max:
-                return StabilizedResult(N_n=counts[js], j_star=js, stable=True,
-                                        counts=counts)
-    return StabilizedResult(N_n=counts[-1], j_star=len(counts) - 1, stable=False,
-                            counts=counts)
+def stabilized_table(X: JetVariety, q: int, n_max: int, j_max: int,
+                     budget: Optional[int] = None) -> List[StabilizedResult]:
+    """stabilized_count(X, n, q, j_max) for n = 0..n_max from one traversal:
+    the level-n jets are built once, from the level-(n-1) jets, and one
+    budget caps the whole table."""
+    if n_max < 0 or j_max < 0:
+        raise ValueError("n_max and j_max must be nonnegative")
+    _check_q(q)
+    if _is_affine_space(X, q):
+        return [_affine_space_result(X, n, q, j_max) for n in range(n_max + 1)]
+    lifter = _Lifter(X, q, budget)
+    frontier = lifter.level0()
+    rows = []
+    for n in range(n_max + 1):
+        if n:
+            frontier = lifter.next_level(frontier)
+        rows.append(_stabilize(lifter, frontier, n, j_max)[0])
+    return rows
 
 
 def greenberg_estimate(X: JetVariety, n: int, q: int, j_max: int,
-                       budget: Optional[int] = None, threads: int = 1) -> int:
+                       budget: Optional[int] = None) -> int:
     """Empirical estimate n + j_star of the level from which jets detect
     liftability to genuine arcs; a heuristic, not a certificate."""
-    res = stabilized_count(X, n, q, j_max, budget=budget, threads=threads)
+    res = stabilized_count(X, n, q, j_max, budget=budget)
     if not res.stable:
         raise Unstable(
             f"image counts did not stabilize within j_max={j_max}: {res.counts}")
@@ -380,23 +377,18 @@ def greenberg_estimate(X: JetVariety, n: int, q: int, j_max: int,
 
 
 def poincare_table(X: JetVariety, q: int, n_max: int, j_max: int,
-                   budget: Optional[int] = None, threads: int = 1
-                   ) -> List[Tuple[int, int, bool]]:
+                   budget: Optional[int] = None) -> List[Tuple[int, int, bool]]:
     """Rows (n, N_n, stable) of stabilized truncation counts."""
-    out = []
-    for n in range(n_max + 1):
-        res = stabilized_count(X, n, q, j_max, budget=budget, threads=threads)
-        out.append((n, res.N_n, res.stable))
-    return out
+    return [(n, res.N_n, res.stable)
+            for n, res in enumerate(stabilized_table(X, q, n_max, j_max, budget))]
 
 
 def oesterle_sequence(X: JetVariety, q: int, n_max: int, j_max: int,
-                      budget: Optional[int] = None, threads: int = 1
-                      ) -> List[Fraction]:
+                      budget: Optional[int] = None) -> List[Fraction]:
     """The exact rational sequence N_n / q^{(n+1)d}; converges for d equal to
     the dimension of X."""
-    table = poincare_table(X, q, n_max, j_max, budget=budget, threads=threads)
-    return [Fraction(N_n, q ** ((n + 1) * X.d)) for n, N_n, _stable in table]
+    return [Fraction(res.N_n, q ** ((n + 1) * X.d))
+            for n, res in enumerate(stabilized_table(X, q, n_max, j_max, budget))]
 
 
 # ---------------------------------------------------------------------------
@@ -527,49 +519,7 @@ def eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int] = ()):
     raise TypeError(f"bad condition node {c!r}")
 
 
-_COND_TOKEN_RE = None  # built lazily in _sexp_read_braced
-
-
-def _sexp_read_braced(text: str):
-    """s-expression reader where {...} groups a polynomial literal token."""
-    import re
-
-    global _COND_TOKEN_RE
-    if _COND_TOKEN_RE is None:
-        _COND_TOKEN_RE = re.compile(r"\{[^{}]*\}|\(|\)|[^\s(){}]+")
-    from .errors import ParseError
-
-    tokens = _COND_TOKEN_RE.findall(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of condition")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
-            if pos >= len(tokens):
-                raise ParseError("unbalanced parentheses in condition")
-            pos += 1
-            return items
-        if tok == ")":
-            raise ParseError("unexpected ')' in condition")
-        return tok
-
-    node = read()
-    if pos != len(tokens):
-        raise ParseError("trailing input after condition")
-    return node
-
-
 def _cond_poly(tok, names) -> Poly:
-    from .errors import ParseError
-    from .parsing import parse_int_poly
-
     if not isinstance(tok, str):
         raise ParseError(f"expected a {{polynomial}} literal, got {tok!r}")
     body = tok[1:-1] if tok.startswith("{") and tok.endswith("}") else tok
@@ -577,8 +527,6 @@ def _cond_poly(tok, names) -> Poly:
 
 
 def _cond_offset(tok, param_names) -> Tuple[Tuple[int, ...], int]:
-    from .errors import ParseError
-
     poly = _cond_poly(tok, param_names)
     coeffs = [0] * len(param_names)
     const = 0
@@ -593,8 +541,6 @@ def _cond_offset(tok, param_names) -> Tuple[Tuple[int, ...], int]:
 
 
 def _parse_semialg_node(node, names, param_names) -> SemiAlgCondition:
-    from .errors import ParseError
-
     if isinstance(node, str):
         if node == "true":
             return True
@@ -656,31 +602,22 @@ def parse_semialg(text: str, names: Sequence[str],
                   param_names: Sequence[str] = ()) -> SemiAlgCondition:
     """Parse the documented condition syntax, e.g.
     (and (ord>= {x} {1} 1) (ordmod {y} 2 0) (ac= {a1 - 1} {x}))."""
-    return _parse_semialg_node(_sexp_read_braced(text), tuple(names),
+    return _parse_semialg_node(read_sexp(text), tuple(names),
                                tuple(param_names))
 
 
 def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
                   params: Sequence[int] = (), j_max: int = 6,
-                  budget: Optional[int] = None, threads: int = 1
-                  ) -> Tuple[int, int]:
+                  budget: Optional[int] = None) -> Tuple[int, int]:
     """(definitely_true, unknown) over the stabilized level-n image points."""
-    _check_q(q)
-    bud = budget if budget is not None else default_budget()
-    if not any(any(co % q for co in p.values()) for p in X.polys):
-        import itertools
-
-        lifter = _Lifter(X, q, bud)
-        jets = lifter.all_jets(n)
-    else:
-        lifter = _Lifter(X, q, bud)
-        survivors = lifter.all_jets(n)
-        res = stabilized_count(X, n, q, j_max, budget=bud, threads=threads)
+    if n < 0 or j_max < 0:
+        raise ValueError("n and j_max must be nonnegative")
+    lifter = _Lifter(X, q, budget)
+    jets = lifter.all_jets(n)
+    if not _is_affine_space(X, q):
+        res, jets = _stabilize(lifter, jets, n, j_max)
         if not res.stable:
             raise Unstable(f"image counts did not stabilize within j_max={j_max}")
-        target = n + res.j_star + 1
-        jets = [jet for jet in survivors
-                if res.j_star == 0 or lifter.can_extend(jet, target) is not None]
     true_count = 0
     unknown_count = 0
     for jet in jets:

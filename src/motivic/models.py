@@ -353,6 +353,9 @@ def _parse_affine_map(value: str, names: Sequence[str], lineno: int) -> Affine:
             coeffs[mono.index(1)] += c
         else:
             _fail(lineno, f"map {value!r} is not affine")
+    if const < 0 or any(c < 0 for c in coeffs):
+        _fail(lineno, f"map {value!r} has a negative coefficient; image maps "
+                      "must have nonnegative coefficients")
     return Affine(tuple(coeffs), const)
 
 

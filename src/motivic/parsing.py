@@ -14,6 +14,11 @@ from .grring import HodgeRational, LaurentPoly, MotClass
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
+# Nesting deeper than this is a parse error.  The bound keeps the recursive
+# parser and the recursive walks over the parsed trees far from Python's
+# recursion limit.
+MAX_DEPTH = 100
+
 
 def tokenize(text: str) -> List[Tuple[str, int]]:
     """Token stream as (token, position) pairs; raises ParseError on junk."""
@@ -38,6 +43,13 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def descend(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels "
+                             f"at column {pos + 1}")
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -78,13 +90,13 @@ class _Parser:
         return node
 
     def unary(self):
-        if self.peek() == "-":
-            self.next()
-            return ("neg", self.unary())
-        if self.peek() == "+":
-            self.next()
-            return self.unary()
-        return self.power()
+        if self.peek() not in ("-", "+"):
+            return self.power()
+        op, pos = self.next()
+        self.descend(pos)
+        node = self.unary()
+        self.depth -= 1
+        return ("neg", node) if op == "-" else node
 
     def power(self):
         base = self.atom()
@@ -104,8 +116,10 @@ class _Parser:
     def atom(self):
         tok, pos = self.next()
         if tok == "(":
+            self.descend(pos)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.isdigit():
             return ("num", int(tok))
@@ -116,6 +130,47 @@ class _Parser:
 
 def parse_expr(text: str):
     return _Parser(text).parse()
+
+
+# -- s-expressions ----------------------------------------------------------
+
+# `{...}` is one atom: the jet conditions write polynomial literals in braces.
+# The last alternative catches a brace left unmatched.
+_SEXP_TOKEN_RE = re.compile(r"\{[^{}]*\}|[()]|[^\s(){}]+|\S")
+
+
+def read_sexp(text: str):
+    """One s-expression as nested lists of string atoms.
+
+    Iterative, so deep input cannot exhaust the stack; nesting deeper than
+    MAX_DEPTH raises ParseError.
+    """
+    stack: List[list] = []
+    node = None
+    for m in _SEXP_TOKEN_RE.finditer(text):
+        tok = m.group()
+        if node is not None:
+            raise ParseError("trailing input after condition")
+        if tok in ("{", "}"):
+            raise ParseError(f"unmatched {tok!r} at column {m.start() + 1} in condition")
+        if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"condition nested deeper than {MAX_DEPTH} levels")
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')' in condition")
+            tok = stack.pop()
+        if stack:
+            stack[-1].append(tok)
+        else:
+            node = tok
+    if stack:
+        raise ParseError("unbalanced parentheses in condition")
+    if node is None:
+        raise ParseError("unexpected end of condition")
+    return node
 
 
 # -- denominator-factor pattern matching -----------------------------------

@@ -16,6 +16,7 @@ from math import ceil, floor, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionUnsupported, InfiniteFibers, ParseError
+from .parsing import read_sexp
 
 Expo = Tuple[int, ...]
 
@@ -616,37 +617,6 @@ def _class_sum_band(i0, R, lo0, lo_step, hi0, hi_step, maps, astep, bstep) -> Ra
 # s-expression syntax for conditions
 # ---------------------------------------------------------------------------
 
-_SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _sexp_read(text: str):
-    tokens = _SEXP_TOKEN.findall(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of condition")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
-            if pos >= len(tokens):
-                raise ParseError("unbalanced parentheses in condition")
-            pos += 1
-            return items
-        if tok == ")":
-            raise ParseError("unexpected ')' in condition")
-        return tok
-
-    node = read()
-    if pos != len(tokens):
-        raise ParseError("trailing input after condition")
-    return node
-
-
 def _parse_affine(node, names: Sequence[str]) -> Affine:
     m = len(names)
     if isinstance(node, str):
@@ -724,13 +694,15 @@ def _parse_condition(node, names: Sequence[str]) -> Condition:
         rr = _parse_affine(node[3], names)
         if any(dd.coeffs) or any(rr.coeffs):
             raise ParseError("modulus and residue must be integer constants")
+        if dd.const < 1:
+            raise ParseError(f"congruence modulus must be >= 1, got {dd.const}")
         return Mod(aff, dd.const, rr.const)
     raise ParseError(f"unknown condition operator {head!r}")
 
 
 def parse_condition(text: str, names: Sequence[str]) -> Condition:
     """Parse the documented s-expression condition syntax."""
-    return _parse_condition(_sexp_read(text), names)
+    return _parse_condition(read_sexp(text), names)
 
 
 def format_affine(aff: Affine, names: Sequence[str]) -> str:

@@ -8,7 +8,7 @@ from motivic.jets import (UNKNOWN, JetPoint, JetVariety, count_semialg,
                           enumerate_jet_points, enumerate_jets, eval_semialg,
                           greenberg_estimate, image_count, oesterle_sequence,
                           ord_cmp, ord_mod, parse_semialg, poincare_table,
-                          stabilized_count)
+                          stabilized_count, stabilized_table)
 from motivic.parsing import parse_int_poly
 from motivic.presburger import And, Not, Or
 
@@ -143,11 +143,50 @@ class TestTables:
                 assert N_n <= (branches + 1) * 2 ** ((n + 1) * X.d)
 
     def test_determinism_across_worker_counts(self):
-        for threads in (1, 2, 4):
-            assert enumerate_jets(NODE, 3, 2, threads=threads) == \
-                enumerate_jets(NODE, 3, 2)
-            res = stabilized_count(NODE, 2, 2, 5, threads=threads)
-            assert (res.N_n, res.j_star, res.stable) == (15, 2, True)
+        res = stabilized_count(NODE, 2, 2, 5)
+        assert (res.N_n, res.j_star, res.stable) == (15, 2, True)
+
+    # CUSP is y^2 - x^3.  y^3 - x^4 runs at q = 2 only: at q = 3 its rows
+    # n = 2, 3 do not stabilize within j_max = 5 and take about 50 s.
+    @pytest.mark.parametrize("X, q", [
+        (X, q) for X in (NODE, CUSP, LINE, CONIC,
+                         variety(["y^2 - x^5"], 1, ("x", "y")))
+        for q in (2, 3)] + [(variety(["y^3 - x^4"], 1, ("x", "y")), 2)])
+    def test_table_matches_per_level_counts(self, X, q):
+        table = stabilized_table(X, q, 3, 5)
+        assert len(table) == 4
+        for n, row in enumerate(table):
+            res = stabilized_count(X, n, q, 5)
+            assert (row.N_n, row.j_star, row.stable, row.counts) == \
+                (res.N_n, res.j_star, res.stable, res.counts)
+
+    def test_budget_caps_the_whole_table(self):
+        rows = [least_budget(lambda b: stabilized_count(NODE, n, 2, 4, budget=b))
+                for n in range(3)]
+        whole = least_budget(lambda b: stabilized_table(NODE, 2, 2, 4, budget=b))
+        assert whole > max(rows)
+
+
+def least_budget(run) -> int:
+    """Smallest budget under which run(budget) finishes."""
+    def fits(budget):
+        try:
+            run(budget)
+        except BudgetExceeded:
+            return False
+        return True
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 X1 = parse_int_poly("x", ("x",))

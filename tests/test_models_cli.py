@@ -75,6 +75,44 @@ class TestCliExitCodes:
     def test_wrong_kind_is_two(self):
         assert main(["volume", fx("node.model")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["jets-count", fx("node.model"), "--q", "2", "--n", "-1"],
+        ["jets-count", fx("node.model"), "--q", "2", "--n", "1", "--j", "-1"],
+        ["jets-count", fx("node.model"), "--q", "2", "--n", "1", "--j-max", "1"],
+        ["jets-poincare", fx("node.model"), "--q", "2", "--n-max", "1",
+         "--j-max", "-1"],
+        ["jets-oesterle", fx("node.model"), "--q", "2", "--n-max", "-1"],
+        ["jets-poincare", fx("node.model"), "--q", "2", "--n-m", "1"],
+        ["series-expand", fx("node.series"), "--n", "-3"],
+        ["semialg-count", fx("a1_cond.model"), "--q", "2", "--n", "-2"],
+        ["semialg-count", fx("a1_cond.model"), "--q", "2", "--n", "2",
+         "--params", "x"],
+        ["semialg-count", fx("a1_cond.model"), "--q", "2", "--n", "2",
+         "--params", "1"],
+        ["chi", "(" * 3000 + "L" + ")" * 3000],
+        ["chi", "1" + "-" * 3000 + "1"],
+    ])
+    def test_bad_input_is_two(self, argv, capsys):
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize("body", [
+        "vars = i j\ncondition = (>= i 0)\nmap = i - j\n",
+        "vars = i\ncondition = (>= i 0)\nmap = i - 1\n",
+        "vars = i\ncondition = (mod i 0 0)\n",
+        "vars = i\ncondition = " + "(not " * 2000 + "(>= i 0)" + ")" * 2000 + "\n",
+    ])
+    def test_bad_presburger_model_is_two(self, body, tmp_path, capsys):
+        path = tmp_path / "bad.model"
+        path.write_text("kind = presburger\n" + body)
+        assert main(["genfun", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error[ParseError]")
+
+    def test_deep_jet_condition_is_two(self, tmp_path):
+        path = tmp_path / "deep.model"
+        path.write_text("kind = variety\nvars = x\ndimension = 1\ncondition = "
+                        + "(not " * 2000 + "(ordmod {x} 2 0)" + ")" * 2000 + "\n")
+        assert main(["semialg-count", str(path), "--q", "2", "--n", "1"]) == 2
+
 
 class TestCliOutputs:
     def test_volume_ideal(self, capsys):
@@ -131,6 +169,11 @@ class TestCliOutputs:
     def test_jets_count(self, capsys):
         assert main(["jets-count", fx("node.model"), "--q", "2", "--n", "1"]) == 0
         assert capsys.readouterr().out.strip() == "8"
+
+    def test_jets_count_lifting_depth(self, capsys):
+        assert main(["jets-count", fx("cusp.model"), "--q", "5", "--n", "3",
+                     "--j", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "625"
 
     def test_jets_poincare_csv(self, tmp_path, capsys):
         out_path = tmp_path / "t.csv"
