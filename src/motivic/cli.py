@@ -247,7 +247,6 @@ def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False,
                         "from MOTIVIC_JETS_BUDGET or 10^8)")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: jet commands run in one thread")
-    p.add_argument("--output", default=None, help="CSV output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(name, fn, help_text)
         p.add_argument("model")
         _add_jet_flags(p, n_max=True)
+        p.add_argument("--output", default=None, help="CSV output path")
 
     p = command("semialg-count", _cmd_semialg_count,
                 "three-valued counting of a condition on jets")

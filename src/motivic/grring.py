@@ -7,8 +7,10 @@ Everything is exact integer/rational arithmetic; no floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ChiUndefined
 
@@ -110,14 +112,12 @@ class LaurentPoly:
         """Multiply by L^k."""
         return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * v for e, v in self.terms.items()})
-
     def divexact(self, other: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Exact quotient self / other, or None if the division has a remainder.
 
-        Valid for any nonzero divisor; exactness is over the rationals, and
-        the quotient is returned only when its coefficients are integers.
+        Integer long division from the top; it stops with None at the first
+        quotient coefficient that is not an integer, so the answer is the
+        same as for division over the rationals, for any nonzero divisor.
         """
         if other.is_zero:
             raise ZeroDivisionError("division by zero Laurent polynomial")
@@ -125,30 +125,23 @@ class LaurentPoly:
             return LaurentPoly()
         # normalize both to ordinary polynomials
         slow, olow = self.low, other.low
-        num = {e - slow: Fraction(c) for e, c in self.terms.items()}
-        den = {e - olow: Fraction(c) for e, c in other.terms.items()}
-        dd = max(den)
-        lead = den[dd]
-        quot: Dict[int, Fraction] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
+        rem = [self.terms.get(e, 0) for e in range(slow, self.degree + 1)]
+        den = [(e - olow, c) for e, c in other.terms.items()]
+        dd = other.degree - olow
+        lead = other.terms[other.degree]
+        quot: Dict[int, int] = {}
+        for top in range(len(rem) - 1, dd - 1, -1):
+            if not rem[top]:
+                continue
+            q, r = divmod(rem[top], lead)
+            if r:
                 return None
-            q = num[nd] / lead
-            quot[nd - dd] = q
-            for e, c in den.items():
-                e2 = e + nd - dd
-                v = num.get(e2, Fraction(0)) - q * c
-                if v:
-                    num[e2] = v
-                else:
-                    num.pop(e2, None)
-        out: Dict[int, int] = {}
-        for e, c in quot.items():
-            if c.denominator != 1:
-                return None
-            out[e + slow - olow] = int(c)
-        return LaurentPoly(out)
+            quot[top - dd + slow - olow] = q
+            for e, c in den:
+                rem[top - dd + e] -= q * c
+        if any(rem[:dd]):
+            return None
+        return LaurentPoly(quot)
 
     def eval_at(self, x: Fraction) -> Fraction:
         total = Fraction(0)
@@ -170,11 +163,71 @@ def _clean_den(den: Iterable[int]) -> Tuple[int, ...]:
     return out
 
 
+def _binoms(den: Iterable[int]) -> LaurentPoly:
+    """prod_{i in den} (L^i - 1)."""
+    p = LaurentPoly.const(1)
+    for i in den:
+        p = p * LaurentPoly.binom(i)
+    return p
+
+
+@lru_cache(maxsize=None)
+def _divisors(i: int) -> Tuple[int, ...]:
+    return tuple(d for d in range(1, i + 1) if i % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(k: int) -> LaurentPoly:
+    """Phi_k(L); L^k - 1 is the product of Phi_d(L) over d | k."""
+    p = LaurentPoly.binom(k)
+    for d in _divisors(k)[:-1]:
+        p = p.divexact(_cyclotomic(d))
+    return p
+
+
+def _phi_divides(k: int, p: LaurentPoly) -> bool:
+    """Phi_k | p, tested on p folded mod L^k - 1 (which Phi_k divides)."""
+    folded: Dict[int, int] = {}
+    for e, c in p.terms.items():
+        folded[e % k] = folded.get(e % k, 0) + c
+    return LaurentPoly(folded).divexact(_cyclotomic(k)) is not None
+
+
+def _reduce(nums: List[LaurentPoly], den: Tuple[int, ...]
+            ) -> Tuple[List[LaurentPoly], Tuple[int, ...]]:
+    """Canonical form of the fractions p / prod_{i in den} (L^i - 1), p in nums.
+
+    Every Phi_k of the denominator that divides all numerators is cancelled.
+    The Phi's left are covered by (L^i - 1) factors again, largest k first,
+    and the numerators take the extra Phi_d a chosen factor brings in, so a
+    product of (L^i - 1) factors comes back unchanged.
+    """
+    phis: Dict[int, int] = {}
+    for i in den:
+        for d in _divisors(i):
+            phis[d] = phis.get(d, 0) + 1
+    for k in phis:
+        while phis[k] and all(_phi_divides(k, p) for p in nums):
+            nums = [p.divexact(_cyclotomic(k)) for p in nums]
+            phis[k] -= 1
+    cover: List[int] = []
+    extra = LaurentPoly.const(1)
+    for k in sorted(phis, reverse=True):
+        while phis[k]:
+            cover.append(k)
+            for d in _divisors(k):
+                if phis.get(d):
+                    phis[d] -= 1
+                else:
+                    extra = extra * _cyclotomic(d)
+    return [p * extra for p in nums], tuple(sorted(cover))
+
+
 class MotClass:
     """Element num / prod_{i in den} (L^i - 1) of the localized ring.
 
-    Canonical form divides out denominator factors that divide the numerator
-    exactly; equality is nevertheless decided by cross-multiplication.
+    The stored pair is the canonical form made by `_reduce`, so equal
+    classes have equal (num, den); `mot_eq` cross-multiplies instead.
     """
 
     __slots__ = ("num", "den")
@@ -183,15 +236,8 @@ class MotClass:
         den = _clean_den(den)
         if num.is_zero:
             den = ()
-        else:
-            remaining = []
-            for i in sorted(den, reverse=True):
-                q = num.divexact(LaurentPoly.binom(i))
-                if q is not None:
-                    num = q
-                else:
-                    remaining.append(i)
-            den = tuple(sorted(remaining))
+        elif den:
+            (num,), den = _reduce([num], den)
         self.num = num
         self.den = den
 
@@ -218,10 +264,7 @@ class MotClass:
         return self.num.is_zero
 
     def den_poly(self) -> LaurentPoly:
-        p = LaurentPoly.const(1)
-        for i in self.den:
-            p = p * LaurentPoly.binom(i)
-        return p
+        return _binoms(self.den)
 
     def virtual_dim(self) -> int:
         """deg_L(num) - sum(den); raises on the zero class."""
@@ -230,19 +273,11 @@ class MotClass:
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "MotClass") -> "MotClass":
         # common denominator: multiset max of the two factor multisets
-        from collections import Counter
-
         ca, cb = Counter(self.den), Counter(other.den)
         common = ca | cb
-        pa = LaurentPoly.const(1)
-        for i, m in sorted((common - ca).items()):
-            for _ in range(m):
-                pa = pa * LaurentPoly.binom(i)
-        pb = LaurentPoly.const(1)
-        for i, m in sorted((common - cb).items()):
-            for _ in range(m):
-                pb = pb * LaurentPoly.binom(i)
-        return MotClass(self.num * pa + other.num * pb, common.elements())
+        return MotClass(self.num * _binoms((common - ca).elements())
+                        + other.num * _binoms((common - cb).elements()),
+                        common.elements())
 
     def __neg__(self) -> "MotClass":
         return MotClass(-self.num, self.den)
@@ -266,10 +301,10 @@ class MotClass:
         return MotClass(self.num.shift(k), self.den)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MotClass) and mot_eq(self, other)
+        return (isinstance(other, MotClass)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        # hash on the canonical representative
         return hash((self.num, self.den))
 
     def eval_at(self, q: int) -> Fraction:
@@ -406,32 +441,20 @@ class HodgeRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Mapping[Tuple[int, int], int], den: Iterable[int] = ()):
-        self.num = {(int(p), int(q)): int(c) for (p, q), c in num.items() if c}
-        self.den = _clean_den(den)
-        self._cancel()
-
-    def _cancel(self) -> None:
-        """Cancel ((uv)^i - 1) factors when the numerator is a single
-        diagonal translate u^s of a polynomial in w = uv."""
-        if not self.den or not self.num:
-            if not self.num:
-                self.den = ()
-            return
-        offsets = {p - q for (p, q) in self.num}
-        if len(offsets) != 1:
-            return
-        s = offsets.pop()
-        poly = LaurentPoly({q: c for (p, q), c in self.num.items()})
-        remaining = []
-        for i in sorted(self.den, reverse=True):
-            qt = poly.divexact(LaurentPoly.binom(i))
-            if qt is None:
-                remaining.append(i)
-            else:
-                poly = qt
-        if len(remaining) != len(self.den):
-            self.num = {(q + s, q): c for q, c in poly.terms.items()}
-            self.den = _clean_den(remaining)
+        num = {(int(p), int(q)): int(c) for (p, q), c in num.items() if c}
+        den = _clean_den(den)
+        if not num:
+            den = ()
+        elif den:
+            # u^p v^q = u^(p-q) w^q: one polynomial in w = uv per offset p - q
+            slices: Dict[int, Dict[int, int]] = {}
+            for (p, q), c in num.items():
+                slices.setdefault(p - q, {})[q] = c
+            polys, den = _reduce([LaurentPoly(w) for w in slices.values()], den)
+            num = {(q + s, q): c for s, poly in zip(slices, polys)
+                   for q, c in poly.terms.items()}
+        self.num = num
+        self.den = den
 
     @classmethod
     def const(cls, c: int) -> "HodgeRational":
@@ -447,14 +470,12 @@ class HodgeRational:
         return not self.num
 
     def _den_num(self) -> Dict[Tuple[int, int], int]:
-        p: Dict[Tuple[int, int], int] = {(0, 0): 1}
-        for i in self.den:
-            p = _hr_mul(p, {(i, i): 1, (0, 0): -1})
-        return p
+        return {(e, e): c for e, c in _binoms(self.den).terms.items()}
 
     def __add__(self, other: "HodgeRational") -> "HodgeRational":
-        num = _hr_add(_hr_mul(self.num, other._den_num()),
-                      _hr_mul(other.num, self._den_num()))
+        num = _hr_mul(self.num, other._den_num())
+        for k, c in _hr_mul(other.num, self._den_num()).items():
+            num[k] = num.get(k, 0) + c
         return HodgeRational(num, self.den + other.den)
 
     def __neg__(self) -> "HodgeRational":
@@ -469,7 +490,7 @@ class HodgeRational:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HodgeRational):
             return NotImplemented
-        return _hr_mul(self.num, other._den_num()) == _hr_mul(other.num, self._den_num())
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((frozenset(self.num.items()), self.den))
@@ -497,13 +518,6 @@ class HodgeRational:
         from .parsing import format_hodge
 
         return f"HodgeRational({format_hodge(self)})"
-
-
-def _hr_add(a: Dict[Tuple[int, int], int], b: Mapping[Tuple[int, int], int]):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
 
 
 def _hr_mul(a: Mapping[Tuple[int, int], int], b: Mapping[Tuple[int, int], int]):

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from .errors import (MissingN, RealizationOnlyStrata, StrataNotPartition,
                      ValidationError)
 from .grring import (HodgeRational, LaurentPoly, MotClass, chi_realize,
-                     hodge_realize, mot_eq)
+                     hodge_realize)
 from .polyhedra import NewtonPolyhedron, z_of_delta
 
 
@@ -176,7 +176,7 @@ def kontsevich_invariant(res: ResolutionData) -> MotClass:
     total = MotClass.zero()
     for s in res.strata:
         total = total + s.cls
-    if not mot_eq(total, res.declared_Y):
+    if total != res.declared_Y:
         raise StrataNotPartition(
             f"strata classes sum to {total!r}, declared total is {res.declared_Y!r}")
     return volume_from_resolution(res)

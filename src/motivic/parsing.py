@@ -74,20 +74,19 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        # flat n-ary nodes: a long sum or product must not nest deeply
+        terms = [(1, self.term())]
         while self.peek() in ("+", "-"):
             op, _ = self.next()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            terms.append((1 if op == "+" else -1, self.term()))
+        return terms[0][1] if len(terms) == 1 else ("add", tuple(terms))
 
     def term(self):
-        node = self.unary()
+        factors = [("*", self.unary())]
         while self.peek() in ("*", "/"):
             op, _ = self.next()
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            factors.append((op, self.unary()))
+        return factors[0][1] if len(factors) == 1 else ("mul", tuple(factors))
 
     def unary(self):
         if self.peek() not in ("-", "+"):
@@ -180,10 +179,10 @@ def _match_binom_factor(node) -> List[int]:
 
     Raises ParseError when the divisor is not of the allowed shape.
     """
-    if node[0] == "mul":
-        return _match_binom_factor(node[1]) + _match_binom_factor(node[2])
-    if node[0] == "sub" and node[2] == ("num", 1):
-        lhs = node[1]
+    if node[0] == "mul" and all(op == "*" for op, _ in node[1]):
+        return [i for _, child in node[1] for i in _match_binom_factor(child)]
+    if node[0] == "add" and len(node[1]) == 2 and node[1][1] == (-1, ("num", 1)):
+        lhs = node[1][0][1]
         if lhs == ("var", "L"):
             return [1]
         if lhs[0] == "pow" and lhs[1] == ("var", "L") and isinstance(lhs[2], int) and lhs[2] >= 1:
@@ -204,11 +203,17 @@ def _eval_motclass(node) -> MotClass:
     if kind == "neg":
         return -_eval_motclass(node[1])
     if kind == "add":
-        return _eval_motclass(node[1]) + _eval_motclass(node[2])
-    if kind == "sub":
-        return _eval_motclass(node[1]) - _eval_motclass(node[2])
+        total = MotClass.zero()
+        for sign, child in node[1]:
+            value = _eval_motclass(child)
+            total = total + value if sign > 0 else total - value
+        return total
     if kind == "mul":
-        return _eval_motclass(node[1]) * _eval_motclass(node[2])
+        prod = MotClass.one()
+        for op, child in node[1]:
+            prod = prod * (_eval_motclass(child) if op == "*" else
+                           MotClass(LaurentPoly.const(1), _match_binom_factor(child)))
+        return prod
     if kind == "pow":
         e = node[2]
         if node[1] == ("var", "L"):
@@ -216,10 +221,6 @@ def _eval_motclass(node) -> MotClass:
         if e < 0:
             raise ParseError("negative powers are only allowed for L")
         return _eval_motclass(node[1]) ** e
-    if kind == "div":
-        num = _eval_motclass(node[1])
-        factors = _match_binom_factor(node[2])
-        return num * MotClass(LaurentPoly.const(1), factors)
     raise ParseError(f"bad expression node {kind!r}")
 
 
@@ -228,6 +229,15 @@ def parse_motclass(text: str) -> MotClass:
 
 
 # -- series numerators: polynomials in T with MotClass coefficients ---------
+
+def _tpoly_mul(a: Dict[int, MotClass], b: Dict[int, MotClass]) -> Dict[int, MotClass]:
+    out: Dict[int, MotClass] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out.get(e, MotClass.zero()) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero}
+
 
 def _eval_tpoly(node) -> Dict[int, MotClass]:
     kind = node[0]
@@ -241,23 +251,18 @@ def _eval_tpoly(node) -> Dict[int, MotClass]:
         raise ParseError(f"unknown symbol {node[1]!r} in series expression")
     if kind == "neg":
         return {e: -c for e, c in _eval_tpoly(node[1]).items()}
-    if kind in ("add", "sub"):
-        a = _eval_tpoly(node[1])
-        b = _eval_tpoly(node[2])
-        out = dict(a)
-        for e, c in b.items():
-            cur = out.get(e, MotClass.zero())
-            out[e] = cur + c if kind == "add" else cur - c
+    if kind == "add":
+        out: Dict[int, MotClass] = {}
+        for sign, child in node[1]:
+            for e, c in _eval_tpoly(child).items():
+                out[e] = out.get(e, MotClass.zero()) + (c if sign > 0 else -c)
         return {e: c for e, c in out.items() if not c.is_zero}
     if kind == "mul":
-        a = _eval_tpoly(node[1])
-        b = _eval_tpoly(node[2])
-        out: Dict[int, MotClass] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, MotClass.zero()) + c1 * c2
-        return {e: c for e, c in out.items() if not c.is_zero}
+        out = {0: MotClass.one()}
+        for op, child in node[1]:
+            out = _tpoly_mul(out, _eval_tpoly(child) if op == "*" else
+                             {0: MotClass(LaurentPoly.const(1), _match_binom_factor(child))})
+        return out
     if kind == "pow":
         e = node[2]
         if node[1] == ("var", "L"):
@@ -265,20 +270,10 @@ def _eval_tpoly(node) -> Dict[int, MotClass]:
         if e < 0:
             raise ParseError("negative powers are only allowed for L")
         base = _eval_tpoly(node[1])
-        out: Dict[int, MotClass] = {0: MotClass.one()}
+        out = {0: MotClass.one()}
         for _ in range(e):
-            nxt: Dict[int, MotClass] = {}
-            for e1, c1 in out.items():
-                for e2, c2 in base.items():
-                    k = e1 + e2
-                    nxt[k] = nxt.get(k, MotClass.zero()) + c1 * c2
-            out = {k: c for k, c in nxt.items() if not c.is_zero}
+            out = _tpoly_mul(out, base)
         return out
-    if kind == "div":
-        num = _eval_tpoly(node[1])
-        factors = _match_binom_factor(node[2])
-        scale = MotClass(LaurentPoly.const(1), factors)
-        return {e: c * scale for e, c in num.items()}
     raise ParseError(f"bad expression node {kind!r}")
 
 
@@ -287,6 +282,16 @@ def parse_series_num(text: str) -> Dict[int, MotClass]:
 
 
 # -- integer polynomials in named variables ---------------------------------
+
+def _int_poly_mul(a: Dict[Tuple[int, ...], int], b: Dict[Tuple[int, ...], int]
+                  ) -> Dict[Tuple[int, ...], int]:
+    out: Dict[Tuple[int, ...], int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
 
 def _eval_int_poly(node, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
     n = len(names)
@@ -301,37 +306,27 @@ def _eval_int_poly(node, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
         return {tuple(mono): 1}
     if kind == "neg":
         return {m: -c for m, c in _eval_int_poly(node[1], names).items()}
-    if kind in ("add", "sub"):
-        a = _eval_int_poly(node[1], names)
-        b = _eval_int_poly(node[2], names)
-        out = dict(a)
-        for m, c in b.items():
-            out[m] = out.get(m, 0) + (c if kind == "add" else -c)
+    if kind == "add":
+        out: Dict[Tuple[int, ...], int] = {}
+        for sign, child in node[1]:
+            for m, c in _eval_int_poly(child, names).items():
+                out[m] = out.get(m, 0) + sign * c
         return {m: c for m, c in out.items() if c}
     if kind == "mul":
-        a = _eval_int_poly(node[1], names)
-        b = _eval_int_poly(node[2], names)
-        out: Dict[Tuple[int, ...], int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return {m: c for m, c in out.items() if c}
+        if any(op == "/" for op, _ in node[1]):
+            raise ParseError("division is not allowed in polynomials")
+        out = {(0,) * n: 1}
+        for _, child in node[1]:
+            out = _int_poly_mul(out, _eval_int_poly(child, names))
+        return out
     if kind == "pow":
         if node[2] < 0:
             raise ParseError("negative powers are not allowed in polynomials")
         out = {(0,) * n: 1}
         base = _eval_int_poly(node[1], names)
         for _ in range(node[2]):
-            nxt: Dict[Tuple[int, ...], int] = {}
-            for m1, c1 in out.items():
-                for m2, c2 in base.items():
-                    m = tuple(x + y for x, y in zip(m1, m2))
-                    nxt[m] = nxt.get(m, 0) + c1 * c2
-            out = {m: c for m, c in nxt.items() if c}
+            out = _int_poly_mul(out, base)
         return out
-    if kind == "div":
-        raise ParseError("division is not allowed in polynomials")
     raise ParseError(f"bad expression node {kind!r}")
 
 

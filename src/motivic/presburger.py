@@ -196,7 +196,7 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (_poly_mul(self.num, other.den_poly())
+        return (self.nvars == other.nvars and _poly_mul(self.num, other.den_poly())
                 == _poly_mul(other.num, self.den_poly()))
 
     def __hash__(self) -> int:

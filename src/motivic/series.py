@@ -81,18 +81,9 @@ def expand(P: RationalMotSeries, N: int) -> List[MotClass]:
         raise ValueError("N must be nonnegative")
     coeffs: List[MotClass] = [P.num.get(n, MotClass.zero()) for n in range(N + 1)]
     for a, b in P.den:
-        # multiply by sum_{k>=0} L^{ak} T^{bk}
-        out: List[MotClass] = []
-        for n in range(N + 1):
-            total = MotClass.zero()
-            k = 0
-            while b * k <= n:
-                c = coeffs[n - b * k]
-                if not c.is_zero:
-                    total = total + c.shift(a * k)
-                k += 1
-            out.append(total)
-        coeffs = out
+        # divide by 1 - L^a T^b: a_n += L^a a_{n-b}, with a_{n-b} already divided
+        for n in range(b, N + 1):
+            coeffs[n] = coeffs[n] + coeffs[n - b].shift(a)
     return coeffs
 
 

@@ -11,6 +11,7 @@ from motivic.grring import (CompletionExpansion, HodgeRational, LaurentPoly,
                             MotClass, chi_realize, expand_completion,
                             filtration_degree, hodge_realize, mot_arith,
                             mot_eq)
+from motivic.parsing import format_motclass
 
 
 def laurent(terms):
@@ -35,6 +36,14 @@ class TestLaurentPoly:
 
     def test_divexact_inexact_returns_none(self):
         assert laurent({0: 1, 1: 1}).divexact(LaurentPoly.binom(1)) is None
+        # exact over the rationals, but the quotient 1/2 is not integral
+        assert laurent({0: 1, 1: 1}).divexact(laurent({0: 2, 1: 2})) is None
+
+    @given(laurent_st, laurent_st.filter(bool), laurent_st)
+    def test_divexact_is_exact_division(self, a, b, c):
+        assert (a * b).divexact(b) == a
+        q = c.divexact(b)
+        assert q is None or q * b == c
 
     def test_binom(self):
         assert LaurentPoly.binom(3) == laurent({3: 1, 0: -1})
@@ -61,6 +70,27 @@ class TestCanonicalization:
         a = MotClass(num, den)
         assert a.num * MotClass(num, den).den_poly() == \
             MotClass(num, den).num * a.den_poly()
+
+    @settings(max_examples=150)
+    @given(motclass_st, motclass_st)
+    def test_equality_agrees_with_cross_multiplication(self, a, b):
+        assert (a == b) == mot_eq(a, b)
+        assert (a + b - b == a) and mot_eq(a + b - b, a)
+
+    @settings(max_examples=150)
+    @given(motclass_st, st.integers(min_value=1, max_value=12))
+    def test_extra_factor_gives_the_same_form(self, a, i):
+        b = MotClass(a.num * LaurentPoly.binom(i), a.den + (i,))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert format_motclass(a) == format_motclass(b)
+
+    def test_cyclotomic_cancellation(self):
+        # (L+1)/(L^2-1) = 1/(L-1): the factor L+1 is Phi_2, not a whole L^i-1
+        a = MotClass(laurent({1: 1, 0: 1}), (2,))
+        b = MotClass(LaurentPoly.const(1), (1,))
+        assert len({a, b}) == 1
+        assert format_motclass(a) == "1/(L-1)"
 
 
 class TestRingAxioms:
@@ -202,6 +232,26 @@ class TestHodge:
         h = HodgeRational({(2, 2): 1, (0, 0): -1}, (2,))
         assert h == HodgeRational.const(1)
         assert h.den == ()
+
+    def test_cyclotomic_cancellation_two_variables(self):
+        # u(uv + 1)/((uv)^2 - 1) = u/(uv - 1)
+        a = HodgeRational({(2, 1): 1, (1, 0): 1}, (2,))
+        b = HodgeRational({(1, 0): 1}, (1,))
+        assert a == b
+        assert hash(a) == hash(b)
+
+    @settings(max_examples=100)
+    @given(st.dictionaries(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                           st.integers(-3, 3), max_size=4),
+           den_st, st.integers(min_value=1, max_value=6))
+    def test_extra_factor_gives_the_same_form(self, num, den, i):
+        times_binom = {(p + i, q + i): c for (p, q), c in num.items()}
+        for k, c in num.items():
+            times_binom[k] = times_binom.get(k, 0) - c
+        a = HodgeRational(num, den)
+        b = HodgeRational(times_binom, tuple(den) + (i,))
+        assert a == b
+        assert hash(a) == hash(b)
 
     def test_two_variable_numerator(self):
         g = 2

@@ -7,6 +7,7 @@ import pytest
 from motivic.cli import main
 from motivic.errors import ParseError
 from motivic.models import parse_model, print_model
+from motivic.parsing import parse_int_poly
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -51,6 +52,9 @@ class TestModelFiles:
         with pytest.raises(ParseError):
             parse_model("   \n# only a comment\n")
 
+    def test_long_flat_polynomial(self):
+        assert parse_int_poly("x" + "+x" * 3000, ["x"]) == {(1,): 3001}
+
 
 class TestCliExitCodes:
     def test_success(self, capsys):
@@ -91,6 +95,10 @@ class TestCliExitCodes:
          "--params", "1"],
         ["chi", "(" * 3000 + "L" + ")" * 3000],
         ["chi", "1" + "-" * 3000 + "1"],
+        ["jets-count", fx("node.model"), "--q", "2", "--n", "1",
+         "--output", "unused.csv"],
+        ["semialg-count", fx("a1_cond.model"), "--q", "2", "--n", "2",
+         "--output", "unused.csv"],
     ])
     def test_bad_input_is_two(self, argv, capsys):
         assert main(argv) == 2
@@ -126,6 +134,14 @@ class TestCliOutputs:
     def test_chi_literal(self, capsys):
         assert main(["chi", "(L-1)/(L^4-1)"]) == 0
         assert capsys.readouterr().out.strip() == "1/4"
+
+    @pytest.mark.parametrize("text, value", [
+        ("1" + "+1" * 3000, "3001"),
+        ("L" + "*L" * 3000, "1"),
+    ])
+    def test_chi_of_a_long_flat_literal(self, text, value, capsys):
+        assert main(["chi", text]) == 0
+        assert capsys.readouterr().out.strip() == value
 
     def test_chi_model(self, capsys):
         assert main(["chi", fx("blowup.model")]) == 0

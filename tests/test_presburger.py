@@ -79,6 +79,10 @@ class TestRatFunc:
         b = RatFunc(1, {(1,): 1, (2,): -1}, [(1,), (1,), (1,)])
         assert a == b
 
+    def test_zero_of_another_arity_is_unequal(self):
+        # __hash__ is hash(nvars), so equal functions must share nvars
+        assert RatFunc.zero(1) != RatFunc.zero(2)
+
     def test_expand_geometric(self):
         f = RatFunc(1, {(0,): 1}, [(2,)])
         assert f.expand(7) == {(0,): 1, (2,): 1, (4,): 1, (6,): 1}
