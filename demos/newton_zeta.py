@@ -2,7 +2,7 @@
 
 Z(Delta) = (L-1)^k * sum over the lattice points xi >= 1 of L^{-l(xi)},
 where l is the support function of Delta.  The closed form comes from a
-unimodular partition of the positive orthant into half-open cones on which
+partition of the positive orthant into half-open simplicial cones on which
 l is linear; the truncated summation is the independent check.
 """
 from motivic.grring import expand_completion
@@ -17,7 +17,7 @@ print("support values: l(1,1) =", support_eval(delta, (1, 1)),
       " l(1,2) =", support_eval(delta, (1, 2)))
 print()
 
-print("half-open unimodular cones with linear support values:")
+print("half-open simplicial cones with linear support values:")
 for cone in linearity_partition(delta):
     rays = ", ".join(str(r) for r in cone.rays)
     vals = ", ".join(str(cone.value_at(r)) for r in cone.rays)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -249,6 +250,7 @@ def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False,
                    help="accepted and ignored: jet commands run in one thread")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="motivic", allow_abbrev=False,

@@ -87,20 +87,6 @@ class ResolutionData:
     def has_realization_only(self) -> bool:
         return any(s.cls is None for s in self.strata)
 
-    def nu_of(self, name: str) -> int:
-        for div in self.divisors:
-            if div.name == name:
-                return div.nu
-        raise KeyError(name)
-
-    def N_of(self, name: str) -> int:
-        for div in self.divisors:
-            if div.name == name:
-                if div.N is None:
-                    raise MissingN(f"divisor {name!r} has no ideal multiplicity N")
-                return div.N
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class PolyhedralStratum:
@@ -109,10 +95,6 @@ class PolyhedralStratum:
 
     cls: MotClass
     delta: Optional[NewtonPolyhedron]
-
-    @property
-    def I_size(self) -> int:
-        return 0 if self.delta is None else self.delta.k
 
 
 def _edge_factor(nu: int) -> MotClass:

@@ -1,7 +1,7 @@
 """Newton polyhedra with positive-orthant recession cone.
 
 Provides the support function, a partition of the strictly positive lattice
-orthant into half-open unimodular cones on which the support function is
+orthant into half-open simplicial cones on which the support function is
 linear, and the resulting closed-form zeta value together with a truncated
 direct-summation oracle.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionUnsupported
 from .grring import CompletionExpansion, LaurentPoly, MotClass
@@ -33,53 +33,37 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _cross(a: Vec, b: Vec) -> Vec:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def _det(rows: Sequence[Vec]) -> int:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if k == 3:
-        a, b, c = rows
-        return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    raise ValueError("determinant only implemented for k <= 3")
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]))
 
 
-def _solve_coords(rays: Sequence[Vec], point: Sequence[int]) -> Optional[Tuple[Fraction, ...]]:
-    """Coordinates c with point = sum c_j rays_j, or None if inconsistent.
+def _dual(rays: Tuple[Vec, ...]) -> Tuple[int, Tuple[Vec, ...]]:
+    """|det R| and the rows of sign(det R) adj(R), R with the rays as columns.
 
-    Rays are linearly independent; the system may be overdetermined when
-    there are fewer rays than ambient dimensions.
+    The coordinates of x in the ray basis are (row . x) / |det R|.
     """
-    k = len(point)
-    e = len(rays)
-    # augmented matrix of the k x e system (columns are rays)
-    rows = [[Fraction(rays[j][i]) for j in range(e)] + [Fraction(point[i])]
-            for i in range(k)]
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(e):
-        piv = next((i for i in range(r, k) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, k):
-        if rows[i][e] != 0:
-            return None
-    coords = [Fraction(0)] * e
-    for i, c in enumerate(piv_cols):
-        coords[c] = rows[i][e]
-    return tuple(coords)
+    det = _det(rays)
+    sign = 1 if det > 0 else -1
+    rows = tuple(
+        tuple(sign * (-1) ** (i + j) * _det([r[:j] + r[j + 1:]
+                                              for r in rays[:i] + rays[i + 1:]])
+              for j in range(len(rays)))
+        for i in range(len(rays)))
+    return abs(det), rows
+
+
+def _is_open(row: Vec) -> bool:
+    """Whether the facet where this row's coordinate vanishes is left out."""
+    return next(x for x in row if x) > 0
 
 
 class NewtonPolyhedron:
@@ -120,29 +104,67 @@ class NewtonPolyhedron:
 
 @dataclass(frozen=True)
 class HalfOpenCone:
-    """The set {sum c_j rays_j : c_j integer >= 1}, rays linearly independent.
+    """A simplicial cone of lattice points with some facets left out.
+
+    The rays are linearly independent and there are k of them. The cone holds
+    the x = sum lambda_j rays_j with every lambda_j >= 0, and lambda_j > 0
+    when facet j (the one without ray j) is open. Facet j is open when the
+    first nonzero entry of row j of R^-1, R with the rays as columns, is
+    positive: x then lies in the cone that holds x - eps (1, d, d^2) for
+    small 0 < d, eps, so the cones of a dissection of the orthant tile the
+    open lattice orthant.
 
     linear_value holds the support-function values at the rays, so the
-    support function at sum c_j rays_j is sum c_j linear_value_j.
+    support function at sum lambda_j rays_j is sum lambda_j linear_value_j.
     """
 
     rays: Tuple[Vec, ...]
     linear_value: Tuple[int, ...]
 
     def contains(self, xi: Vec) -> bool:
-        coords = _solve_coords(self.rays, xi)
-        if coords is None:
-            return False
-        return all(c.denominator == 1 and c >= 1 for c in coords)
+        _, dual = _dual(self.rays)
+        for row in dual:
+            lam = _dot(row, xi)
+            if lam < 0 or (lam == 0 and _is_open(row)):
+                return False
+        return True
 
     def value_at(self, xi: Vec) -> int:
-        coords = _solve_coords(self.rays, xi)
-        assert coords is not None
-        total = Fraction(0)
-        for c, lam in zip(coords, self.linear_value):
-            total += c * lam
-        assert total.denominator == 1
-        return int(total)
+        det, dual = _dual(self.rays)
+        total, rest = divmod(sum(_dot(row, xi) * a
+                                 for row, a in zip(dual, self.linear_value)), det)
+        assert rest == 0
+        return total
+
+    def lattice_sum(self) -> MotClass:
+        """Sum of L^-phi(x) over the lattice points x of the cone.
+
+        phi is the linear function equal to linear_value on the rays, all of
+        them positive. Each x is p + sum n_j rays_j with integers n_j >= 0 and
+        p in the half-open fundamental parallelepiped, so the sum is
+        sum_p L^(A - phi(p)) / prod_j (L^a_j - 1), a_j = phi(ray j), A = sum a_j.
+        Written as |det R| lambda(p), the points p form the subgroup of
+        (Z/|det R|)^k spanned by the columns of sign(det R) adj(R), |det R|
+        elements; an entry 0 stands for |det R| on an open facet.
+        """
+        det, dual = _dual(self.rays)
+        points = {(0,) * len(dual)}
+        for j in range(len(dual)):
+            step = tuple(row[j] % det for row in dual)
+            grown = set()
+            for p in points:
+                while p not in grown:
+                    grown.add(p)
+                    p = tuple((x + s) % det for x, s in zip(p, step))
+            points = grown
+        a = self.linear_value
+        opened = [_is_open(row) for row in dual]
+        num: Dict[int, int] = {}
+        for p in points:
+            lam = [det if x == 0 and is_open else x for x, is_open in zip(p, opened)]
+            e = sum(a) - _dot(lam, a) // det
+            num[e] = num.get(e, 0) + 1
+        return MotClass(LaurentPoly(num), a)
 
 
 def support_eval(delta: NewtonPolyhedron, xi: Sequence[int]) -> int:
@@ -182,8 +204,9 @@ def _extreme_pair(plane_rays: List[Vec]) -> Tuple[Vec, Vec]:
 
 
 def _is_conic_comb_2(r: Vec, a: Vec, b: Vec) -> bool:
-    coords = _solve_coords((a, b), r)
-    return coords is not None and all(c >= 0 for c in coords)
+    """For r in the plane of a and b: is r a nonnegative combination of them?"""
+    n = _cross(a, b)
+    return _dot(_cross(a, r), n) >= 0 and _dot(_cross(r, b), n) >= 0
 
 
 def _rank(vectors: Sequence[Vec]) -> int:
@@ -216,9 +239,7 @@ def _chambers_3d(gens: Sequence[Vec]) -> List[Tuple[Vec, Vec, Vec]]:
         # candidate extreme rays from pairs of active constraints
         cands = set()
         for n1, n2 in itertools.combinations(normals, 2):
-            cr = (n1[1] * n2[2] - n1[2] * n2[1],
-                  n1[2] * n2[0] - n1[0] * n2[2],
-                  n1[0] * n2[1] - n1[1] * n2[0])
+            cr = _cross(n1, n2)
             if not any(cr):
                 continue
             for s in (1, -1):
@@ -244,92 +265,30 @@ def _chambers_3d(gens: Sequence[Vec]) -> List[Tuple[Vec, Vec, Vec]]:
     return tris
 
 
-# -- unimodular subdivision -------------------------------------------------
-
-def _par_point(rays: Sequence[Vec]) -> Vec:
-    """A nonzero lattice point in the half-open parallelepiped of the cone."""
-    k = len(rays)
-    best = None
-    best_key = None
-    box = [sum(r[i] for r in rays) for i in range(k)]
-    for point in itertools.product(*(range(0, b + 1) for b in box)):
-        if not any(point):
-            continue
-        coords = _solve_coords(rays, point)
-        if coords is None:
-            continue
-        if all(0 <= c < 1 for c in coords):
-            key = (sum(coords), point)
-            if best_key is None or key < best_key:
-                best, best_key = point, key
-    assert best is not None, "non-unimodular cone without interior parallelepiped point"
-    return _primitive(best)
-
-
-def _unimodularize(maxcones: List[Tuple[Vec, ...]], k: int) -> List[Tuple[Vec, ...]]:
-    fan = [tuple(c) for c in maxcones]
-    guard = 0
-    while True:
-        guard += 1
-        assert guard < 10000, "unimodular subdivision failed to terminate"
-        target = next((c for c in fan if abs(_det(c)) != 1), None)
-        if target is None:
-            return fan
-        w = _par_point(target)
-        newfan: List[Tuple[Vec, ...]] = []
-        for cone in fan:
-            coords = _solve_coords(cone, w)
-            if coords is None or any(c < 0 for c in coords):
-                newfan.append(cone)
-                continue
-            if w in cone:
-                newfan.append(cone)
-                continue
-            for j, cj in enumerate(coords):
-                if cj > 0:
-                    replaced = cone[:j] + (w,) + cone[j + 1:]
-                    newfan.append(replaced)
-        fan = newfan
-
-
 def linearity_partition(delta: NewtonPolyhedron) -> List[HalfOpenCone]:
-    """Disjoint half-open unimodular cones covering the open lattice orthant,
+    """Disjoint half-open simplicial cones covering the open lattice orthant,
     with the support function linear on each."""
     k = delta.k
     if k > 3:
         raise DimensionUnsupported(f"closed-form partition supports k <= 3, got {k}")
     gens = delta.minimal_generators()
     if k == 1:
-        nu = min(g[0] for g in gens)
-        return [HalfOpenCone(((1,),), (nu,))]
-    if k == 2:
-        maxcones = [tuple(c) for c in _chambers_2d(gens)]
+        chambers = [((1,),)]
+    elif k == 2:
+        chambers = _chambers_2d(gens)
     else:
-        maxcones = [tuple(c) for c in _chambers_3d(gens)]
-    fan = _unimodularize(maxcones, k)
-    faces: Dict[frozenset, Tuple[Vec, ...]] = {}
-    for cone in fan:
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(cone, size):
-                faces[frozenset(subset)] = tuple(sorted(subset))
-    out = []
-    for rays in sorted(set(faces.values())):
-        # drop faces inside a coordinate hyperplane: they miss the open orthant
-        if any(all(r[i] == 0 for r in rays) for i in range(k)):
-            continue
-        values = tuple(support_eval(delta, r) for r in rays)
-        out.append(HalfOpenCone(rays, values))
-    return out
+        chambers = _chambers_3d(gens)
+    return [HalfOpenCone(tuple(rays), tuple(support_eval(delta, r) for r in rays))
+            for rays in chambers]
 
 
 def z_of_delta(delta: NewtonPolyhedron) -> MotClass:
     """(L-1)^k sum over the open lattice orthant of L^{-support}, in closed form."""
     cones = linearity_partition(delta)  # raises DimensionUnsupported for k > 3
-    k = delta.k
     total = MotClass.zero()
     for cone in cones:
-        total = total + MotClass(LaurentPoly.const(1), cone.linear_value)
-    return total * MotClass(LaurentPoly.binom(1) ** k)
+        total = total + cone.lattice_sum()
+    return total * MotClass(LaurentPoly.binom(1) ** delta.k)
 
 
 def z_truncated(delta: NewtonPolyhedron, m: int) -> CompletionExpansion:

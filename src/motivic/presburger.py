@@ -190,9 +190,6 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.nvars, _poly_mul(self.num, other.num), self.den + other.den)
 
-    def scale(self, c: int) -> "RatFunc":
-        return RatFunc(self.nvars, {m: c * v for m, v in self.num.items()}, self.den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented

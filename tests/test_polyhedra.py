@@ -5,9 +5,11 @@ import random
 import pytest
 
 from motivic.errors import DimensionUnsupported
-from motivic.grring import (LaurentPoly, MotClass, expand_completion, mot_eq)
-from motivic.polyhedra import (NewtonPolyhedron, linearity_partition,
-                               support_eval, z_of_delta, z_truncated)
+from motivic.grring import (CompletionExpansion, LaurentPoly, MotClass,
+                            expand_completion, mot_eq)
+from motivic.polyhedra import (HalfOpenCone, NewtonPolyhedron, _det, _dot,
+                               linearity_partition, support_eval, z_of_delta,
+                               z_truncated)
 
 
 class TestNewtonPolyhedron:
@@ -56,13 +58,29 @@ class TestLinearityPartition:
                     for _ in range(rng.randint(1, 3))]
             self._check_partition(NewtonPolyhedron(3, gens), 5)
 
-    def test_unimodularity(self):
-        from motivic.polyhedra import _det, _solve_coords
-
-        delta = NewtonPolyhedron(3, [(2, 1, 1), (1, 3, 1), (1, 1, 4)])
-        for cone in linearity_partition(delta):
-            if len(cone.rays) == 3:
-                assert abs(_det(cone.rays)) == 1
+    def test_random_simplicial_cones(self):
+        # closed form of one cone with |det| > 1 against a direct sum of
+        # L^{-c.x} over the lattice points the cone contains
+        rng = random.Random(31)
+        for k, order in ((2, 16), (3, 12)):
+            done = 0
+            while done < 15:
+                rays = tuple(tuple(rng.randint(0, 3) for _ in range(k))
+                             for _ in range(k))
+                if abs(_det(rays)) < 2:
+                    continue
+                c = [rng.randint(1, 2) for _ in range(k)]
+                cone = HalfOpenCone(rays, tuple(_dot(c, r) for r in rays))
+                if sum(cone.linear_value) > order:
+                    continue  # the expansion may start past the order
+                counts = {}
+                # rays are nonnegative and c >= 1, so c.x <= order bounds x
+                for x in itertools.product(range(order + 1), repeat=k):
+                    if _dot(c, x) <= order and cone.contains(x):
+                        counts[_dot(c, x)] = counts.get(_dot(c, x), 0) + 1
+                want = CompletionExpansion(counts, order)
+                assert expand_completion(cone.lattice_sum(), order) == want, rays
+                done += 1
 
     def test_dimension_unsupported(self):
         with pytest.raises(DimensionUnsupported):
@@ -91,6 +109,12 @@ class TestZeta:
                 delta = NewtonPolyhedron(k, gens)
                 closed = expand_completion(z_of_delta(delta), 30)
                 assert closed.matches(z_truncated(delta, 30))
+
+    def test_five_generator_zeta(self):
+        delta = NewtonPolyhedron(3, [(9, 1, 1), (1, 8, 1), (1, 1, 11),
+                                     (3, 3, 2), (2, 3, 3)])
+        closed = expand_completion(z_of_delta(delta), 12)
+        assert closed.matches(z_truncated(delta, 12))
 
     def test_truncated_is_plain_enumeration(self):
         # k = 1, vertex (2,): sum over xi >= 1 of (L-1) L^{-2 xi},
