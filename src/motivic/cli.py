@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import MotivicError, ParseError, ValidationError
+from .errors import DigitLimit, MotivicError, ParseError, ValidationError
 from .grring import chi_realize, hodge_realize
 from .jets import (count_semialg, enumerate_jets, image_count,
                    oesterle_sequence, poincare_table, stabilized_table)
@@ -42,13 +42,25 @@ def _read_model(path: str, kind: str) -> ModelFile:
     return model
 
 
+def _digits(value: int) -> str:
+    """str(value), refused with DigitLimit past the interpreter's limit on
+    integer-to-text conversion, which this program leaves as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DigitLimit(
+            f"the result exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+            "for integer string conversion; the PYTHONINTMAXSTRDIGITS "
+            "environment variable raises it") from None
+
+
 def _emit_csv(rows: List[Sequence], header: Sequence[str],
               output: Optional[str]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(row)
+        writer.writerow([_digits(x) if isinstance(x, int) else x for x in row])
     text = buf.getvalue()
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -163,9 +175,10 @@ def _variety_arg(args) -> VarietyModel:
 def _cmd_jets_count(args) -> int:
     vm = _variety_arg(args)
     if args.j:
-        print(image_count(vm.variety, args.n, args.j, args.q, budget=args.budget))
+        count = image_count(vm.variety, args.n, args.j, args.q, budget=args.budget)
     else:
-        print(enumerate_jets(vm.variety, args.n, args.q, budget=args.budget))
+        count = enumerate_jets(vm.variety, args.n, args.q, budget=args.budget)
+    print(_digits(count))
     return EXIT_OK
 
 
@@ -218,7 +231,7 @@ def _cmd_semialg_count(args) -> int:
     true_count, unknown = count_semialg(vm.variety, cond, args.n, args.q,
                                         params=params, j_max=args.j_max,
                                         budget=args.budget)
-    print(f"definitely_true={true_count} unknown={unknown}")
+    print(f"definitely_true={_digits(true_count)} unknown={_digits(unknown)}")
     return EXIT_OK
 
 

@@ -41,6 +41,10 @@ class Unstable(MotivicError):
     """Image counts did not stabilize within the allowed lifting depth."""
 
 
+class DigitLimit(MotivicError):
+    """An exact integer result is too long for the interpreter to print."""
+
+
 class ParseError(MotivicError):
     """Malformed input text; carries a human-readable location."""
 

@@ -2,11 +2,16 @@
 
 A level-n jet of an affine variety over F_q is a tuple of truncated power
 series (mod t^{n+1}) on which every defining polynomial vanishes.  Jets are
-enumerated level by level: extending a solution from level s to level s+1
-amounts to solving a linear system over F_q whose matrix is the Jacobian at
-the constant term, so dead branches are pruned early.  Truncation images,
-their stabilization in the lifting depth, and three-valued evaluation of
-ord/angular-component conditions are built on top of the enumerator.
+searched depth first: extending a solution from level s to level s+1
+amounts to solving a linear system over F_q whose matrix is the Jacobian J
+at the constant term x0, so dead branches are pruned early.  J(x0) is
+row-reduced once per level-0 point, and each node computes only the new
+coefficient t^s of f(x(t)), from the series of the monomials of f carried
+along the path.  Where J(x0) has full row rank r, Hensel's lemma gives the
+count without a search: each of the q^{(N-r)n} level-n jets over x0 lifts
+to every depth.  Truncation images, their stabilization in the lifting
+depth, and three-valued evaluation of ord/angular-component conditions are
+built on top of the enumerator.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ParseError, Unstable, ValidationError
@@ -124,46 +130,96 @@ def _poly_eval_series(p: Poly, jet: Jet, order: int, q: int) -> List[int]:
     return out
 
 
-def _solve_affine(rows: List[List[int]], rhs: List[int], q: int
-                  ) -> Optional[Tuple[List[int], List[List[int]]]]:
-    """Solve rows * a = rhs over F_q; return (particular, nullspace basis)."""
-    n_vars = len(rows[0]) if rows else 0
-    aug = [[x % q for x in row] + [b % q] for row, b in zip(rows, rhs)]
-    pivots: List[int] = []
-    r = 0
-    for col in range(n_vars):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], q - 2, q)
-        aug[r] = [(x * inv) % q for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n_vars]:
-            return None
-    particular = [0] * n_vars
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][n_vars]
-    free = [c for c in range(n_vars) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n_vars
-        vec[fc] = 1
-        for i, col in enumerate(pivots):
-            vec[col] = (-aug[i][fc]) % q
-        basis.append(vec)
-    return particular, basis
+class _Base:
+    """J(x0) row-reduced once for one level-0 point x0.
+
+    Gauss-Jordan on [J | I] gives the transform E with E J = RREF(J); each
+    node over x0 then solves J a = b by one product E b, in the pivot order
+    that reducing [J | b] would take.  `grads` holds the gradient at x0 of
+    each carried monomial.
+    """
+
+    __slots__ = ("q", "n_vars", "pivot_rows", "check_rows", "pivots", "basis",
+                 "free", "smooth", "grads", "_kernel")
+
+    def __init__(self, rows: List[List[int]], n_vars: int, q: int,
+                 grads: List[List[int]]):
+        aug = [[x % q for x in row] + [int(i == k) for k in range(len(rows))]
+               for i, row in enumerate(rows)]
+        pivots: List[int] = []
+        r = 0
+        for col in range(n_vars):
+            piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+            if piv is None:
+                continue
+            aug[r], aug[piv] = aug[piv], aug[r]
+            inv = pow(aug[r][col], q - 2, q)
+            aug[r] = [(x * inv) % q for x in aug[r]]
+            for i in range(len(aug)):
+                if i != r and aug[i][col]:
+                    f = aug[i][col]
+                    aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
+            pivots.append(col)
+            r += 1
+        transform = [row[n_vars:] for row in aug]
+        self.q = q
+        self.n_vars = n_vars
+        self.pivot_rows = transform[:r]
+        self.check_rows = transform[r:]
+        self.pivots = pivots
+        self.basis = []
+        for fc in (c for c in range(n_vars) if c not in pivots):
+            vec = [0] * n_vars
+            vec[fc] = 1
+            for i, col in enumerate(pivots):
+                vec[col] = (-aug[i][fc]) % q
+            self.basis.append(vec)
+        self.free = len(self.basis)
+        # Hensel: with J(x0) of full row rank every jet over x0 lifts, with
+        # q^free children at every level
+        self.smooth = r == len(rows)
+        self.grads = grads
+        self._kernel: Optional[List[List[int]]] = None
+
+    def consistent(self, rhs: List[int]) -> bool:
+        return not any(sum(map(mul, row, rhs)) % self.q for row in self.check_rows)
+
+    def particular(self, rhs: List[int]) -> List[int]:
+        """The solution of J(x0) a = rhs that is zero off the pivots."""
+        out = [0] * self.n_vars
+        for col, row in zip(self.pivots, self.pivot_rows):
+            out[col] = sum(map(mul, row, rhs)) % self.q
+        return out
+
+    def kernel(self) -> List[List[int]]:
+        """All q^free vectors k of ker J(x0), ordered by their coordinates in
+        the nullspace basis, each followed by the products grad . k."""
+        q = self.q
+        if self._kernel is None:
+            self._kernel = []
+            for combo in itertools.product(range(q), repeat=self.free):
+                vec = [0] * self.n_vars
+                for coef, bvec in zip(combo, self.basis):
+                    if coef:
+                        vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
+                self._kernel.append(vec + [sum(map(mul, g, vec)) for g in self.grads])
+        return self._kernel
+
+
+# A node of the jet tree: its N coordinate series followed by the series of
+# the carried monomials, and the reduction at its level-0 point.
+Node = Tuple[Tuple[Tuple[int, ...], ...], _Base]
 
 
 class _Lifter:
     """Level-by-level jet extension for one variety over one prime field.
 
+    Extending a node of length s means solving J(x0) a = -[f(x(t))]_s, where
+    the coefficient t^s is taken with a_s = 0.  Each nonlinear monomial of f
+    is a coordinate times a shorter monomial, so its new coefficient costs
+    O(s) from the series of the shorter one; the monomials that a longer one
+    extends are carried along the path as series, and a child adds
+    grad m(x0) . a to their new coefficient.
     One lifter serves one whole computation, so its budget caps all of it.
     """
 
@@ -177,6 +233,31 @@ class _Lifter:
         self.polys = [p for p in self.polys if p]
         self.jacobian = [[_poly_derivative(p, v) for v in range(X.N)]
                          for p in self.polys]
+        # chain[k] = (m, v, ref): monomial m of degree >= 2 is x_v times the
+        # coordinate ref < N or the monomial chain[ref - N]; in _residual the
+        # coefficient t^s of coordinate v sits at top[v], of chain[k] at
+        # top[N + k]
+        chain: List[Tuple[Tuple[int, ...], int, int]] = []
+        index = {tuple(int(u == v) for u in range(X.N)): v for v in range(X.N)}
+
+        def carry(mono: Tuple[int, ...]) -> int:
+            if mono not in index:
+                v = next(v for v, e in enumerate(mono) if e)
+                ref = carry(mono[:v] + (mono[v] - 1,) + mono[v + 1:])
+                index[mono] = X.N + len(chain)
+                chain.append((mono, v, ref))
+            return index[mono]
+
+        # constant and linear terms add nothing at t^s once a_s = 0
+        self.terms = [[(c, carry(m)) for m, c in p.items() if sum(m) > 1]
+                      for p in self.polys]
+        # a node carries the whole series only of the monomials that a
+        # longer one extends, after its N coordinates
+        self.carried = sorted({ref for _, _, ref in chain if ref >= X.N})
+        where = {ref: X.N + j for j, ref in enumerate(self.carried)}
+        where.update({v: v for v in range(X.N)})
+        self.steps = [(v, ref, where[ref]) for _, v, ref in chain]
+        self.carried_monos = [chain[ref - X.N][0] for ref in self.carried]
 
     def _charge(self) -> None:
         self.expansions += 1
@@ -184,67 +265,87 @@ class _Lifter:
             raise BudgetExceeded(
                 f"jet enumeration exceeded the budget of {self.budget} node expansions")
 
-    def level0(self) -> List[Jet]:
+    def level0(self) -> List[Node]:
+        q = self.q
         out = []
-        for point in itertools.product(range(self.q), repeat=self.X.N):
+        for point in itertools.product(range(q), repeat=self.X.N):
             self._charge()
-            if all(_poly_eval_point(p, point, self.q) == 0 for p in self.polys):
-                out.append(tuple((x,) for x in point))
+            if all(_poly_eval_point(p, point, q) == 0 for p in self.polys):
+                rows = [[_poly_eval_point(dp, point, q) for dp in row]
+                        for row in self.jacobian]
+                grads = [[_poly_eval_point(_poly_derivative({m: 1}, v), point, q)
+                          for v in range(self.X.N)] for m in self.carried_monos]
+                out.append((tuple((x,) for x in point) +
+                            tuple((_poly_eval_point({m: 1}, point, q),)
+                                  for m in self.carried_monos),
+                            _Base(rows, self.X.N, q, grads)))
         return out
 
-    def children(self, jet: Jet) -> List[Jet]:
-        """All one-level extensions of a solution jet."""
+    def _residual(self, node: Node) -> Tuple[List[int], List[int]]:
+        """One expansion of a node of length s: the right-hand side -[f]_s
+        of J(x0) a = -[f]_s and the coefficients t^s of the coordinates and
+        of the monomials in the chain, all taken with a_s = 0."""
         self._charge()
         q = self.q
-        s = len(jet[0])  # new coefficient sits at t^s
-        if not self.polys:
-            return [tuple(c + (a,) for c, a in zip(jet, vec))
-                    for vec in itertools.product(range(q), repeat=self.X.N)]
-        x0 = tuple(c[0] for c in jet)
-        rows = [[_poly_eval_point(dp, x0, q) for dp in row] for row in self.jacobian]
-        padded = tuple(c + (0,) for c in jet)
-        rhs = []
-        for p in self.polys:
-            series = _poly_eval_series(p, padded, s, q)
-            rhs.append((-series[s]) % q)
-        sol = _solve_affine(rows, rhs, q)
-        if sol is None:
+        series = node[0]
+        top = [0] * self.X.N
+        for v, ref, at in self.steps:
+            x = series[v]
+            top.append((x[0] * top[ref]
+                        + sum(map(mul, x[1:], series[at][:0:-1]))) % q)
+        rhs = [-sum(c * top[k] for c, k in terms) % q for terms in self.terms]
+        return rhs, top
+
+    def leaf_count(self, node: Node) -> int:
+        """Number of children of node, without building them."""
+        base = node[1]
+        rhs, _ = self._residual(node)
+        return self.q ** base.free if base.consistent(rhs) else 0
+
+    def children(self, node: Node) -> List[Node]:
+        """All one-level extensions of a solution jet."""
+        q = self.q
+        series, base = node
+        rhs, top = self._residual(node)
+        if not base.consistent(rhs):
             return []
-        particular, basis = sol
-        out = []
-        for combo in itertools.product(range(q), repeat=len(basis)):
-            vec = list(particular)
-            for coef, bvec in zip(combo, basis):
-                if coef:
-                    for t in range(self.X.N):
-                        vec[t] = (vec[t] + coef * bvec[t]) % q
-            out.append(tuple(c + (a,) for c, a in zip(jet, vec)))
-        return out
+        particular = base.particular(rhs)
+        start = particular + [top[ref] + sum(map(mul, g, particular))
+                              for ref, g in zip(self.carried, base.grads)]
+        return [(tuple([c + ((a + d) % q,) for c, a, d in zip(series, start, delta)]),
+                 base)
+                for delta in base.kernel()]
 
-    def next_level(self, jets: List[Jet]) -> List[Jet]:
-        return [child for jet in jets for child in self.children(jet)]
+    def descendants(self, node: Node, depth: int) -> Iterator[Node]:
+        """The nodes depth levels below node, depth first and in order."""
+        stack = [[node]]
+        while stack:
+            level = stack[-1]
+            if not level:
+                stack.pop()
+                continue
+            nd = level.pop()
+            if len(stack) > depth:
+                yield nd
+            else:
+                stack.append(self.children(nd)[::-1])
 
-    def all_jets(self, n: int) -> List[Jet]:
-        frontier = self.level0()
-        for _ in range(n):
-            frontier = self.next_level(frontier)
-        return frontier
-
-    def can_extend(self, jet: Jet, target_len: int) -> Optional[Jet]:
-        """Depth-first search for one extension of jet to target_len
+    def can_extend(self, node: Node, target_len: int) -> Optional[Node]:
+        """Depth-first search for one extension of node to target_len
         coefficients; returns a witness or None."""
-        if len(jet[0]) >= target_len:
-            return jet
-        for child in self.children(jet):
-            found = self.can_extend(child, target_len)
-            if found is not None:
-                return found
-        return None
+        return next(self.descendants(node, target_len - len(node[0][0])), None)
 
 
 def _is_affine_space(X: JetVariety, q: int) -> bool:
     """Every polynomial vanishes mod q, so every tuple of series is a jet."""
     return not any(c % q for p in X.polys for c in p.values())
+
+
+def _hensel_count(lifter: _Lifter, roots: List[Node], n: int) -> int:
+    """Level-n jets over the level-0 points where J has full row rank r:
+    q^((N - r) n) over each of them."""
+    smooth = sum(1 for root in roots if root[1].smooth)
+    return smooth * lifter.q ** ((lifter.X.N - len(lifter.polys)) * n)
 
 
 def enumerate_jets(X: JetVariety, n: int, q: int,
@@ -255,7 +356,18 @@ def enumerate_jets(X: JetVariety, n: int, q: int,
     _check_q(q)
     if _is_affine_space(X, q):
         return q ** (X.N * (n + 1))
-    return len(_Lifter(X, q, budget).all_jets(n))
+    lifter = _Lifter(X, q, budget)
+    roots = lifter.level0()
+    total = _hensel_count(lifter, roots, n)
+    for root in roots:
+        if root[1].smooth:
+            continue
+        if n == 0:
+            total += 1
+        else:
+            total += sum(lifter.leaf_count(node)
+                         for node in lifter.descendants(root, n - 1))
+    return total
 
 
 def enumerate_jet_points(X: JetVariety, n: int, q: int,
@@ -263,8 +375,10 @@ def enumerate_jet_points(X: JetVariety, n: int, q: int,
     """Stream of the level-n jets themselves."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for jet in _Lifter(X, q, budget).all_jets(n):
-        yield JetPoint(q=q, n=n, coords=jet)
+    lifter = _Lifter(X, q, budget)
+    for root in lifter.level0():
+        for node in lifter.descendants(root, n):
+            yield JetPoint(q=q, n=n, coords=node[0][:X.N])
 
 
 def image_count(X: JetVariety, n: int, j: int, q: int,
@@ -276,9 +390,12 @@ def image_count(X: JetVariety, n: int, j: int, q: int,
     if _is_affine_space(X, q):
         return q ** (X.N * (n + 1))
     lifter = _Lifter(X, q, budget)
+    roots = lifter.level0()
     target = n + j + 1
-    return sum(1 for jet in lifter.all_jets(n)
-               if lifter.can_extend(jet, target) is not None)
+    return _hensel_count(lifter, roots, n) + sum(
+        1 for root in roots if not root[1].smooth
+        for node in lifter.descendants(root, n)
+        if lifter.can_extend(node, target) is not None)
 
 
 @dataclass
@@ -298,11 +415,13 @@ def _affine_space_result(X: JetVariety, n: int, q: int, j_max: int) -> Stabilize
                             counts=[count] * (j_max + 3))
 
 
-def _stabilize(lifter: _Lifter, level_n_jets: List[Jet], n: int, j_max: int
-               ) -> Tuple[StabilizedResult, List[Jet]]:
+def _stabilize(lifter: _Lifter, level_n_nodes: List[Node], n: int, j_max: int,
+               lifting: int) -> Tuple[StabilizedResult, List[Node]]:
     """Image counts of the level-n jets at lifting depths j = 0, 1, ...,
     j_max + 2, stopping at the first three equal consecutive counts; returns
-    the result and the level-n jets that lift to the last depth reached.
+    the result and the given nodes that lift to the last depth reached.
+    `lifting` level-n jets besides the given ones are known to lift to every
+    depth and are counted without a search.
 
     A jet that lifts to depth j + 1 lifts to depth j, so the survivor sets
     shrink as j grows: equal counts mean equal sets, and only the newest
@@ -311,24 +430,24 @@ def _stabilize(lifter: _Lifter, level_n_jets: List[Jet], n: int, j_max: int
     # keep a witness extension per surviving level-n jet; extending the
     # witness one more level is almost always enough, a fresh search runs
     # only when the witness path dies
-    witnesses: Dict[Jet, Jet] = {jet: jet for jet in level_n_jets}
-    counts = [len(witnesses)]
+    witnesses = [(node, node) for node in level_n_nodes]
+    counts = [lifting + len(witnesses)]
     for j in range(1, j_max + 3):
         target = n + j + 1
-        nxt: Dict[Jet, Jet] = {}
-        for jet, wit in witnesses.items():
+        nxt = []
+        for node, wit in witnesses:
             found = lifter.can_extend(wit, target)
-            if found is None and len(wit[0]) > n + 1:
-                found = lifter.can_extend(jet, target)
+            if found is None and len(wit[0][0]) > n + 1:
+                found = lifter.can_extend(node, target)
             if found is not None:
-                nxt[jet] = found
+                nxt.append((node, found))
         witnesses = nxt
-        counts.append(len(witnesses))
+        counts.append(lifting + len(witnesses))
         if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
             return (StabilizedResult(N_n=counts[j], j_star=j - 2, stable=True,
-                                     counts=counts), list(witnesses))
+                                     counts=counts), [node for node, _ in witnesses])
     return (StabilizedResult(N_n=counts[-1], j_star=len(counts) - 1, stable=False,
-                             counts=counts), list(witnesses))
+                             counts=counts), [node for node, _ in witnesses])
 
 
 def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
@@ -342,26 +461,32 @@ def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
     if _is_affine_space(X, q):
         return _affine_space_result(X, n, q, j_max)
     lifter = _Lifter(X, q, budget)
-    return _stabilize(lifter, lifter.all_jets(n), n, j_max)[0]
+    roots = lifter.level0()
+    nodes = [node for root in roots if not root[1].smooth
+             for node in lifter.descendants(root, n)]
+    return _stabilize(lifter, nodes, n, j_max, _hensel_count(lifter, roots, n))[0]
 
 
 def stabilized_table(X: JetVariety, q: int, n_max: int, j_max: int,
                      budget: Optional[int] = None) -> List[StabilizedResult]:
     """stabilized_count(X, n, q, j_max) for n = 0..n_max from one traversal:
-    the level-n jets are built once, from the level-(n-1) jets, and one
-    budget caps the whole table."""
+    the level-n jets over the points where J has lower rank are built once,
+    from the level-(n-1) ones, the others are counted in closed form, and
+    one budget caps the whole table."""
     if n_max < 0 or j_max < 0:
         raise ValueError("n_max and j_max must be nonnegative")
     _check_q(q)
     if _is_affine_space(X, q):
         return [_affine_space_result(X, n, q, j_max) for n in range(n_max + 1)]
     lifter = _Lifter(X, q, budget)
-    frontier = lifter.level0()
+    roots = lifter.level0()
+    frontier = [root for root in roots if not root[1].smooth]
     rows = []
     for n in range(n_max + 1):
         if n:
-            frontier = lifter.next_level(frontier)
-        rows.append(_stabilize(lifter, frontier, n, j_max)[0])
+            frontier = [child for node in frontier for child in lifter.children(node)]
+        rows.append(_stabilize(lifter, frontier, n, j_max,
+                               _hensel_count(lifter, roots, n))[0])
     return rows
 
 
@@ -613,15 +738,18 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     lifter = _Lifter(X, q, budget)
-    jets = lifter.all_jets(n)
-    if not _is_affine_space(X, q):
-        res, jets = _stabilize(lifter, jets, n, j_max)
-        if not res.stable:
-            raise Unstable(f"image counts did not stabilize within j_max={j_max}")
+    roots = lifter.level0()
+    smooth = [node for root in roots if root[1].smooth
+              for node in lifter.descendants(root, n)]
+    res, survivors = _stabilize(
+        lifter, [node for root in roots if not root[1].smooth
+                 for node in lifter.descendants(root, n)], n, j_max, len(smooth))
+    if not res.stable:
+        raise Unstable(f"image counts did not stabilize within j_max={j_max}")
     true_count = 0
     unknown_count = 0
-    for jet in jets:
-        value = eval_semialg(c, JetPoint(q=q, n=n, coords=jet), params)
+    for node in smooth + survivors:
+        value = eval_semialg(c, JetPoint(q=q, n=n, coords=node[0][:X.N]), params)
         if value is True:
             true_count += 1
         elif value == UNKNOWN:

@@ -1,8 +1,12 @@
 """Finite-field jet enumeration and semi-algebraic counting."""
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motivic import jets
 from motivic.errors import BudgetExceeded, Unstable, ValidationError
 from motivic.jets import (UNKNOWN, JetPoint, JetVariety, count_semialg,
                           enumerate_jet_points, enumerate_jets, eval_semialg,
@@ -56,6 +60,42 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_jets(NODE, 6, 3, budget=10)
+
+    def test_closed_form_at_smooth_points(self):
+        # every F_3-point of the conic is smooth, so the count is Hensel's
+        # closed form and costs only the 9 steps of the level-0 scan
+        assert enumerate_jets(CONIC, 60, 3, budget=50) == \
+            len(plane_points(CONIC, 3)) * 3 ** 60
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        q = data.draw(st.sampled_from([2, 3]), label="q")
+        n = data.draw(st.integers(0, 3 if q == 2 else 2), label="n")
+        poly = data.draw(st.dictionaries(
+            st.sampled_from([(a, b) for a in range(4) for b in range(4 - a)]),
+            st.integers(-2, 2)), label="poly")
+        X = JetVariety(2, [poly], 1, ("x", "y"))
+        points = [p.coords for p in enumerate_jet_points(X, n, q)]
+        expected = brute_force_jets(poly, n, q)
+        assert enumerate_jets(X, n, q) == len(points) == len(expected)
+        assert set(points) == expected
+
+    # carried monomials two steps from a coordinate (x^2 y = x * xy,
+    # x^3 = x * x^2), read back at depth 3 and more, at points off the origin
+    @pytest.mark.parametrize("text, q", [
+        ("x^2*y + y + 1", 3), ("x^2*y + y + 1", 5), ("y^2 - x^3 + 1", 3),
+        ("x^3 + x*y^2 - y + 1", 3), ("x^2*y - x*y^2 + x - 1", 2)])
+    def test_deep_points_are_jets(self, text, q):
+        X = variety([text], 1, ("x", "y"))
+        poly = X.polys[0]
+        top = max(max(m) for m in poly)
+        n = 4
+        points = [p.coords for p in enumerate_jet_points(X, n, q)]
+        assert len(set(points)) == len(points) == enumerate_jets(X, n, q) > 0
+        for xs, ys in points:
+            assert vanishes(poly, series_powers(xs, top, n),
+                            series_powers(ys, top, n), q)
 
 
 class TestImageCount:
@@ -160,11 +200,57 @@ class TestTables:
             assert (row.N_n, row.j_star, row.stable, row.counts) == \
                 (res.N_n, res.j_star, res.stable, res.counts)
 
+    def test_smooth_table_is_closed_form(self):
+        points = len(plane_points(CONIC, 5))
+        for n, row in enumerate(stabilized_table(CONIC, 5, 20, 4, budget=30)):
+            assert row.stable
+            assert row.N_n == points * 5 ** n
+
+    def test_one_reduction_per_point(self, monkeypatch):
+        calls = []
+        original = jets._Base.__init__
+        monkeypatch.setattr(jets._Base, "__init__",
+                            lambda self, *args: calls.append(1) or original(self, *args))
+        stabilized_table(NODE, 3, 3, 5)
+        assert len(calls) == len(plane_points(NODE, 3)) == 5
+
     def test_budget_caps_the_whole_table(self):
         rows = [least_budget(lambda b: stabilized_count(NODE, n, 2, 4, budget=b))
                 for n in range(3)]
         whole = least_budget(lambda b: stabilized_table(NODE, 2, 2, 4, budget=b))
         assert whole > max(rows)
+
+
+def plane_points(X, q):
+    return [pt for pt in itertools.product(range(q), repeat=2)
+            if all(sum(c * pt[0] ** a * pt[1] ** b for (a, b), c in p.items()) % q == 0
+                   for p in X.polys)]
+
+
+def series_powers(s, top, n):
+    """[s^0, ..., s^top] mod t^(n+1) for a coefficient tuple s."""
+    out = [[1] + [0] * n]
+    for _ in range(top):
+        out.append([sum(out[-1][i] * s[k - i] for i in range(k + 1))
+                    for k in range(n + 1)])
+    return out
+
+
+def vanishes(poly, px, py, q) -> bool:
+    """poly(x(t), y(t)) = 0 mod (q, t^(n+1)), from the powers of x and y."""
+    n = len(px[0]) - 1
+    return all(sum(c * px[a][i] * py[b][k - i] for (a, b), c in poly.items()
+                   for i in range(k + 1)) % q == 0 for k in range(n + 1))
+
+
+def brute_force_jets(poly, n, q) -> set:
+    """The pairs of series mod t^(n+1) on which poly vanishes mod t^(n+1),
+    found among all q^(2n+2) pairs."""
+    top = max((max(m) for m in poly), default=0)
+    powers = {s: series_powers(s, top, n)
+              for s in itertools.product(range(q), repeat=n + 1)}
+    return {(xs, ys) for xs, ys in itertools.product(powers, repeat=2)
+            if vanishes(poly, powers[xs], powers[ys], q)}
 
 
 def least_budget(run) -> int:

@@ -1,6 +1,7 @@
 """Model files and the command-line interface."""
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -120,6 +121,28 @@ class TestCliExitCodes:
         path.write_text("kind = variety\nvars = x\ndimension = 1\ncondition = "
                         + "(not " * 2000 + "(ordmod {x} 2 0)" + ")" * 2000 + "\n")
         assert main(["semialg-count", str(path), "--q", "2", "--n", "1"]) == 2
+
+
+    @pytest.mark.parametrize("curve", [
+        "vars = x y\ndimension = 2\n",
+        "vars = x y\ndimension = 1\npoly = y\n",
+    ], ids=["plane", "line"])
+    @pytest.mark.parametrize("flags", [
+        ["jets-count", "--q", "97", "--n", "5000"],
+        ["jets-poincare", "--q", "97", "--n-max", "2500", "--j-max", "0"],
+    ], ids=["count", "poincare"])
+    def test_count_past_the_digit_limit_is_one(self, curve, flags, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited in this interpreter")
+        path = tmp_path / "curve.model"
+        path.write_text("kind = variety\n" + curve)
+        assert main([flags[0], str(path)] + flags[1:]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[DigitLimit]") and err.count("\n") == 1
+        assert f"({limit} digits)" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestCliOutputs:
