@@ -42,25 +42,13 @@ def _read_model(path: str, kind: str) -> ModelFile:
     return model
 
 
-def _digits(value: int) -> str:
-    """str(value), refused with DigitLimit past the interpreter's limit on
-    integer-to-text conversion, which this program leaves as it is."""
-    try:
-        return str(value)
-    except ValueError:
-        raise DigitLimit(
-            f"the result exceeds the limit ({sys.get_int_max_str_digits()} digits) "
-            "for integer string conversion; the PYTHONINTMAXSTRDIGITS "
-            "environment variable raises it") from None
-
-
 def _emit_csv(rows: List[Sequence], header: Sequence[str],
               output: Optional[str]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_digits(x) if isinstance(x, int) else x for x in row])
+        writer.writerow(row)
     text = buf.getvalue()
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -178,7 +166,7 @@ def _cmd_jets_count(args) -> int:
         count = image_count(vm.variety, args.n, args.j, args.q, budget=args.budget)
     else:
         count = enumerate_jets(vm.variety, args.n, args.q, budget=args.budget)
-    print(_digits(count))
+    print(count)
     return EXIT_OK
 
 
@@ -231,7 +219,7 @@ def _cmd_semialg_count(args) -> int:
     true_count, unknown = count_semialg(vm.variety, cond, args.n, args.q,
                                         params=params, j_max=args.j_max,
                                         budget=args.budget)
-    print(f"definitely_true={_digits(true_count)} unknown={_digits(unknown)}")
+    print(f"definitely_true={true_count} unknown={unknown}")
     return EXIT_OK
 
 
@@ -340,11 +328,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except (ParseError, ValidationError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        error, code = exc, EXIT_PARSE
     except MotivicError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        error, code = exc, EXIT_DOMAIN
+    except ValueError as exc:
+        # the interpreter's limit on converting between integers and text,
+        # which this program leaves as it is; any other ValueError is a bug
+        if "integer string conversion" not in str(exc):
+            raise
+        error, code = DigitLimit(
+            f"a number exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+            "for integer string conversion; the PYTHONINTMAXSTRDIGITS "
+            "environment variable raises it"), EXIT_DOMAIN
+    print(f"error[{type(error).__name__}]: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ class Unstable(MotivicError):
 
 
 class DigitLimit(MotivicError):
-    """An exact integer result is too long for the interpreter to print."""
+    """An integer is too long for the interpreter to convert to or from text."""
 
 
 class ParseError(MotivicError):

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from math import gcd, lcm
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionUnsupported, InfiniteFibers, ParseError
-from .parsing import read_sexp
+from .parsing import _int_poly_mul, read_sexp
 
 Expo = Tuple[int, ...]
 
@@ -93,19 +94,25 @@ class PresburgerSet:
         return f"PresburgerSet(m={self.m}, condition={format_condition(self.condition)})"
 
 
-def _eval_condition(cond: Condition, point: Sequence[int]) -> bool:
+def _holds(atom: Union[Ge, Mod], point: Sequence[int]) -> bool:
+    value = atom.affine.eval(point)
+    if isinstance(atom, Ge):
+        return value >= 0
+    return value % atom.modulus == atom.residue % atom.modulus
+
+
+def _eval_condition(cond: Condition, holds: Callable[[Union[Ge, Mod]], bool]) -> bool:
+    """Value of the tree, given the truth value of each atom."""
     if isinstance(cond, bool):
         return cond
-    if isinstance(cond, Ge):
-        return cond.affine.eval(point) >= 0
-    if isinstance(cond, Mod):
-        return cond.affine.eval(point) % cond.modulus == cond.residue % cond.modulus
+    if isinstance(cond, (Ge, Mod)):
+        return holds(cond)
     if isinstance(cond, And):
-        return all(_eval_condition(c, point) for c in cond.children)
+        return all(_eval_condition(c, holds) for c in cond.children)
     if isinstance(cond, Or):
-        return any(_eval_condition(c, point) for c in cond.children)
+        return any(_eval_condition(c, holds) for c in cond.children)
     if isinstance(cond, Not):
-        return not _eval_condition(cond.child, point)
+        return not _eval_condition(cond.child, holds)
     raise TypeError(f"bad condition node {cond!r}")
 
 
@@ -113,21 +120,12 @@ def member(P: PresburgerSet, point: Sequence[int]) -> bool:
     """Pointwise membership by direct evaluation."""
     if len(point) != P.m:
         raise ValueError(f"point has arity {len(point)}, set has arity {P.m}")
-    return _eval_condition(P.condition, point)
+    return _eval_condition(P.condition, lambda atom: _holds(atom, point))
 
 
 # ---------------------------------------------------------------------------
 # rational functions in r variables
 # ---------------------------------------------------------------------------
-
-def _poly_mul(a: Dict[Expo, int], b: Dict[Expo, int]) -> Dict[Expo, int]:
-    out: Dict[Expo, int] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
 
 class RatFunc:
     """num / prod (1 - X^c); c componentwise >= 0 and nonzero."""
@@ -160,26 +158,11 @@ class RatFunc:
     def den_poly(self) -> Dict[Expo, int]:
         p: Dict[Expo, int] = {(0,) * self.nvars: 1}
         for c in self.den:
-            p = _poly_mul(p, {(0,) * self.nvars: 1, c: -1})
+            p = _int_poly_mul(p, {(0,) * self.nvars: 1, c: -1})
         return p
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        from collections import Counter
-
-        ca, cb = Counter(self.den), Counter(other.den)
-        common = ca | cb
-
-        def complement(counter) -> Dict[Expo, int]:
-            p: Dict[Expo, int] = {(0,) * self.nvars: 1}
-            for c, mult in sorted((common - counter).items()):
-                for _ in range(mult):
-                    p = _poly_mul(p, {(0,) * self.nvars: 1, c: -1})
-            return p
-
-        num = _poly_mul(self.num, complement(ca))
-        for m, c in _poly_mul(other.num, complement(cb)).items():
-            num[m] = num.get(m, 0) + c
-        return RatFunc(self.nvars, num, tuple(common.elements()))
+        return _sum(self.nvars, (self, other))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(self.nvars, {m: -c for m, c in self.num.items()}, self.den)
@@ -188,13 +171,14 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.nvars, _poly_mul(self.num, other.num), self.den + other.den)
+        return RatFunc(self.nvars, _int_poly_mul(self.num, other.num),
+                       self.den + other.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self.nvars == other.nvars and _poly_mul(self.num, other.den_poly())
-                == _poly_mul(other.num, self.den_poly()))
+        return (self.nvars == other.nvars and _int_poly_mul(self.num, other.den_poly())
+                == _int_poly_mul(other.num, self.den_poly()))
 
     def __hash__(self) -> int:
         return hash(self.nvars)
@@ -212,13 +196,27 @@ class RatFunc:
                     if sum(mm) <= D:
                         nxt[mm] = nxt.get(mm, 0) + v
                     k += 1
-                    if step == 0:
-                        raise AssertionError("zero denominator exponent")
             out = {m: v for m, v in nxt.items() if v}
         return out
 
     def __repr__(self) -> str:
         return f"RatFunc({format_ratfunc(self, None)})"
+
+
+def _sum(nvars: int, parts: Sequence[RatFunc]) -> RatFunc:
+    """Sum over the least common multiple of the denominators."""
+    common: Counter = Counter()
+    for f in parts:
+        common |= Counter(f.den)
+    one = (0,) * nvars
+    num: Dict[Expo, int] = {}
+    for f in parts:
+        p = f.num
+        for c in (common - Counter(f.den)).elements():
+            p = _int_poly_mul(p, {one: 1, c: -1})
+        for m, c in p.items():
+            num[m] = num.get(m, 0) + c
+    return RatFunc(nvars, num, tuple(common.elements()))
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +262,34 @@ def genfun_image(P: PresburgerSet, maps: Sequence[Affine]) -> RatFunc:
 
 
 def _genfun_image(P: PresburgerSet, maps: List[Affine]) -> RatFunc:
+    """Unfold the congruences over the residue classes mod M, the lcm of the
+    moduli, and sum each class in one sweep; m = 1 runs as m = 2 with j <= 0."""
     r = len(maps)
-    moduli = _collect_moduli(P.condition)
-    M = 1
-    for d in moduli:
-        M = lcm(M, d)
-    total = RatFunc.zero(r)
+    M = lcm(*(atom.modulus for atom in _atoms(P.condition, Mod)))
+    terms: Dict[Tuple[Expo, ...], Dict[Expo, int]] = {}
     for offsets in itertools.product(range(M), repeat=P.m):
-        cond = _substitute(P.condition, M, offsets)
-        cond = _simplify(cond)
+        cond = _simplify(_substitute(P.condition, M, offsets))
         if cond is False:
             continue
+        if P.m == 1:
+            cond = And((cond, Ge(Affine((0, -1)))))
         sub_maps = [Affine(tuple(c * M for c in phi.coeffs),
                            phi.eval(offsets)) for phi in maps]
-        total = total + _genfun_inequalities(cond, P.m, sub_maps)
-    return total
+        _sweep(cond, sub_maps, terms)
+    for den, num in terms.items():
+        if any(num.values()) and not all(map(any, den)):
+            raise InfiniteFibers("map constant along an infinite arithmetic class")
+    return _sum(r, [RatFunc(r, num, den) for den, num in terms.items()
+                    if any(num.values())])
 
 
-def _collect_moduli(cond: Condition) -> Set[int]:
-    if isinstance(cond, Mod):
-        return {cond.modulus}
+def _atoms(cond: Condition, kind: type) -> Set:
+    if isinstance(cond, kind):
+        return {cond}
     if isinstance(cond, (And, Or)):
-        out: Set[int] = set()
-        for c in cond.children:
-            out |= _collect_moduli(c)
-        return out
+        return set().union(*(_atoms(c, kind) for c in cond.children))
     if isinstance(cond, Not):
-        return _collect_moduli(cond.child)
+        return _atoms(cond.child, kind)
     return set()
 
 
@@ -339,275 +338,105 @@ def _simplify(cond: Condition) -> Condition:
     return cond
 
 
-def _to_dnf(cond: Condition) -> List[FrozenSet[Ge]]:
-    """Disjunctive normal form over Ge atoms; integer-point complementation
-    turns a negated inequality back into an inequality."""
-    if cond is True:
-        return [frozenset()]
-    if cond is False:
-        return []
-    if isinstance(cond, Ge):
-        return [frozenset([cond])]
-    if isinstance(cond, Not):
-        inner = cond.child
-        if isinstance(inner, Ge):
-            aff = inner.affine
-            return [frozenset([Ge(Affine(tuple(-c for c in aff.coeffs),
-                                         -aff.const - 1))])]
-        if isinstance(inner, Not):
-            return _to_dnf(inner.child)
-        if isinstance(inner, And):
-            return _to_dnf(Or(tuple(Not(c) for c in inner.children)))
-        if isinstance(inner, Or):
-            return _to_dnf(And(tuple(Not(c) for c in inner.children)))
-        if isinstance(inner, bool):
-            return _to_dnf(not inner)
-        raise TypeError(f"bad negation target {inner!r}")
-    if isinstance(cond, Or):
-        out: List[FrozenSet[Ge]] = []
-        for c in cond.children:
-            out.extend(_to_dnf(c))
-        return out
-    if isinstance(cond, And):
-        parts = [_to_dnf(c) for c in cond.children]
-        out = [frozenset()]
-        for p in parts:
-            out = [a | b for a in out for b in p]
-        return out
-    raise TypeError(f"bad condition node {cond!r}")
+def _ij(aff: Affine) -> Tuple[int, int]:
+    """The coefficients of i and j; a form in i alone has j-coefficient 0."""
+    return (aff.coeffs + (0,))[:2]
 
 
-def _genfun_inequalities(cond: Condition, m: int, maps: List[Affine]) -> RatFunc:
-    r = len(maps)
-    conjs = sorted(set(_to_dnf(cond)), key=lambda s: sorted(map(repr, s)))
-    if len(conjs) > 14:
-        raise DimensionUnsupported(
-            f"condition too disjunctive for inclusion-exclusion ({len(conjs)} clauses)")
-    total = RatFunc.zero(r)
-    for size in range(1, len(conjs) + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for subset in itertools.combinations(conjs, size):
-            merged = frozenset().union(*subset)
-            piece = _genfun_conjunction(sorted(merged, key=repr), m, maps)
-            total = total + (piece if sign == 1 else -piece)
-    return total
+def _sweep(cond: Condition, maps: List[Affine],
+           terms: Dict[Tuple[Expo, ...], Dict[Expo, int]]) -> None:
+    """Add sum of X^phi(i, j) over the (i, j) in N^2 where cond holds to terms,
+    one numerator per denominator.
 
+    An atom a*i + b*j + c >= 0 with b != 0 is a line (p, q, r): it holds iff
+    j >= t(i) (b > 0), or iff j < t(i) (b < 0), where t(i) = ceil((p*i + q)/r);
+    the key None is the line j = 0.  Going up a column, crossing a line flips
+    its atom, so cond holds on runs of j whose sums telescope to one term
+    X^phi(i, t)/(1 - X^b) per switch, b the j-coefficients of phi.  Before
+    the last column s where two lines cross or an atom with b = 0 changes,
+    columns are summed one at a time; from s on the lines keep their order,
+    and the switches of line (p, q, r) over all i >= s sum to the half-open
+    cone with rays (r, p)/gcd(r, p) and (0, 1) at the points (i, t(i)),
+    s <= i < s + r/gcd(r, p).  When phi ignores j, a column adds its number
+    of points instead, which is affine in i on each class mod a period.
+    """
+    atoms = _atoms(cond, Ge)
+    lines: Dict[Optional[Ge], Tuple[int, int, int]] = {None: (0, 0, 1)}
+    for g in atoms:
+        a, b = _ij(g.affine)
+        if b > 0:
+            lines[g] = (-a, -g.affine.const, b)
+        elif b < 0:
+            lines[g] = (a, g.affine.const + 1, -b)
+    astep = tuple(_ij(phi)[0] for phi in maps)
+    bstep = tuple(_ij(phi)[1] for phi in maps)
 
-def _genfun_conjunction(ineqs: List[Ge], m: int, maps: List[Affine]) -> RatFunc:
-    if m == 1:
-        return _genfun_interval(ineqs, maps)
-    return _genfun_polygon(ineqs, maps)
+    def at(key, i: int) -> int:
+        p, q, r = lines[key]
+        return -(-(p * i + q) // r)
 
+    def expo(i: int, j: int) -> Expo:
+        return tuple(phi.eval((i, j)) for phi in maps)
 
-def _monomial(maps: List[Affine], point: Sequence[int]) -> Expo:
-    return tuple(phi.eval(point) for phi in maps)
+    def add(den: Tuple[Expo, ...], e: Expo, c: int) -> None:
+        num = terms.setdefault(tuple(sorted(den)), {})
+        num[e] = num.get(e, 0) + c
 
-
-def _genfun_interval(ineqs: List[Ge], maps: List[Affine]) -> RatFunc:
-    r = len(maps)
-    lo = 0
-    hi: Optional[int] = None
-    for ge in ineqs:
-        a = ge.affine.coeffs[0]
-        b = ge.affine.const
-        if a == 0:
-            if b < 0:
-                return RatFunc.zero(r)
-        elif a > 0:
-            lo = max(lo, ceil(Fraction(-b, a)))
-        else:
-            bound = floor(Fraction(-b, a))
-            hi = bound if hi is None else min(hi, bound)
-    if hi is not None:
-        if hi < lo:
-            return RatFunc.zero(r)
-        num: Dict[Expo, int] = {}
-        for i in range(lo, hi + 1):
-            mo = _monomial(maps, (i,))
-            num[mo] = num.get(mo, 0) + 1
-        return RatFunc(r, num)
-    step = tuple(phi.coeffs[0] for phi in maps)
-    if not any(step):
-        raise InfiniteFibers("constant map on an infinite one-dimensional piece")
-    base = _monomial(maps, (lo,))
-    return RatFunc(r, {base: 1}, [step])
-
-
-@dataclass(frozen=True)
-class _Line:
-    """Value function (p*i + q)/r with r > 0."""
-
-    p: int
-    q: int
-    r: int
-
-    def value(self, i) -> Fraction:
-        return Fraction(self.p * i + self.q, self.r)
-
-    def ceil_at(self, i: int) -> int:
-        return ceil(self.value(i))
-
-    def floor_at(self, i: int) -> int:
-        return floor(self.value(i))
-
-
-def _genfun_polygon(ineqs: List[Ge], maps: List[Affine]) -> RatFunc:
-    r = len(maps)
-    lowers: List[_Line] = [_Line(0, 0, 1)]  # j >= 0
-    uppers: List[_Line] = []
-    i_lo = 0
-    i_hi: Optional[int] = None
-    for ge in ineqs:
-        alpha, beta = ge.affine.coeffs
-        gamma = ge.affine.const
-        if beta > 0:
-            lowers.append(_Line(-alpha, -gamma, beta))
-        elif beta < 0:
-            uppers.append(_Line(alpha, gamma, -beta))
-        else:
-            if alpha == 0:
-                if gamma < 0:
-                    return RatFunc.zero(r)
-            elif alpha > 0:
-                i_lo = max(i_lo, ceil(Fraction(-gamma, alpha)))
-            else:
-                bound = floor(Fraction(-gamma, alpha))
-                i_hi = bound if i_hi is None else min(i_hi, bound)
-    if i_hi is not None and i_hi < i_lo:
-        return RatFunc.zero(r)
-
-    # segment boundaries where the binding lines can change
-    bset: Set[int] = {i_lo}
-    all_lines = lowers + uppers
-    for l1, l2 in itertools.combinations(all_lines, 2):
-        det = l1.p * l2.r - l2.p * l1.r
-        if det == 0:
-            continue
-        istar = Fraction(l2.q * l1.r - l1.q * l2.r, det)
-        for b in (floor(istar) + 1, ceil(istar)):
-            if b >= i_lo and (i_hi is None or b <= i_hi):
-                bset.add(b)
-    bounds = sorted(bset)
-    segments: List[Tuple[int, Optional[int]]] = []
-    for t, s in enumerate(bounds):
-        if t + 1 < len(bounds):
-            segments.append((s, bounds[t + 1] - 1))
-        else:
-            segments.append((s, i_hi))
-
-    total = RatFunc.zero(r)
-    for s, e in segments:
-        if e is not None:
-            total = total + _polygon_segment_finite(s, e, lowers, uppers, maps)
-        else:
-            total = total + _polygon_segment_infinite(s, lowers, uppers, maps)
-    return total
-
-
-def _inner_sum(i: int, lo: int, hi: Optional[int], maps: List[Affine]) -> RatFunc:
-    """sum over j in [lo, hi] (hi None = infinity) of X^{phi(i, j)}."""
-    r = len(maps)
-    bstep = tuple(phi.coeffs[1] for phi in maps)
-    if hi is None:
-        if not any(bstep):
+    def switches(i: int, order) -> List[Tuple[Optional[Ge], int]]:
+        truth = {g: g.affine.eval((i, 0)) >= 0 for g in atoms}
+        out, held = [], False
+        for key in [None] + order:
+            if key is not None:
+                truth[key] = not truth[key]
+            if _eval_condition(cond, truth.__getitem__) != held:
+                held = not held
+                out.append((key, 1 if held else -1))
+        if held and not any(bstep):
             raise InfiniteFibers("constant map on an infinite vertical fiber")
-        return RatFunc(r, {_monomial(maps, (i, lo)): 1}, [bstep])
-    if hi < lo:
-        return RatFunc.zero(r)
-    if not any(bstep):
-        return RatFunc.monomial(r, _monomial(maps, (i, 0)), hi - lo + 1)
-    num = {_monomial(maps, (i, lo)): 1}
-    top = _monomial(maps, (i, hi + 1))
-    num[top] = num.get(top, 0) - 1
-    return RatFunc(r, num, [bstep])
-
-
-def _polygon_segment_finite(s: int, e: int, lowers, uppers, maps) -> RatFunc:
-    r = len(maps)
-    total = RatFunc.zero(r)
-    for i in range(s, e + 1):
-        lo = max(l.ceil_at(i) for l in lowers)
-        hi = min((u.floor_at(i) for u in uppers), default=None)
-        if hi is not None and hi < lo:
-            continue
-        total = total + _inner_sum(i, lo, hi, maps)
-    return total
-
-
-def _polygon_segment_infinite(s: int, lowers, uppers, maps) -> RatFunc:
-    r = len(maps)
-    # binding lines are constant on the segment: sample at s
-    lstar = max(lowers, key=lambda l: (l.value(s), l.p, l.q, l.r))
-    ustar = min(uppers, key=lambda u: (u.value(s), u.p, u.q, u.r)) if uppers else None
-    if ustar is not None and ustar.value(s) < lstar.value(s):
-        return RatFunc.zero(r)
-    assert lstar.p >= 0, "decreasing binding lower line on an infinite segment"
-    if ustar is not None:
-        assert ustar.p >= 0, "decreasing binding upper line on an infinite segment"
-    R = lstar.r if ustar is None else lcm(lstar.r, ustar.r)
-    bstep = tuple(phi.coeffs[1] for phi in maps)
-    astep = tuple(phi.coeffs[0] for phi in maps)
-    total = RatFunc.zero(r)
-    for u in range(R):
-        i0 = s + ((u - s) % R)
-        lo0 = lstar.ceil_at(i0)
-        # per-class, ceil((p i + q)/r) is affine: value(i0 + R t) = lo0 + (p R / r) t
-        lo_step = lstar.p * R // lstar.r
-        if ustar is None:
-            total = total + _class_sum_halfline(i0, R, lo0, lo_step, maps, astep, bstep)
-        else:
-            hi0 = ustar.floor_at(i0)
-            hi_step = ustar.p * R // ustar.r
-            total = total + _class_sum_band(i0, R, lo0, lo_step, hi0, hi_step,
-                                            maps, astep, bstep)
-    return total
-
-
-def _exps(maps: List[Affine], i: int, j: int) -> Expo:
-    return tuple(phi.eval((i, j)) for phi in maps)
-
-
-def _class_sum_halfline(i0, R, lo0, lo_step, maps, astep, bstep) -> RatFunc:
-    """sum over t >= 0, i = i0 + R t, j >= lo0 + lo_step*t of X^{phi(i, j)}."""
-    r = len(maps)
-    if not any(bstep):
-        raise InfiniteFibers("constant map on an infinite vertical fiber")
-    base = _exps(maps, i0, lo0)
-    step = tuple(a * R + b * lo_step for a, b in zip(astep, bstep))
-    if not any(step):
-        raise InfiniteFibers("map constant along an infinite arithmetic class")
-    return RatFunc(r, {base: 1}, [step, bstep])
-
-
-def _class_sum_band(i0, R, lo0, lo_step, hi0, hi_step, maps, astep, bstep) -> RatFunc:
-    """sum over t >= 0, i = i0 + R t, lo0 + lo_step*t <= j <= hi0 + hi_step*t."""
-    r = len(maps)
-    # real feasibility on the whole segment forces hi(t) >= lo(t) - 1 for all t,
-    # so the telescoping sums below are exact even when the band starts empty
-    if not any(bstep):
-        # multiplicity case: count(t) = (hi0 - lo0 + 1) + (hi_step - lo_step) t
-        cnt0 = hi0 - lo0 + 1
-        cstep = hi_step - lo_step
-        if cnt0 == 0 and cstep == 0:
-            return RatFunc.zero(r)
-        step = tuple(a * R for a in astep)
-        if not any(step):
-            raise InfiniteFibers("map constant along an infinite arithmetic class")
-        base = _exps(maps, i0, 0)
-        out = RatFunc(r, {base: cnt0}, [step])
-        if cstep:
-            bumped = tuple(x + y for x, y in zip(base, step))
-            out = out + RatFunc(r, {bumped: cstep}, [step, step])
         return out
-    lo_base = _exps(maps, i0, lo0)
-    lo_stepv = tuple(a * R + b * lo_step for a, b in zip(astep, bstep))
-    hi_base = _exps(maps, i0, hi0 + 1)
-    hi_stepv = tuple(a * R + b * hi_step for a, b in zip(astep, bstep))
-    if not any(lo_stepv) or not any(hi_stepv):
-        raise InfiniteFibers("map constant along an infinite arithmetic class")
-    part_lo = RatFunc(r, {lo_base: 1}, [lo_stepv, bstep])
-    part_hi = RatFunc(r, {hi_base: 1}, [hi_stepv, bstep])
-    return part_lo - part_hi
+
+    def count(sw, i: int) -> int:
+        return -sum(w * at(key, i) for key, w in sw)
+
+    cuts = [0]
+    for g in atoms:
+        a, b = _ij(g.affine)
+        if a and not b:
+            cuts.append(-g.affine.const // a + 1)
+    for (p1, q1, r1), (p2, q2, r2) in itertools.combinations(lines.values(), 2):
+        det = p1 * r2 - p2 * r1
+        if det:
+            cuts.append((q2 * r1 - q1 * r2) // det + 1)
+    s = max(cuts)
+    for i in range(s):
+        sw = switches(i, sorted((k for k in lines if at(k, i) > 0),
+                                key=lambda k: at(k, i)))
+        if any(bstep):
+            for key, w in sw:
+                add((bstep,), expo(i, at(key, i)), w)
+        else:
+            add((), expo(i, 0), count(sw, i))
+
+    height = {k: Fraction(p * s + q, r) for k, (p, q, r) in lines.items()}
+    sw = switches(s, sorted((k for k in lines if height[k] > 0), key=height.get))
+    rays = {}
+    for key, _ in sw:
+        p, _, r = lines[key]
+        rays[key] = (r // gcd(p, r), p // gcd(p, r))
+    if any(bstep):
+        for key, w in sw:
+            rho, pi = rays[key]
+            ray = tuple(rho * a + pi * b for a, b in zip(astep, bstep))
+            for i in range(s, s + rho):
+                add((ray, bstep), expo(i, at(key, i)), w)
+    else:
+        R = lcm(*(rho for rho, _ in rays.values()))
+        ray = tuple(R * a for a in astep)
+        for i in range(s, s + R):
+            e = expo(i, 0)
+            add((ray,), e, count(sw, i))
+            add((ray, ray), tuple(x + y for x, y in zip(e, ray)),
+                count(sw, i + R) - count(sw, i))
 
 
 # ---------------------------------------------------------------------------

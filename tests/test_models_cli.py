@@ -123,26 +123,43 @@ class TestCliExitCodes:
         assert main(["semialg-count", str(path), "--q", "2", "--n", "1"]) == 2
 
 
-    @pytest.mark.parametrize("curve", [
-        "vars = x y\ndimension = 2\n",
-        "vars = x y\ndimension = 1\npoly = y\n",
-    ], ids=["plane", "line"])
-    @pytest.mark.parametrize("flags", [
-        ["jets-count", "--q", "97", "--n", "5000"],
-        ["jets-poincare", "--q", "97", "--n-max", "2500", "--j-max", "0"],
-    ], ids=["count", "poincare"])
-    def test_count_past_the_digit_limit_is_one(self, curve, flags, tmp_path, capsys):
+    PLANE = "vars = x y\ndimension = 2\n"
+    LINE = "vars = x y\ndimension = 1\npoly = y\n"
+    COUNT = ["jets-count", "{model}", "--q", "97", "--n", "5000"]
+    POINCARE = ["jets-poincare", "{model}", "--q", "97", "--n-max", "2500",
+                "--j-max", "0"]
+
+    @pytest.mark.parametrize("curve, argv", [
+        pytest.param(PLANE, COUNT, id="count-plane"),
+        pytest.param(LINE, COUNT, id="count-line"),
+        pytest.param(PLANE, POINCARE, id="poincare-plane"),
+        pytest.param(LINE, POINCARE, id="poincare-line"),
+        pytest.param(None, ["chi", "10^5000"], id="chi-power"),
+        pytest.param(None, ["hodge", "10^5000"], id="hodge-power"),
+        pytest.param(None, ["chi", "7" * 5000], id="chi-literal"),
+    ])
+    def test_count_past_the_digit_limit_is_one(self, curve, argv, tmp_path, capsys):
         limit = sys.get_int_max_str_digits()
         if not limit:
             pytest.skip("integer string conversion is unlimited in this interpreter")
         path = tmp_path / "curve.model"
-        path.write_text("kind = variety\n" + curve)
-        assert main([flags[0], str(path)] + flags[1:]) == 1
+        if curve is not None:
+            path.write_text("kind = variety\n" + curve)
+        assert main([a.replace("{model}", str(path)) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error[DigitLimit]") and err.count("\n") == 1
         assert f"({limit} digits)" in err
         assert sys.get_int_max_str_digits() == limit
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        import motivic.cli as cli
+
+        def broken(cls):
+            raise ValueError("not about digits")
+        monkeypatch.setattr(cli, "chi_realize", broken)
+        with pytest.raises(ValueError, match="not about digits"):
+            main(["chi", "L"])
 
 
 class TestCliOutputs:

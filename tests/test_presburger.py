@@ -2,6 +2,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic.errors import (DimensionUnsupported, InfiniteFibers, ParseError)
 from motivic.presburger import (Affine, And, Ge, Mod, Not, Or, PresburgerSet,
@@ -29,8 +31,50 @@ CORPUS = [
 ]
 
 
+# a union of three clauses under congruences mod 5 and mod 7, which unfold
+# into 35^2 residue classes
+MOD_5_7 = ("(or (and (>= (- i j) 0) (mod i 5 1)) "
+           "(and (>= (- j (* 3 i)) 0) (mod j 7 2)) (<= (+ i j) 9))")
+
+# the identity and the image maps of the benchmark's genfun jobs, as
+# (i, j)-coefficient pairs; the first is (i, j) -> i + j
+MAPS = [None, [(1, 1)], [(1, 2), (0, 1)], [(2, 1), (1, 0)], [(1, 1), (0, 1)]]
+
+
 def truth_dict(P, D):
     return {pt: 1 for pt in genfun_truncated(P, D)}
+
+
+def fibre_counts(P, maps, D):
+    """Image series of P to degree D by enumeration; every map here has
+    total degree >= i + j, so the points of degree <= D are enough."""
+    if maps is None:
+        return truth_dict(P, D)
+    out = {}
+    for pt in genfun_truncated(P, D):
+        image = tuple(a * pt[0] + b * pt[1] for a, b in maps)
+        if sum(image) <= D:
+            out[image] = out.get(image, 0) + 1
+    return out
+
+
+def affines(m):
+    return st.builds(Affine, st.tuples(*[st.integers(-3, 3)] * m),
+                     st.integers(-6, 6))
+
+
+def atoms(m):
+    mods = st.integers(1, 4).flatmap(lambda d: st.builds(
+        Mod, affines(m), st.just(d), st.integers(0, d - 1)))
+    return st.builds(Ge, affines(m)) | mods
+
+
+def trees(m, depth=3):
+    if depth == 0:
+        return atoms(m)
+    sub = trees(m, depth - 1)
+    kids = st.lists(sub, min_size=1, max_size=3).map(tuple)
+    return atoms(m) | st.builds(Not, sub) | st.builds(And, kids) | st.builds(Or, kids)
 
 
 class TestMember:
@@ -51,6 +95,28 @@ class TestGenfunCorpus:
         P = CORPUS[idx]
         f = genfun(P)
         assert f.expand(30) == truth_dict(P, 30)
+
+    def test_mod_5_7_union(self):
+        P = PresburgerSet(2, parse_condition(MOD_5_7, ("i", "j")))
+        assert genfun(P).expand(40) == truth_dict(P, 40)
+
+
+class TestSweepProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(trees(1))
+    def test_one_variable(self, cond):
+        P = PresburgerSet(1, cond)
+        assert genfun(P).expand(14) == truth_dict(P, 14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trees(2), st.sampled_from(MAPS))
+    def test_two_variables(self, cond, maps):
+        P = PresburgerSet(2, cond)
+        if maps is None:
+            f = genfun(P)
+        else:
+            f = genfun_image(P, [Affine(c, 0) for c in maps])
+        assert f.expand(14) == fibre_counts(P, maps, 14)
 
 
 class TestInclusionExclusion:
@@ -123,6 +189,32 @@ class TestImage:
         with pytest.raises(InfiniteFibers):
             genfun_image(P, [Affine((1, 0), 0)])
 
+    @pytest.mark.parametrize("cond", [
+        "(>= (* 2 i) j)",
+        "(and (<= i j) (<= j (* 3 i)) (mod (+ i j) 3 1))",
+        "(or (<= j i) (<= (* 2 j) (+ (* 3 i) 1)))",
+    ])
+    def test_map_ignoring_j_counts_each_column(self, cond):
+        # j <= 3i on each set, so a column holds finitely many points, and
+        # their number grows with i
+        P = PresburgerSet(2, parse_condition(cond, ("i", "j")))
+        f = genfun_image(P, [Affine((2, 0), 1)])
+        want = {}
+        for i in range(13):
+            for j in range(3 * i + 1):
+                if member(P, (i, j)):
+                    want[(2 * i + 1,)] = want.get((2 * i + 1,), 0) + 1
+        assert f.expand(25) == want
+
+    def test_map_ignoring_i(self):
+        # finite fibres above the line j = 2i, infinite ones below j = 3
+        f = genfun_image(PresburgerSet(2, Ge(Affine((-2, 1), 0))), [Affine((0, 1), 0)])
+        assert f.expand(20) == {(j,): j // 2 + 1 for j in range(21)}
+        with pytest.raises(InfiniteFibers):
+            genfun_image(PresburgerSet(2, Ge(Affine((0, -1), 3))), [Affine((0, 1), 0)])
+        with pytest.raises(InfiniteFibers):
+            genfun_image(PresburgerSet(1, Mod(Affine((1,), 0), 2, 1)), [Affine((0,), 2)])
+
     def test_negative_coefficients_rejected(self):
         P = PresburgerSet(2, True)
         with pytest.raises(ValueError):
@@ -135,6 +227,13 @@ class TestLimits:
             genfun(PresburgerSet(3, True))
         with pytest.raises(DimensionUnsupported):
             genfun_truncated(PresburgerSet(4, True), 3)
+
+    def test_no_clause_limit(self):
+        # a union of 16 clauses; genfun has no limit on their number
+        clauses = tuple(And((Ge(Affine((k - 8, -1), k)),
+                             Ge(Affine((-1, 1), 2 * k - 10)))) for k in range(16))
+        P = PresburgerSet(2, Or(clauses))
+        assert genfun(P).expand(30) == truth_dict(P, 30)
 
     def test_truncated_m3(self):
         P = PresburgerSet(3, Ge(Affine((1, 1, 1), -2)))
