@@ -223,10 +223,17 @@ def _cmd_semialg_count(args) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "a nonnegative integer")
+_positive_int = _int_at_least(1, "a positive integer")
+_field_size = _int_at_least(2, "an integer >= 2")
 
 
 def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False,
@@ -244,7 +251,7 @@ def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False,
     else:
         p.add_argument("--j-max", type=_nonnegative_int, default=6, dest="j_max",
                        help="maximum extra lifting depth (default 6)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_nonnegative_int, default=None,
                    help="node-expansion budget for the whole command (default "
                         "from MOTIVIC_JETS_BUDGET or 10^8)")
     p.add_argument("--threads", type=int, default=1,
@@ -288,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("series-limit", _cmd_series_limit,
                 "limit of a_n L^{-(n+1)d} for a series model")
     p.add_argument("model")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
 
     p = command("series-check", _cmd_series_check,
                 "compare a series model against a count table")
     p.add_argument("model")
     p.add_argument("counts", help="CSV whose last column holds the counts")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
 
     p = command("jets-count", _cmd_jets_count, "count level-n jets")
     p.add_argument("model")

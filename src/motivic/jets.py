@@ -9,9 +9,17 @@ row-reduced once per level-0 point, and each node computes only the new
 coefficient t^s of f(x(t)), from the series of the monomials of f carried
 along the path.  Where J(x0) has full row rank r, Hensel's lemma gives the
 count without a search: each of the q^{(N-r)n} level-n jets over x0 lifts
-to every depth.  Truncation images, their stabilization in the lifting
-depth, and three-valued evaluation of ord/angular-component conditions are
-built on top of the enumerator.
+to every depth.
+
+The search stops halfway.  Over a level-s jet x, f(x + delta) = f(x) +
+J(x(t)) delta mod t^(2s+2) for every delta of order > s, so the level-n
+extensions of x, for n <= 2s + 1, are the solutions of one linear system
+over F_q, J(x(t)) a(t) = -f(x(t)) t^-(s+1) mod t^(n-s), which `_Lifter.lift`
+solves without building a jet.  Counting level-n jets searches to level
+n // 2; deciding whether a jet lifts to level n searches to level n // 2
+below it.  Truncation images, their stabilization in the lifting depth,
+and three-valued evaluation of ord/angular-component conditions are built
+on top of the enumerator.
 """
 from __future__ import annotations
 
@@ -135,12 +143,12 @@ class _Base:
 
     Gauss-Jordan on [J | I] gives the transform E with E J = RREF(J); each
     node over x0 then solves J a = b by one product E b, in the pivot order
-    that reducing [J | b] would take.  `grads` holds the gradient at x0 of
-    each carried monomial.
+    that reducing [J | b] would take.  `jac0` is J(x0), its entries reduced
+    mod q, and `grads` holds the gradient at x0 of each carried monomial.
     """
 
-    __slots__ = ("q", "n_vars", "pivot_rows", "check_rows", "pivots", "basis",
-                 "free", "smooth", "grads", "_kernel")
+    __slots__ = ("q", "n_vars", "jac0", "pivot_rows", "check_rows",
+                 "pivots", "basis", "free", "smooth", "grads", "_kernel")
 
     def __init__(self, rows: List[List[int]], n_vars: int, q: int,
                  grads: List[List[int]]):
@@ -162,6 +170,7 @@ class _Base:
             pivots.append(col)
             r += 1
         transform = [row[n_vars:] for row in aug]
+        self.jac0 = rows
         self.q = q
         self.n_vars = n_vars
         self.pivot_rows = transform[:r]
@@ -206,6 +215,34 @@ class _Base:
         return self._kernel
 
 
+def _solve_toeplitz(jac: List[List[List[int]]], fs: List[List[int]], n_vars: int,
+                    width: int, q: int) -> Tuple[int, int]:
+    """(w, e) for the system sum_k J_{d-k} a_k = f_d, d < width, with
+    jac[i][u][d] the entry (i, u) of J_d: the largest w <= width for which
+    its first w block rows have a solution (a_0, ..., a_{w-1}), and log_q
+    of the number of those.  The block rows are row-reduced in turn."""
+    # (column, row, rhs), each row zero at the columns of those before it
+    pivots: List[Tuple[int, List[int], int]] = []
+    for d in range(width):
+        rank = len(pivots)
+        for jp, f in zip(jac, fs):
+            row = [jp[u][d - k] for k in range(d + 1) for u in range(n_vars)]
+            b = f[d]
+            for col, prow, pb in pivots:
+                c = row[col]
+                if c:
+                    row = [(x - c * y) % q for x, y in zip(row, prow)] + row[len(prow):]
+                    b = (b - c * pb) % q
+            col = next((i for i, x in enumerate(row) if x), None)
+            if col is None:
+                if b:
+                    return d, n_vars * d - rank
+                continue
+            inv = pow(row[col], q - 2, q)
+            pivots.append((col, [x * inv % q for x in row], b * inv % q))
+    return width, n_vars * width - len(pivots)
+
+
 # A node of the jet tree: its N coordinate series followed by the series of
 # the carried monomials, and the reduction at its level-0 point.
 Node = Tuple[Tuple[Tuple[int, ...], ...], _Base]
@@ -219,7 +256,8 @@ class _Lifter:
     is a coordinate times a shorter monomial, so its new coefficient costs
     O(s) from the series of the shorter one; the monomials that a longer one
     extends are carried along the path as series, and a child adds
-    grad m(x0) . a to their new coefficient.
+    grad m(x0) . a to their new coefficient.  `lift` counts the extensions
+    of a node of length s + 1 to any level up to 2s + 1 with one solve.
     One lifter serves one whole computation, so its budget caps all of it.
     """
 
@@ -251,13 +289,22 @@ class _Lifter:
         # constant and linear terms add nothing at t^s once a_s = 0
         self.terms = [[(c, carry(m)) for m, c in p.items() if sum(m) > 1]
                       for p in self.polys]
-        # a node carries the whole series only of the monomials that a
-        # longer one extends, after its N coordinates
-        self.carried = sorted({ref for _, _, ref in chain if ref >= X.N})
+        # d f_i / d x_u, as (coefficient, index) over the same monomials:
+        # `lift` reads J(x(t)) below the level of a node off its series
+        derivs = [[[(c * m[u] % q, carry(m[:u] + (m[u] - 1,) + m[u + 1:]))
+                    for m, c in p.items() if sum(m) > 1 and c * m[u] % q]
+                   for u in range(X.N)] for p in self.polys]
+        # a node carries the whole series of the monomials that a longer one
+        # extends and of those in a derivative, after its N coordinates
+        self.carried = sorted({ref for _, _, ref in chain if ref >= X.N} |
+                              {k for row in derivs for col in row
+                               for _, k in col if k >= X.N})
         where = {ref: X.N + j for j, ref in enumerate(self.carried)}
         where.update({v: v for v in range(X.N)})
         self.steps = [(v, ref, where[ref]) for _, v, ref in chain]
         self.carried_monos = [chain[ref - X.N][0] for ref in self.carried]
+        self.derivs = [[[(c, where[k]) for c, k in col] for col in row]
+                       for row in derivs]
 
     def _charge(self) -> None:
         self.expansions += 1
@@ -296,11 +343,81 @@ class _Lifter:
         rhs = [-sum(c * top[k] for c, k in terms) % q for terms in self.terms]
         return rhs, top
 
-    def leaf_count(self, node: Node) -> int:
-        """Number of children of node, without building them."""
-        base = node[1]
-        rhs, _ = self._residual(node)
-        return self.q ** base.free if base.consistent(rhs) else 0
+    def lift(self, node: Node, n: int) -> Tuple[int, int]:
+        """(m, e) for a level-s node and n <= 2s + 1: the deepest level
+        m <= n that node extends to, and log_q of the number of its level-m
+        extensions; no jet is built.
+
+        For ord delta > s, f(x + delta) = f(x) + J(x(t)) delta mod t^(2s+2),
+        so the extensions a_{s+1}, ..., a_m are the solutions over F_q of the
+        block lower-triangular Toeplitz system
+            sum_{k=s+1..l} J_{l-k}(x) a_k = -[f(x)]_l,   l = s+1..m,
+        i.e. of J(x(t)) a(t) = -F(t) mod t^(m-s) with a(t) = sum a_{s+1+i} t^i
+        and F(t) = sum [f(x)]_{s+1+i} t^i.  Block row s+1 alone is the step
+        of `children`.  For one equation the Smith form of the row J(x(t))
+        over F_q[[t]] is t^e, e = min_u ord J_u(x(t)), so the system is
+        solvable mod t^w iff ord F >= min(e, w), with q^(min(e, w) + (N-1)w)
+        solutions; more equations are row-reduced by `_solve_toeplitz`.
+        J(x(t)) mod t^(n-s) is read off the carried series of the derivative
+        monomials, and [f(x)]_l, l > s+1, from the chain: a chain monomial
+        x_v * r gets its coefficient l from those of r.  One budget unit per
+        call.
+        """
+        series, base = node
+        length = len(series[0])
+        if n < length:
+            return n, 0
+        rhs, top = self._residual(node)
+        if not base.consistent(rhs):
+            return length - 1, 0
+        if n == length:
+            return n, base.free
+        N = self.X.N
+        width = n - length + 1
+        # coefficients length, length + 1, ... of each chain monomial
+        high = [[c] if k >= N else None for k, c in enumerate(top)]
+        if len(self.polys) == 1:
+            # J_0, ..., J_{d-1} and F_0, ..., F_{d-1} vanish at step d
+            if any(base.jac0[0]):
+                return n, (N - 1) * width
+            for d in range(1, width):
+                if any(self._jacobian_coeffs(series, d)[0]):
+                    return n, d + (N - 1) * width
+                if self._f_coeffs(series, high, d)[0]:
+                    return length - 1 + d, N * d
+            return n, N * width
+        jac = [[[c] for c in row] for row in base.jac0]
+        fs = [[-b % self.q] for b in rhs]
+        for d in range(1, width):
+            for row, coeffs in zip(jac, self._jacobian_coeffs(series, d)):
+                for col, c in zip(row, coeffs):
+                    col.append(c)
+            for f, c in zip(fs, self._f_coeffs(series, high, d)):
+                f.append(c)
+        w, dim = _solve_toeplitz(jac, fs, N, width, self.q)
+        return length - 1 + w, dim
+
+    def _jacobian_coeffs(self, series, d: int) -> List[List[int]]:
+        """Coefficient t^d of J(x(t)), for d below the length of the node,
+        from the carried series of the derivative monomials."""
+        q = self.q
+        return [[sum(c * series[at][d] for c, at in col) % q for col in row]
+                for row in self.derivs]
+
+    def _f_coeffs(self, series, high: List[Optional[List[int]]],
+                  d: int) -> List[int]:
+        """Coefficient t^(length + d) of each f_i(x(t)), d = 1, 2, ... in
+        turn, with the coefficients of the node's x from length on zero;
+        each chain monomial's coefficient is appended to its list in high."""
+        q = self.q
+        length = len(series[0])
+        for k, (v, ref, at) in enumerate(self.steps, self.X.N):
+            x = series[v]
+            h = sum(map(mul, x[d + 1:], series[at][length - 1:d:-1]))
+            if ref >= self.X.N:
+                h += sum(map(mul, x, high[ref][::-1]))
+            high[k].append(h % q)
+        return [sum(c * high[k][d] for c, k in terms) % q for terms in self.terms]
 
     def children(self, node: Node) -> List[Node]:
         """All one-level extensions of a solution jet."""
@@ -330,10 +447,19 @@ class _Lifter:
             else:
                 stack.append(self.children(nd)[::-1])
 
-    def can_extend(self, node: Node, target_len: int) -> Optional[Node]:
-        """Depth-first search for one extension of node to target_len
-        coefficients; returns a witness or None."""
-        return next(self.descendants(node, target_len - len(node[0][0])), None)
+    def can_extend(self, node: Node, n: int,
+                   deepest: int = 0) -> Optional[Tuple[Node, int]]:
+        """Whether node extends to level n: a depth-first search to the
+        level s = max(level of node, n // 2), where `lift` decides the rest.
+        Returns the first node found at level s that extends, as a witness,
+        with the deepest level up to min(max(n, deepest), 2s + 1) that it
+        extends to; or None."""
+        depth = max(0, n // 2 - len(node[0][0]) + 1)
+        for found in self.descendants(node, depth):
+            reach, _ = self.lift(found, min(max(n, deepest), 2 * len(found[0][0]) - 1))
+            if reach >= n:
+                return found, reach
+        return None
 
 
 def _is_affine_space(X: JetVariety, q: int) -> bool:
@@ -362,11 +488,10 @@ def enumerate_jets(X: JetVariety, n: int, q: int,
     for root in roots:
         if root[1].smooth:
             continue
-        if n == 0:
-            total += 1
-        else:
-            total += sum(lifter.leaf_count(node)
-                         for node in lifter.descendants(root, n - 1))
+        for node in lifter.descendants(root, n // 2):
+            reach, dim = lifter.lift(node, n)
+            if reach == n:
+                total += lifter.q ** dim
     return total
 
 
@@ -391,11 +516,10 @@ def image_count(X: JetVariety, n: int, j: int, q: int,
         return q ** (X.N * (n + 1))
     lifter = _Lifter(X, q, budget)
     roots = lifter.level0()
-    target = n + j + 1
     return _hensel_count(lifter, roots, n) + sum(
         1 for root in roots if not root[1].smooth
         for node in lifter.descendants(root, n)
-        if lifter.can_extend(node, target) is not None)
+        if lifter.can_extend(node, n + j) is not None)
 
 
 @dataclass
@@ -427,27 +551,32 @@ def _stabilize(lifter: _Lifter, level_n_nodes: List[Node], n: int, j_max: int,
     shrink as j grows: equal counts mean equal sets, and only the newest
     triple of counts needs checking.
     """
-    # keep a witness extension per surviving level-n jet; extending the
-    # witness one more level is almost always enough, a fresh search runs
-    # only when the witness path dies
-    witnesses = [(node, node) for node in level_n_nodes]
+    # keep per surviving level-n jet a witness node and the deepest level,
+    # up to the last depth that can be asked for, that the witness is known
+    # to extend to; the depths up to there cost nothing, and a fresh search
+    # from level n runs only when the witness does not reach far enough
+    deepest = n + j_max + 2
+    witnesses = [(node, node, n) for node in level_n_nodes]
     counts = [lifting + len(witnesses)]
     for j in range(1, j_max + 3):
-        target = n + j + 1
+        m = n + j
         nxt = []
-        for node, wit in witnesses:
-            found = lifter.can_extend(wit, target)
-            if found is None and len(wit[0][0]) > n + 1:
-                found = lifter.can_extend(node, target)
-            if found is not None:
-                nxt.append((node, found))
+        for node, wit, reach in witnesses:
+            if reach < m:
+                found = lifter.can_extend(wit, m, deepest)
+                if found is None and wit is not node:
+                    found = lifter.can_extend(node, m, deepest)
+                if found is None:
+                    continue
+                wit, reach = found
+            nxt.append((node, wit, reach))
         witnesses = nxt
         counts.append(lifting + len(witnesses))
         if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
             return (StabilizedResult(N_n=counts[j], j_star=j - 2, stable=True,
-                                     counts=counts), [node for node, _ in witnesses])
+                                     counts=counts), [w[0] for w in witnesses])
     return (StabilizedResult(N_n=counts[-1], j_star=len(counts) - 1, stable=False,
-                             counts=counts), [node for node, _ in witnesses])
+                             counts=counts), [w[0] for w in witnesses])
 
 
 def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,

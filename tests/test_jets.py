@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motivic import jets
@@ -186,12 +186,13 @@ class TestTables:
         res = stabilized_count(NODE, 2, 2, 5)
         assert (res.N_n, res.j_star, res.stable) == (15, 2, True)
 
-    # CUSP is y^2 - x^3.  y^3 - x^4 runs at q = 2 only: at q = 3 its rows
-    # n = 2, 3 do not stabilize within j_max = 5 and take about 50 s.
+    # CUSP is y^2 - x^3; at q = 3 the rows n = 2, 3 of y^3 - x^4 do not
+    # stabilize within j_max = 5
     @pytest.mark.parametrize("X, q", [
         (X, q) for X in (NODE, CUSP, LINE, CONIC,
-                         variety(["y^2 - x^5"], 1, ("x", "y")))
-        for q in (2, 3)] + [(variety(["y^3 - x^4"], 1, ("x", "y")), 2)])
+                         variety(["y^2 - x^5"], 1, ("x", "y")),
+                         variety(["y^3 - x^4"], 1, ("x", "y")))
+        for q in (2, 3)])
     def test_table_matches_per_level_counts(self, X, q):
         table = stabilized_table(X, q, 3, 5)
         assert len(table) == 4
@@ -199,6 +200,17 @@ class TestTables:
             res = stabilized_count(X, n, q, 5)
             assert (row.N_n, row.j_star, row.stable, row.counts) == \
                 (res.N_n, res.j_star, res.stable, res.counts)
+
+    def test_cusp_table_at_five(self):
+        rows = [(row.N_n, row.j_star, row.stable, row.counts)
+                for row in stabilized_table(CUSP, 5, 5, 4)]
+        assert rows == [
+            (5, 0, True, [5, 5, 5]),
+            (21, 2, True, [45, 25, 21, 21, 21]),
+            (103, 4, True, [225, 125, 105, 105, 103, 103, 103]),
+            (525, 3, True, [1125, 625, 625, 525, 525, 525]),
+            (2605, 6, False, [5625, 5625, 3125, 2725, 2625, 2605, 2605]),
+            (13025, 6, False, [90625, 28125, 18125, 13625, 13125, 13025, 13025])]
 
     def test_smooth_table_is_closed_form(self):
         points = len(plane_points(CONIC, 5))
@@ -219,6 +231,80 @@ class TestTables:
                 for n in range(3)]
         whole = least_budget(lambda b: stabilized_table(NODE, 2, 2, 4, budget=b))
         assert whole > max(rows)
+
+
+def random_poly(n_vars):
+    monomials = [m for m in itertools.product(range(4), repeat=n_vars)
+                 if sum(m) <= 3]
+    return st.dictionaries(st.sampled_from(monomials), st.integers(-2, 2),
+                           max_size=5)
+
+
+@st.composite
+def small_varieties(draw):
+    """A plane curve, or two equations in three variables."""
+    n_vars = draw(st.sampled_from([2, 3]), label="N")
+    polys = [draw(random_poly(n_vars), label=f"f{i}") for i in range(n_vars - 1)]
+    return JetVariety(n_vars, polys, 1)
+
+
+def dfs_leaves(lifter, node, n):
+    """Level-n jets over a node, counted by building them."""
+    return sum(1 for _ in lifter.descendants(node, n - len(node[0][0]) + 1))
+
+
+class TestTailKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(X=small_varieties(), q=st.sampled_from([2, 3, 5]), data=st.data())
+    def test_count_matches_search(self, X, q, data):
+        s = data.draw(st.integers(1, 2 if q < 5 else 1), label="s")
+        lifter = jets._Lifter(X, q, budget=1000)
+        try:
+            for root in lifter.level0():
+                for node in lifter.descendants(root, s):
+                    counts = {n: dfs_leaves(lifter, node, n)
+                              for n in range(s + 1, 2 * s + 2)}
+                    for n, count in counts.items():
+                        reach, dim = lifter.lift(node, n)
+                        assert (q ** dim if reach == n else 0) == count
+                    assert lifter.lift(node, 2 * s + 1)[0] == \
+                        max([s] + [n for n, count in counts.items() if count])
+        except BudgetExceeded:
+            assume(False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=small_varieties(), q=st.sampled_from([2, 3]), data=st.data())
+    def test_witness_exactly_when_search_finds_one(self, X, q, data):
+        level = data.draw(st.integers(0, 2), label="level")
+        lifter = jets._Lifter(X, q, budget=1000)
+        try:
+            for root in lifter.level0():
+                for node in lifter.descendants(root, level):
+                    for n in range(level, 2 * level + 5):
+                        plain = next(lifter.descendants(node, n - level), None)
+                        found = lifter.can_extend(node, n)
+                        assert (found is None) == (plain is None)
+                        if found is not None:
+                            witness, reach = found
+                            assert reach == n
+                            assert all(a[:level + 1] == b
+                                       for a, b in zip(witness[0], node[0]))
+                            assert next(lifter.descendants(
+                                witness, n - len(witness[0][0]) + 1), None) is not None
+        except BudgetExceeded:
+            assume(False)
+
+    def test_one_budget_unit_per_call(self):
+        lifter = jets._Lifter(CUSP, 3, budget=10 ** 6)
+        origin = next(root for root in lifter.level0() if not root[1].smooth)
+        before = lifter.expansions
+        assert lifter.lift(origin, 0) == (0, 0)
+        assert lifter.expansions == before
+        for n in (1, 2, 3):
+            node = next(lifter.descendants(origin, n // 2))
+            before = lifter.expansions
+            lifter.lift(node, n)
+            assert lifter.expansions == before + 1
 
 
 def plane_points(X, q):

@@ -100,6 +100,14 @@ class TestCliExitCodes:
          "--output", "unused.csv"],
         ["semialg-count", fx("a1_cond.model"), "--q", "2", "--n", "2",
          "--output", "unused.csv"],
+        ["series-limit", fx("node.series"), "--d", "0"],
+        ["series-limit", fx("node.series"), "--d", "-1"],
+        ["series-check", fx("node.series"), fx("node_counts.csv"), "--q", "1"],
+        ["series-check", fx("node.series"), fx("node_counts.csv"), "--q", "0"],
+        ["series-check", fx("node.series"), fx("node_counts.csv"), "--q", "-3"],
+        ["jets-count", fx("node.model"), "--q", "2", "--n", "1", "--budget", "-1"],
+        ["jets-poincare", fx("node.model"), "--q", "2", "--n-max", "1",
+         "--budget", "-1"],
     ])
     def test_bad_input_is_two(self, argv, capsys):
         assert main(argv) == 2
