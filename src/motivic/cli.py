@@ -150,6 +150,8 @@ def _cmd_series_check(args) -> int:
                 counts.append(int(row[-1]))
     except (OSError, ValueError, IndexError) as exc:
         raise ParseError(f"{args.counts}: {exc}")
+    if not counts:
+        raise ParseError(f"{args.counts}: no count rows")
     report = compare_counts(P, args.q, counts)
     for line in report.lines():
         print(line)

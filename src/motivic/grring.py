@@ -371,8 +371,9 @@ class CompletionExpansion:
         return True
 
     def __repr__(self) -> str:
-        parts = [f"{c}*L^-{n}" for n, c in sorted(self.coeffs.items())]
-        body = " + ".join(parts) if parts else "0"
+        from .parsing import format_sum
+        body = format_sum((c, f"L^-{n}" if n else "")
+                          for n, c in sorted(self.coeffs.items()) if c)
         return f"CompletionExpansion({body}; order {self.order})"
 
 

@@ -31,8 +31,7 @@ from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ParseError, Unstable, ValidationError
-from .parsing import parse_int_poly, read_sexp
-from .presburger import And, Not, Or
+from .parsing import And, Not, Or, parse_int_poly, read_condition, split_affine
 
 Poly = Dict[Tuple[int, ...], int]
 Jet = Tuple[Tuple[int, ...], ...]  # N coordinate series, each of length n+1
@@ -780,38 +779,8 @@ def _cond_poly(tok, names) -> Poly:
     return parse_int_poly(body, names)
 
 
-def _cond_offset(tok, param_names) -> Tuple[Tuple[int, ...], int]:
-    poly = _cond_poly(tok, param_names)
-    coeffs = [0] * len(param_names)
-    const = 0
-    for mono, c in poly.items():
-        if sum(mono) == 0:
-            const = c
-        elif sum(mono) == 1:
-            coeffs[mono.index(1)] += c
-        else:
-            raise ParseError("ord offset must be affine in the parameters")
-    return tuple(coeffs), const
-
-
-def _parse_semialg_node(node, names, param_names) -> SemiAlgCondition:
-    if isinstance(node, str):
-        if node == "true":
-            return True
-        if node == "false":
-            return False
-        raise ParseError(f"bad condition token {node!r}")
-    if not node:
-        raise ParseError("empty condition")
+def _parse_atom(node, names, param_names) -> Optional[SemiAlgCondition]:
     head = node[0]
-    if head == "and":
-        return And(tuple(_parse_semialg_node(k, names, param_names) for k in node[1:]))
-    if head == "or":
-        return Or(tuple(_parse_semialg_node(k, names, param_names) for k in node[1:]))
-    if head == "not":
-        if len(node) != 2:
-            raise ParseError("'not' needs exactly one argument")
-        return Not(_parse_semialg_node(node[1], names, param_names))
     if head in ("ord>=", "ord<=", "ord="):
         if len(node) not in (3, 4):
             raise ParseError(f"{head!r} needs (op f [g] offset)")
@@ -822,7 +791,8 @@ def _parse_semialg_node(node, names, param_names) -> SemiAlgCondition:
         else:
             g = {(0,) * len(names): 1}
             off_tok = node[2]
-        coeffs, const = _cond_offset(off_tok, param_names)
+        coeffs, const = split_affine(_cond_poly(off_tok, param_names), len(param_names),
+                                     "ord offset must be affine in the parameters")
         fwd = OrdCmp(_freeze_poly(f), _freeze_poly(g), coeffs, const)
         # the reverse inequality ord g >= ord f - offset
         rev = OrdCmp(_freeze_poly(g), _freeze_poly(f),
@@ -849,38 +819,42 @@ def _parse_semialg_node(node, names, param_names) -> SemiAlgCondition:
         h = _cond_poly(node[1], ac_names)
         fs = [_cond_poly(tok, names) for tok in node[2:]]
         return ac_rel(h, fs)
-    raise ParseError(f"unknown condition operator {head!r}")
+    return None
 
 
 def parse_semialg(text: str, names: Sequence[str],
                   param_names: Sequence[str] = ()) -> SemiAlgCondition:
     """Parse the documented condition syntax, e.g.
     (and (ord>= {x} {1} 1) (ordmod {y} 2 0) (ac= {a1 - 1} {x}))."""
-    return _parse_semialg_node(read_sexp(text), tuple(names),
-                               tuple(param_names))
+    names, param_names = tuple(names), tuple(param_names)
+    return read_condition(text, lambda node: _parse_atom(node, names, param_names))
 
 
 def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
                   params: Sequence[int] = (), j_max: int = 6,
                   budget: Optional[int] = None) -> Tuple[int, int]:
-    """(definitely_true, unknown) over the stabilized level-n image points."""
+    """(definitely_true, unknown) over the stabilized level-n image points.
+
+    The jets over the points where J has full row rank all lift; they are
+    streamed and evaluated before the others are stabilized, so the search
+    spends its budget in the same order as it would building them all."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     lifter = _Lifter(X, q, budget)
     roots = lifter.level0()
-    smooth = [node for root in roots if root[1].smooth
-              for node in lifter.descendants(root, n)]
+    counts = {True: 0, UNKNOWN: 0, False: 0}
+
+    def tally(nodes) -> None:
+        for node in nodes:
+            counts[eval_semialg(c, JetPoint(q=q, n=n, coords=node[0][:X.N]), params)] += 1
+
+    tally(node for root in roots if root[1].smooth
+          for node in lifter.descendants(root, n))
     res, survivors = _stabilize(
         lifter, [node for root in roots if not root[1].smooth
-                 for node in lifter.descendants(root, n)], n, j_max, len(smooth))
+                 for node in lifter.descendants(root, n)], n, j_max,
+        _hensel_count(lifter, roots, n))
     if not res.stable:
         raise Unstable(f"image counts did not stabilize within j_max={j_max}")
-    true_count = 0
-    unknown_count = 0
-    for node in smooth + survivors:
-        value = eval_semialg(c, JetPoint(q=q, n=n, coords=node[0][:X.N]), params)
-        if value is True:
-            true_count += 1
-        elif value == UNKNOWN:
-            unknown_count += 1
-    return true_count, unknown_count
+    tally(survivors)
+    return counts[True], counts[UNKNOWN]

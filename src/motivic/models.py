@@ -17,8 +17,9 @@ from .errors import ParseError, ValidationError
 from .grring import HodgeRational, MotClass
 from .jets import JetVariety, SemiAlgCondition, parse_semialg
 from .motvol import Divisor, PolyhedralStratum, ResolutionData, Stratum
-from .parsing import (format_int_poly, format_motclass, parse_int_poly,
-                      parse_motclass, parse_series_num)
+from .parsing import (format_int_poly, format_motclass, format_series_num,
+                      format_sum, parse_int_poly, parse_motclass,
+                      parse_series_num, split_affine)
 from .polyhedra import NewtonPolyhedron
 from .presburger import (Affine, PresburgerSet, format_condition,
                          parse_condition)
@@ -343,20 +344,12 @@ def _parse_series(body) -> RationalMotSeries:
 # -- presburger -------------------------------------------------------------
 
 def _parse_affine_map(value: str, names: Sequence[str], lineno: int) -> Affine:
-    poly = parse_int_poly(value, names)
-    coeffs = [0] * len(names)
-    const = 0
-    for mono, c in poly.items():
-        if sum(mono) == 0:
-            const = c
-        elif sum(mono) == 1:
-            coeffs[mono.index(1)] += c
-        else:
-            _fail(lineno, f"map {value!r} is not affine")
+    coeffs, const = split_affine(parse_int_poly(value, names), len(names),
+                                 f"line {lineno}: map {value!r} is not affine")
     if const < 0 or any(c < 0 for c in coeffs):
         _fail(lineno, f"map {value!r} has a negative coefficient; image maps "
                       "must have nonnegative coefficients")
-    return Affine(tuple(coeffs), const)
+    return Affine(coeffs, const)
 
 
 def _parse_presburger(body) -> PresburgerModel:
@@ -389,7 +382,7 @@ def _parse_presburger(body) -> PresburgerModel:
 def _format_hodge_poly(h: HodgeRational) -> str:
     if h.den:
         raise ValidationError("realization-only hodge data must be polynomial")
-    return format_int_poly({k: c for k, c in h.num.items()}, ("u", "v"))
+    return format_int_poly(h.num, ("u", "v"))
 
 
 def print_model(m: ModelFile) -> str:
@@ -437,16 +430,7 @@ def print_model(m: ModelFile) -> str:
             out.append("condition = " + vm.condition_text)
     elif m.kind == "series":
         P: RationalMotSeries = m.datum
-        terms = []
-        for e in sorted(P.num):
-            c = format_motclass(P.num[e])
-            if e == 0:
-                terms.append(f"({c})")
-            elif e == 1:
-                terms.append(f"({c})*T")
-            else:
-                terms.append(f"({c})*T^{e}")
-        out.append("num = " + (" + ".join(terms) if terms else "0"))
+        out.append("num = " + format_series_num(P.num))
         if P.den:
             out.append("den = " + " ".join(f"({a},{b})" for a, b in P.den))
     elif m.kind == "presburger":
@@ -454,14 +438,10 @@ def print_model(m: ModelFile) -> str:
         out.append("vars = " + " ".join(pm2.names))
         out.append("condition = " + format_condition(pm2.pset.condition, pm2.names))
         for phi in pm2.maps:
-            poly: Dict[Tuple[int, ...], int] = {}
-            for v, c in enumerate(phi.coeffs):
-                if c:
-                    mono = tuple(1 if t == v else 0 for t in range(len(pm2.names)))
-                    poly[mono] = c
+            terms = [(c, name) for name, c in zip(pm2.names, phi.coeffs) if c]
             if phi.const:
-                poly[(0,) * len(pm2.names)] = phi.const
-            out.append("map = " + format_int_poly(poly, pm2.names))
+                terms.append((phi.const, ""))
+            out.append("map = " + format_sum(terms))
     else:
         raise ValueError(f"unknown kind {m.kind!r}")
     return "\n".join(out) + "\n"

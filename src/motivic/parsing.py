@@ -1,13 +1,20 @@
-"""Text syntax for ring elements, series and polynomials.
+"""Every text syntax of the package: reading and printing.
 
-MotClass literals are integer-coefficient expressions over `L`, `^`, `*`,
-`+`, `-`, parenthesized, with denominator factors written `/(L^i-1)`
-(repeatable).  Serialization round-trips exactly.
+Class literals, series numerators and integer polynomials are infix
+expressions over `^`, `*`, `+`, `-` and parentheses, parsed into one tuple
+AST that one evaluator maps to its target: classes over `L` with divisors
+written `/(L^i-1)` (repeatable), polynomials in T with class coefficients,
+or integer polynomials in named variables.  Conditions are s-expressions
+whose `and`/`or`/`not` skeleton one reader parses, leaving the atoms to the
+caller.  The printers share one signed-sum writer, and printing then
+parsing reproduces the value.
 """
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from operator import add
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ParseError
 from .grring import HodgeRational, LaurentPoly, MotClass
@@ -172,255 +179,245 @@ def read_sexp(text: str):
     return node
 
 
-# -- denominator-factor pattern matching -----------------------------------
+# -- boolean trees ----------------------------------------------------------
 
-def _match_binom_factor(node) -> List[int]:
-    """Match an AST against a product of (L^i - 1) factors; return the i's.
-
-    Raises ParseError when the divisor is not of the allowed shape.
-    """
-    if node[0] == "mul" and all(op == "*" for op, _ in node[1]):
-        return [i for _, child in node[1] for i in _match_binom_factor(child)]
-    if node[0] == "add" and len(node[1]) == 2 and node[1][1] == (-1, ("num", 1)):
-        lhs = node[1][0][1]
-        if lhs == ("var", "L"):
-            return [1]
-        if lhs[0] == "pow" and lhs[1] == ("var", "L") and isinstance(lhs[2], int) and lhs[2] >= 1:
-            return [lhs[2]]
-    raise ParseError("denominators must be products of (L^i-1) factors")
+@dataclass(frozen=True)
+class And:
+    children: Tuple[object, ...]
 
 
-# -- MotClass evaluation ----------------------------------------------------
+@dataclass(frozen=True)
+class Or:
+    children: Tuple[object, ...]
 
-def _eval_motclass(node) -> MotClass:
+
+@dataclass(frozen=True)
+class Not:
+    child: object
+
+
+def read_condition(text: str, atom: Callable[[list], object]):
+    """A boolean tree over `true`, `false`, `(and ...)`, `(or ...)` and
+    `(not c)`; every other list is an atom, which atom(node) parses, or
+    returns None for an operator it does not know."""
+    return _condition(read_sexp(text), atom)
+
+
+def _condition(node, atom):
+    if isinstance(node, str):
+        if node in ("true", "false"):
+            return node == "true"
+        raise ParseError(f"bad condition token {node!r}")
+    if not node:
+        raise ParseError("empty condition")
+    head = node[0]
+    if head in ("and", "or"):
+        return (And if head == "and" else Or)(
+            tuple(_condition(c, atom) for c in node[1:]))
+    if head == "not":
+        if len(node) != 2:
+            raise ParseError("'not' needs exactly one argument")
+        return Not(_condition(node[1], atom))
+    value = atom(node)
+    if value is None:
+        raise ParseError(f"unknown condition operator {head!r}")
+    return value
+
+
+# -- evaluation -------------------------------------------------------------
+
+Poly = Dict[Tuple[int, ...], object]
+
+
+class _Target:
+    """What `_evaluate` computes: polynomials in `names` with class
+    coefficients (then `L`, negative powers of L and divisors that are
+    products of (L^i - 1) factors are allowed) or integer ones; an unknown
+    symbol is reported with `where` after it."""
+
+    def __init__(self, names: Tuple[str, ...], classes: bool, where: str):
+        self.names, self.classes, self.where = names, classes, where
+        self.unit = (0,) * len(names)
+        self.one, self.zero = (MotClass.one(), MotClass.zero()) if classes else (1, 0)
+
+
+_CLASS = _Target((), True, "in ring expression")
+_SERIES = _Target(("T",), True, "in series expression")
+
+
+def poly_mul(a: Poly, b: Poly, zero=0) -> Poly:
+    """Product of two polynomials given as {exponents: coefficient}."""
+    out: Poly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            c = c1 * c2
+            out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c != zero}
+
+
+def _evaluate(node, target: _Target) -> Poly:
+    """The polynomial that a parsed expression denotes in target, without
+    zero coefficients."""
+    names, classes, unit = target.names, target.classes, target.unit
+    one, zero = target.one, target.zero
     kind = node[0]
     if kind == "num":
-        return MotClass.const(node[1])
+        return {unit: MotClass.const(node[1]) if classes else node[1]} if node[1] else {}
     if kind == "var":
-        if node[1] == "L":
-            return MotClass.L()
-        raise ParseError(f"unknown symbol {node[1]!r} in ring expression")
+        if node[1] in names:
+            v = names.index(node[1])
+            return {unit[:v] + (1,) + unit[v + 1:]: one}
+        if classes and node[1] == "L":
+            return {unit: MotClass.L()}
+        raise ParseError(f"unknown {'symbol' if classes else 'variable'} "
+                         f"{node[1]!r} {target.where}")
     if kind == "neg":
-        return -_eval_motclass(node[1])
+        return {m: -c for m, c in _evaluate(node[1], target).items()}
     if kind == "add":
-        total = MotClass.zero()
+        out: Poly = {}
         for sign, child in node[1]:
-            value = _eval_motclass(child)
-            total = total + value if sign > 0 else total - value
-        return total
+            for m, c in _evaluate(child, target).items():
+                c = c if sign > 0 else -c
+                out[m] = out[m] + c if m in out else c
+        return {m: c for m, c in out.items() if c != zero}
     if kind == "mul":
-        prod = MotClass.one()
+        if not classes and any(op == "/" for op, _ in node[1]):
+            raise ParseError("division is not allowed in polynomials")
+        out = {unit: one}
         for op, child in node[1]:
-            prod = prod * (_eval_motclass(child) if op == "*" else
-                           MotClass(LaurentPoly.const(1), _match_binom_factor(child)))
-        return prod
-    if kind == "pow":
-        e = node[2]
-        if node[1] == ("var", "L"):
-            return MotClass(LaurentPoly.L(e))
-        if e < 0:
-            raise ParseError("negative powers are only allowed for L")
-        return _eval_motclass(node[1]) ** e
-    raise ParseError(f"bad expression node {kind!r}")
+            if op == "*":
+                out = poly_mul(out, _evaluate(child, target), zero)
+                continue
+            # the divisor must be a product of factors L^i - 1, i >= 1
+            den, todo = [], [child]
+            while todo:
+                f = todo.pop()
+                if f[0] == "mul" and all(op == "*" for op, _ in f[1]):
+                    todo += [g for _, g in f[1]]
+                    continue
+                if f[0] == "add" and len(f[1]) == 2 and f[1][1] == (-1, ("num", 1)):
+                    power = f[1][0][1]
+                    if power == ("var", "L"):
+                        power = ("pow", ("var", "L"), 1)
+                    if power[:2] == ("pow", ("var", "L")) and power[2] >= 1:
+                        den.append(power[2])
+                        continue
+                raise ParseError("denominators must be products of (L^i-1) factors")
+            inverse = MotClass(LaurentPoly.const(1), den)
+            out = {m: c * inverse for m, c in out.items()}
+        return out
+    base, e = node[1], node[2]  # kind == "pow"
+    if classes and base == ("var", "L"):
+        return {unit: MotClass.L(e)}
+    if e < 0:
+        raise ParseError("negative powers are only allowed for L" if classes
+                         else "negative powers are not allowed in polynomials")
+    value, out = _evaluate(base, target), {unit: one}
+    for _ in range(e):
+        out = poly_mul(out, value, zero)
+    return out
 
 
 def parse_motclass(text: str) -> MotClass:
-    return _eval_motclass(parse_expr(text))
-
-
-# -- series numerators: polynomials in T with MotClass coefficients ---------
-
-def _tpoly_mul(a: Dict[int, MotClass], b: Dict[int, MotClass]) -> Dict[int, MotClass]:
-    out: Dict[int, MotClass] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, MotClass.zero()) + c1 * c2
-    return {e: c for e, c in out.items() if not c.is_zero}
-
-
-def _eval_tpoly(node) -> Dict[int, MotClass]:
-    kind = node[0]
-    if kind == "num":
-        return {0: MotClass.const(node[1])}
-    if kind == "var":
-        if node[1] == "L":
-            return {0: MotClass.L()}
-        if node[1] == "T":
-            return {1: MotClass.one()}
-        raise ParseError(f"unknown symbol {node[1]!r} in series expression")
-    if kind == "neg":
-        return {e: -c for e, c in _eval_tpoly(node[1]).items()}
-    if kind == "add":
-        out: Dict[int, MotClass] = {}
-        for sign, child in node[1]:
-            for e, c in _eval_tpoly(child).items():
-                out[e] = out.get(e, MotClass.zero()) + (c if sign > 0 else -c)
-        return {e: c for e, c in out.items() if not c.is_zero}
-    if kind == "mul":
-        out = {0: MotClass.one()}
-        for op, child in node[1]:
-            out = _tpoly_mul(out, _eval_tpoly(child) if op == "*" else
-                             {0: MotClass(LaurentPoly.const(1), _match_binom_factor(child))})
-        return out
-    if kind == "pow":
-        e = node[2]
-        if node[1] == ("var", "L"):
-            return {0: MotClass(LaurentPoly.L(e))}
-        if e < 0:
-            raise ParseError("negative powers are only allowed for L")
-        base = _eval_tpoly(node[1])
-        out = {0: MotClass.one()}
-        for _ in range(e):
-            out = _tpoly_mul(out, base)
-        return out
-    raise ParseError(f"bad expression node {kind!r}")
+    return _evaluate(parse_expr(text), _CLASS).get((), MotClass.zero())
 
 
 def parse_series_num(text: str) -> Dict[int, MotClass]:
-    return _eval_tpoly(parse_expr(text))
-
-
-# -- integer polynomials in named variables ---------------------------------
-
-def _int_poly_mul(a: Dict[Tuple[int, ...], int], b: Dict[Tuple[int, ...], int]
-                  ) -> Dict[Tuple[int, ...], int]:
-    out: Dict[Tuple[int, ...], int] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _eval_int_poly(node, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    n = len(names)
-    kind = node[0]
-    if kind == "num":
-        return {(0,) * n: node[1]} if node[1] else {}
-    if kind == "var":
-        if node[1] not in names:
-            raise ParseError(f"unknown variable {node[1]!r} (declared: {', '.join(names)})")
-        mono = [0] * n
-        mono[list(names).index(node[1])] = 1
-        return {tuple(mono): 1}
-    if kind == "neg":
-        return {m: -c for m, c in _eval_int_poly(node[1], names).items()}
-    if kind == "add":
-        out: Dict[Tuple[int, ...], int] = {}
-        for sign, child in node[1]:
-            for m, c in _eval_int_poly(child, names).items():
-                out[m] = out.get(m, 0) + sign * c
-        return {m: c for m, c in out.items() if c}
-    if kind == "mul":
-        if any(op == "/" for op, _ in node[1]):
-            raise ParseError("division is not allowed in polynomials")
-        out = {(0,) * n: 1}
-        for _, child in node[1]:
-            out = _int_poly_mul(out, _eval_int_poly(child, names))
-        return out
-    if kind == "pow":
-        if node[2] < 0:
-            raise ParseError("negative powers are not allowed in polynomials")
-        out = {(0,) * n: 1}
-        base = _eval_int_poly(node[1], names)
-        for _ in range(node[2]):
-            out = _int_poly_mul(out, base)
-        return out
-    raise ParseError(f"bad expression node {kind!r}")
+    """A polynomial in T with class coefficients, as {exponent: class}."""
+    return {m[0]: c for m, c in _evaluate(parse_expr(text), _SERIES).items()}
 
 
 def parse_int_poly(text: str, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    return _eval_int_poly(parse_expr(text), names)
+    names = tuple(names)
+    return _evaluate(parse_expr(text),
+                     _Target(names, False, f"(declared: {', '.join(names)})"))
 
 
-# -- formatting -------------------------------------------------------------
+def split_affine(poly: Dict[Tuple[int, ...], int], n: int,
+                 error: str) -> Tuple[Tuple[int, ...], int]:
+    """(coeffs, const) of a polynomial in n variables of degree <= 1;
+    ParseError(error) for a term of higher degree."""
+    coeffs, const = [0] * n, 0
+    for mono, c in poly.items():
+        if sum(mono) > 1:
+            raise ParseError(error)
+        if sum(mono):
+            coeffs[mono.index(1)] += c
+        else:
+            const = c
+    return tuple(coeffs), const
+
+
+# -- printing ---------------------------------------------------------------
+
+def _power(name: str, e: int) -> str:
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def format_monomial(names: Sequence[str], exps: Sequence[int]) -> str:
+    """x^2*y; the empty string for the monomial 1."""
+    return "*".join([_power(name, e) for name, e in zip(names, exps) if e])
+
+
+def format_sum(terms: Iterable[Tuple[int, str]]) -> str:
+    """`a - 2*b + 3` from (coefficient, monomial) pairs in print order, with
+    nonzero coefficients; a coefficient of magnitude 1 is left out before a
+    monomial other than 1."""
+    parts: List[str] = []
+    for c, mono in terms:
+        if not mono:
+            body = str(abs(c))
+        else:
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if parts:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) if parts else "0"
+
+
+def format_fraction(terms: Sequence[Tuple[int, str]], factors: Sequence[str]) -> str:
+    """format_sum(terms) divided by each factor in turn; a numerator of
+    several terms is parenthesized."""
+    num = format_sum(terms)
+    if not terms or not factors:
+        return num
+    return (f"({num})" if len(terms) > 1 else num) + "".join("/" + f for f in factors)
+
+
+def _laurent_terms(p: LaurentPoly, var: str) -> List[Tuple[int, str]]:
+    return [(p.terms[e], _power(var, e)) for e in sorted(p.terms, reverse=True)]
+
 
 def format_laurent(p: LaurentPoly, var: str = "L") -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
-        if e == 0:
-            mono = str(abs(c))
-        else:
-            head = var if e == 1 else f"{var}^{e}"
-            mono = head if abs(c) == 1 else f"{abs(c)}*{head}"
-        if not parts:
-            parts.append(mono if c > 0 else f"-{mono}")
-        else:
-            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-    return " ".join(parts)
+    return format_sum(_laurent_terms(p, var))
 
 
 def format_motclass(a: MotClass) -> str:
-    num = format_laurent(a.num)
-    if not a.den:
-        return num
-    if len(a.num.terms) > 1:
-        num = f"({num})"
-    tail = "".join(f"/(L^{i}-1)" if i != 1 else "/(L-1)" for i in a.den)
-    return num + tail
+    return format_fraction(_laurent_terms(a.num, "L"),
+                           [f"({_power('L', i)}-1)" for i in a.den])
+
+
+def format_series_num(num: Dict[int, MotClass]) -> str:
+    """(a) + (b)*T + (c)*T^2 from {exponent: class}; parse_series_num reads it."""
+    terms = []
+    for e in sorted(num):
+        t = _power("T", e)
+        terms.append((1, f"({format_motclass(num[e])})" + (f"*{t}" if t else "")))
+    return format_sum(terms)
 
 
 def format_int_poly(p: Dict[Tuple[int, ...], int], names: Sequence[str]) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for mono in sorted(p, reverse=True):
-        c = p[mono]
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = str(abs(c))
-        else:
-            body = "*".join(factors)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return format_sum((p[m], format_monomial(names, m)) for m in sorted(p, reverse=True))
+
+
+def _uv(p: int) -> str:
+    return "u*v" if p == 1 else f"(u*v)^{p}"
 
 
 def format_hodge(h: HodgeRational) -> str:
-    if h.is_zero:
-        return "0"
-    parts = []
-    for (p, q) in sorted(h.num, reverse=True):
-        c = h.num[(p, q)]
-        factors = []
-        if p == q and p != 0:
-            factors.append("u*v" if p == 1 else f"(u*v)^{p}")
-        else:
-            if p == 1:
-                factors.append("u")
-            elif p != 0:
-                factors.append(f"u^{p}")
-            if q == 1:
-                factors.append("v")
-            elif q != 0:
-                factors.append(f"v^{q}")
-        if not factors:
-            body = str(abs(c))
-        else:
-            body = "*".join(factors)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    num = " ".join(parts)
-    if not h.den:
-        return num
-    if len(h.num) > 1:
-        num = f"({num})"
-    tail = "".join(f"/((u*v)^{i}-1)" if i != 1 else "/(u*v-1)" for i in h.den)
-    return num + tail
+    return format_fraction(
+        [(h.num[p, q], _uv(p) if p == q != 0 else format_monomial(("u", "v"), (p, q)))
+         for p, q in sorted(h.num, reverse=True)],
+        [f"({_uv(i)}-1)" for i in h.den])

@@ -14,10 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionUnsupported, InfiniteFibers, ParseError
-from .parsing import _int_poly_mul, read_sexp
+from .parsing import (And, Not, Or, format_fraction, format_monomial, poly_mul,
+                      read_condition)
 
 Expo = Tuple[int, ...]
 
@@ -59,21 +61,6 @@ class Mod:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("congruence modulus must be >= 1")
-
-
-@dataclass(frozen=True)
-class And:
-    children: Tuple["Condition", ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    children: Tuple["Condition", ...]
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "Condition"
 
 
 Condition = Union[Ge, Mod, And, Or, Not, bool]
@@ -158,7 +145,7 @@ class RatFunc:
     def den_poly(self) -> Dict[Expo, int]:
         p: Dict[Expo, int] = {(0,) * self.nvars: 1}
         for c in self.den:
-            p = _int_poly_mul(p, {(0,) * self.nvars: 1, c: -1})
+            p = poly_mul(p, {(0,) * self.nvars: 1, c: -1})
         return p
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
@@ -171,14 +158,14 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.nvars, _int_poly_mul(self.num, other.num),
+        return RatFunc(self.nvars, poly_mul(self.num, other.num),
                        self.den + other.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self.nvars == other.nvars and _int_poly_mul(self.num, other.den_poly())
-                == _int_poly_mul(other.num, self.den_poly()))
+        return (self.nvars == other.nvars and poly_mul(self.num, other.den_poly())
+                == poly_mul(other.num, self.den_poly()))
 
     def __hash__(self) -> int:
         return hash(self.nvars)
@@ -213,7 +200,7 @@ def _sum(nvars: int, parts: Sequence[RatFunc]) -> RatFunc:
     for f in parts:
         p = f.num
         for c in (common - Counter(f.den)).elements():
-            p = _int_poly_mul(p, {one: 1, c: -1})
+            p = poly_mul(p, {one: 1, c: -1})
         for m, c in p.items():
             num[m] = num.get(m, 0) + c
     return RatFunc(nvars, num, tuple(common.elements()))
@@ -262,18 +249,22 @@ def genfun_image(P: PresburgerSet, maps: Sequence[Affine]) -> RatFunc:
 
 
 def _genfun_image(P: PresburgerSet, maps: List[Affine]) -> RatFunc:
-    """Unfold the congruences over the residue classes mod M, the lcm of the
-    moduli, and sum each class in one sweep; m = 1 runs as m = 2 with j <= 0."""
+    """Unfold the congruences: variable v runs over its residue classes mod
+    M_v, the lcm over the atoms (mod a.x + c, m) of m / gcd(m, a_v), so every
+    congruence is constant on each class.  Each class is summed in one sweep;
+    m = 1 runs as m = 2 with j <= 0."""
     r = len(maps)
-    M = lcm(*(atom.modulus for atom in _atoms(P.condition, Mod)))
+    mods = _atoms(P.condition, Mod)
+    scales = [lcm(*(a.modulus // gcd(a.modulus, a.affine.coeffs[v]) for a in mods))
+              for v in range(P.m)]
     terms: Dict[Tuple[Expo, ...], Dict[Expo, int]] = {}
-    for offsets in itertools.product(range(M), repeat=P.m):
-        cond = _simplify(_substitute(P.condition, M, offsets))
+    for offsets in itertools.product(*map(range, scales)):
+        cond = _substitute(P.condition, scales, offsets)
         if cond is False:
             continue
         if P.m == 1:
             cond = And((cond, Ge(Affine((0, -1)))))
-        sub_maps = [Affine(tuple(c * M for c in phi.coeffs),
+        sub_maps = [Affine(tuple(map(mul, phi.coeffs, scales)),
                            phi.eval(offsets)) for phi in maps]
         _sweep(cond, sub_maps, terms)
     for den, num in terms.items():
@@ -293,49 +284,31 @@ def _atoms(cond: Condition, kind: type) -> Set:
     return set()
 
 
-def _substitute(cond: Condition, scale: int, offsets: Sequence[int]) -> Condition:
-    """Apply x -> scale*x + offsets; congruences become constants."""
+def _substitute(cond: Condition, scales: Sequence[int],
+                offsets: Sequence[int]) -> Condition:
+    """Apply x_v -> scales[v]*x_v + offsets[v]; congruences become constants,
+    which are folded into the tree."""
     if isinstance(cond, bool):
         return cond
     if isinstance(cond, Ge):
         aff = cond.affine
-        return Ge(Affine(tuple(c * scale for c in aff.coeffs), aff.eval(offsets)))
+        return Ge(Affine(tuple(map(mul, aff.coeffs, scales)), aff.eval(offsets)))
     if isinstance(cond, Mod):
         return cond.affine.eval(offsets) % cond.modulus == cond.residue % cond.modulus
-    if isinstance(cond, And):
-        return And(tuple(_substitute(c, scale, offsets) for c in cond.children))
-    if isinstance(cond, Or):
-        return Or(tuple(_substitute(c, scale, offsets) for c in cond.children))
     if isinstance(cond, Not):
-        return Not(_substitute(cond.child, scale, offsets))
+        c = _substitute(cond.child, scales, offsets)
+        return (not c) if isinstance(c, bool) else Not(c)
+    if isinstance(cond, (And, Or)):
+        absorbing = isinstance(cond, Or)  # True decides an Or, False an And
+        kids = []
+        for c in cond.children:
+            c = _substitute(c, scales, offsets)
+            if c is absorbing:
+                return absorbing
+            if not isinstance(c, bool):
+                kids.append(c)
+        return type(cond)(tuple(kids)) if kids else not absorbing
     raise TypeError(f"bad condition node {cond!r}")
-
-
-def _simplify(cond: Condition) -> Condition:
-    if isinstance(cond, And):
-        kids = []
-        for c in cond.children:
-            c = _simplify(c)
-            if c is False:
-                return False
-            if c is not True:
-                kids.append(c)
-        return And(tuple(kids)) if kids else True
-    if isinstance(cond, Or):
-        kids = []
-        for c in cond.children:
-            c = _simplify(c)
-            if c is True:
-                return True
-            if c is not False:
-                kids.append(c)
-        return Or(tuple(kids)) if kids else False
-    if isinstance(cond, Not):
-        c = _simplify(cond.child)
-        if isinstance(c, bool):
-            return not c
-        return Not(c)
-    return cond
 
 
 def _ij(aff: Affine) -> Tuple[int, int]:
@@ -482,24 +455,8 @@ def _parse_affine(node, names: Sequence[str]) -> Affine:
     raise ParseError(f"unknown affine operator {head!r}")
 
 
-def _parse_condition(node, names: Sequence[str]) -> Condition:
-    if isinstance(node, str):
-        if node == "true":
-            return True
-        if node == "false":
-            return False
-        raise ParseError(f"bad condition token {node!r}")
-    if not node:
-        raise ParseError("empty condition")
+def _parse_atom(node, names: Sequence[str]) -> Optional[Condition]:
     head = node[0]
-    if head == "and":
-        return And(tuple(_parse_condition(c, names) for c in node[1:]))
-    if head == "or":
-        return Or(tuple(_parse_condition(c, names) for c in node[1:]))
-    if head == "not":
-        if len(node) != 2:
-            raise ParseError("'not' needs exactly one argument")
-        return Not(_parse_condition(node[1], names))
     if head in (">=", "<=", "="):
         if len(node) != 3:
             raise ParseError(f"{head!r} needs exactly two arguments")
@@ -523,12 +480,12 @@ def _parse_condition(node, names: Sequence[str]) -> Condition:
         if dd.const < 1:
             raise ParseError(f"congruence modulus must be >= 1, got {dd.const}")
         return Mod(aff, dd.const, rr.const)
-    raise ParseError(f"unknown condition operator {head!r}")
+    return None
 
 
 def parse_condition(text: str, names: Sequence[str]) -> Condition:
     """Parse the documented s-expression condition syntax."""
-    return _parse_condition(read_sexp(text), names)
+    return read_condition(text, lambda node: _parse_atom(node, names))
 
 
 def format_affine(aff: Affine, names: Sequence[str]) -> str:
@@ -562,33 +519,5 @@ def format_condition(cond: Condition, names: Sequence[str] = ("i", "j", "k")) ->
 def format_ratfunc(f: RatFunc, names: Optional[Sequence[str]] = None) -> str:
     if names is None:
         names = ["X", "Y"][: f.nvars] if f.nvars <= 2 else [f"X{t}" for t in range(f.nvars)]
-    if f.is_zero:
-        return "0"
-
-    def mono(m: Expo, c: int) -> str:
-        factors = []
-        for name, e in zip(names, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors) if factors else str(abs(c))
-        if factors and abs(c) != 1:
-            body = f"{abs(c)}*{body}"
-        return body
-
-    parts = []
-    for m in sorted(f.num):
-        c = f.num[m]
-        body = mono(m, c)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    num = " ".join(parts)
-    if not f.den:
-        return num
-    if len(f.num) > 1:
-        num = f"({num})"
-    tail = "".join(f"/(1 - {mono(c, 1)})" for c in f.den)
-    return num + tail
+    return format_fraction([(f.num[m], format_monomial(names, m)) for m in sorted(f.num)],
+                           [f"(1 - {format_monomial(names, c)})" for c in f.den])

@@ -11,7 +11,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import NoLimit
 from .grring import LaurentPoly, MotClass
-from .parsing import format_motclass
+from .parsing import format_series_num
 
 
 class RationalMotSeries:
@@ -70,9 +70,8 @@ class RationalMotSeries:
         return self + (-other)
 
     def __repr__(self) -> str:
-        parts = [f"({format_motclass(c)})*T^{e}" for e, c in sorted(self.num.items())]
         den = "".join(f"/(1 - L^{a} T^{b})" for a, b in self.den)
-        return f"RationalMotSeries({' + '.join(parts) or '0'}{den})"
+        return f"RationalMotSeries({format_series_num(self.num)}{den})"
 
 
 def expand(P: RationalMotSeries, N: int) -> List[MotClass]:

@@ -412,6 +412,12 @@ class TestSemialg:
         assert count_semialg(A1, c_eq_5, 2, 3) == (0, 1)
         assert count_semialg(A1, ord_mod(X1, 2, 0), 3, 2) == (10, 1)
 
+    def test_true_counts_every_image_point(self):
+        # N_n = 2^(n+2) - 1 for the node over F_2: the jets over the smooth
+        # points and the stabilized ones over the origin
+        for n in range(4):
+            assert count_semialg(NODE, True, n, 2) == (2 ** (n + 2) - 1, 0)
+
     def test_parse_semialg_roundtrip_behavior(self):
         c = parse_semialg("(and (ord>= {x} {1} 1) (ordmod {x} 2 0))", ("x",))
         p = JetPoint(q=2, n=3, coords=((0, 0, 1, 0),))

@@ -105,6 +105,7 @@ class TestCliExitCodes:
         ["series-check", fx("node.series"), fx("node_counts.csv"), "--q", "1"],
         ["series-check", fx("node.series"), fx("node_counts.csv"), "--q", "0"],
         ["series-check", fx("node.series"), fx("node_counts.csv"), "--q", "-3"],
+        ["series-check", fx("node.series"), fx("header_only.csv"), "--q", "2"],
         ["jets-count", fx("node.model"), "--q", "2", "--n", "1", "--budget", "-1"],
         ["jets-poincare", fx("node.model"), "--q", "2", "--n-max", "1",
          "--budget", "-1"],

@@ -100,6 +100,14 @@ class TestGenfunCorpus:
         P = PresburgerSet(2, parse_condition(MOD_5_7, ("i", "j")))
         assert genfun(P).expand(40) == truth_dict(P, 40)
 
+    def test_congruences_unfold_per_variable(self):
+        # i unfolds mod 5 and j mod 7, not both mod 35: one class is true
+        P = PresburgerSet(2, parse_condition("(and (mod i 5 1) (mod j 7 2))",
+                                             ("i", "j")))
+        f = genfun(P)
+        assert f.num == {(1, 2): 1} and f.den == ((0, 7), (5, 0))
+        assert format_ratfunc(f) == "X*Y^2/(1 - Y^7)/(1 - X^5)"
+
 
 class TestSweepProperty:
     @settings(max_examples=60, deadline=None)
