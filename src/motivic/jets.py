@@ -45,12 +45,15 @@ _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 def default_budget() -> int:
     raw = os.environ.get(_BUDGET_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_BUDGET
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+        if budget >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise ValidationError(f"{_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 class JetVariety:
@@ -700,14 +703,15 @@ SemiAlgCondition = Union[OrdCmp, OrdMod, AcRel, And, Or, Not, bool]
 UNKNOWN = "unknown"
 
 
-def _ord_and_ac(f, p: JetPoint) -> Tuple[Optional[int], Optional[int]]:
+def _ord_and_ac(f, p: JetPoint, memo: Dict) -> Tuple[Optional[int], Optional[int]]:
     """(ord, ac) of f on the truncated jet; (None, None) when the truncation
-    vanishes identically so neither is determined."""
-    series = _poly_eval_series(dict(f), p.coords, p.n, p.q)
-    for i, c in enumerate(series):
-        if c:
-            return i, c
-    return None, None
+    vanishes identically so neither is determined.  memo holds the values
+    already found on this jet."""
+    found = memo.get(f)
+    if found is None:
+        series = _poly_eval_series(dict(f), p.coords, p.n, p.q)
+        found = memo[f] = next(((i, c) for i, c in enumerate(series) if c), (None, None))
+    return found
 
 
 def _kleene_and(values):
@@ -728,23 +732,28 @@ def eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int] = ()):
     """Three-valued evaluation: True / False / 'unknown'.
 
     An undetermined ord is only known to lie in [n+1, +infinity]; an atom is
-    unknown unless every possibility agrees.
+    unknown unless every possibility agrees.  Each polynomial is evaluated
+    on the jet once, however many atoms read it.
     """
+    return _eval_semialg(c, p, params, {})
+
+
+def _eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int], memo: Dict):
     if isinstance(c, bool):
         return c
     if isinstance(c, And):
-        return _kleene_and(eval_semialg(k, p, params) for k in c.children)
+        return _kleene_and(_eval_semialg(k, p, params, memo) for k in c.children)
     if isinstance(c, Or):
         return _kleene_not(_kleene_and(
-            _kleene_not(eval_semialg(k, p, params)) for k in c.children))
+            _kleene_not(_eval_semialg(k, p, params, memo)) for k in c.children))
     if isinstance(c, Not):
-        return _kleene_not(eval_semialg(c.child, p, params))
+        return _kleene_not(_eval_semialg(c.child, p, params, memo))
     if isinstance(c, OrdCmp):
         if len(params) != len(c.param_coeffs):
             raise ValueError("parameter vector length mismatch")
         off = sum(a * b for a, b in zip(c.param_coeffs, params)) + c.const
-        a, _ = _ord_and_ac(c.f, p)
-        b, _ = _ord_and_ac(c.g, p)
+        a, _ = _ord_and_ac(c.f, p, memo)
+        b, _ = _ord_and_ac(c.g, p, memo)
         bound = p.n + 1  # an undetermined ord lies in [n+1, +infinity]
         if a is not None and b is not None:
             return a >= b + off
@@ -756,7 +765,7 @@ def eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int] = ()):
             return False if a - off < bound else UNKNOWN
         return UNKNOWN
     if isinstance(c, OrdMod):
-        a, _ = _ord_and_ac(c.f, p)
+        a, _ = _ord_and_ac(c.f, p, memo)
         if a is not None:
             return a % c.modulus == c.residue % c.modulus
         # +infinity satisfies every congruence, finite candidates vary
@@ -764,7 +773,7 @@ def eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int] = ()):
     if isinstance(c, AcRel):
         acs = []
         for f in c.fs:
-            _, ac = _ord_and_ac(f, p)
+            _, ac = _ord_and_ac(f, p, memo)
             if ac is None:
                 return UNKNOWN
             acs.append(ac)

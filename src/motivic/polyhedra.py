@@ -4,14 +4,19 @@ Provides the support function, a partition of the strictly positive lattice
 orthant into half-open simplicial cones on which the support function is
 linear, and the resulting closed-form zeta value together with a truncated
 direct-summation oracle.
+
+The partition refines the normal fan: the chamber of a minimal generator is
+where that generator attains the support function.  Chambers are found and
+dissected in integer arithmetic by one routine that does not depend on the
+dimension k; ``linearity_partition`` still refuses k > 3, the dimensions
+its oracle tests cover.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionUnsupported
@@ -21,29 +26,24 @@ Vec = Tuple[int, ...]
 
 
 def _primitive(v: Vec) -> Vec:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _cross(a: Vec, b: Vec) -> Vec:
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
+    return sum(map(mul, a, b))
 
 
 def _det(rows: Sequence[Vec]) -> int:
-    if not rows:
-        return 1
-    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, x in enumerate(rows[0]))
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    return _dot(rows[0], _cofactors(rows[1:]))
+
+
+def _cofactors(rows: Sequence[Vec]) -> Vec:
+    """The vector v with v . x = det(x, *rows), for k - 1 rows of length k."""
+    return tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+                 for j in range(len(rows) + 1))
 
 
 def _dual(rays: Tuple[Vec, ...]) -> Tuple[int, Tuple[Vec, ...]]:
@@ -53,11 +53,8 @@ def _dual(rays: Tuple[Vec, ...]) -> Tuple[int, Tuple[Vec, ...]]:
     """
     det = _det(rays)
     sign = 1 if det > 0 else -1
-    rows = tuple(
-        tuple(sign * (-1) ** (i + j) * _det([r[:j] + r[j + 1:]
-                                              for r in rays[:i] + rays[i + 1:]])
-              for j in range(len(rays)))
-        for i in range(len(rays)))
+    rows = tuple(tuple(sign * (-1) ** i * x for x in _cofactors(rays[:i] + rays[i + 1:]))
+                 for i in range(len(rays)))
     return abs(det), rows
 
 
@@ -176,93 +173,46 @@ def support_eval(delta: NewtonPolyhedron, xi: Sequence[int]) -> int:
 
 # -- chamber construction ---------------------------------------------------
 
-def _chambers_2d(gens: Sequence[Vec]) -> List[Tuple[Vec, Vec]]:
-    rays = {(1, 0), (0, 1)}
-    for g, h in itertools.combinations(gens, 2):
-        d = (g[0] - h[0], g[1] - h[1])
-        # wall where xi . d = 0 inside the open quadrant
-        if d[0] * d[1] < 0:
-            wall = (abs(d[1]), abs(d[0]))
-            rays.add(_primitive(wall))
+def _chamber_cones(gens: Sequence[Vec], k: int) -> List[Tuple[Vec, ...]]:
+    """Simplicial cones dissecting the k-dimensional chambers of the fan.
 
-    def cmp(a: Vec, b: Vec) -> int:
-        cr = a[0] * b[1] - a[1] * b[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    ordered = sorted(rays, key=cmp_to_key(cmp))
-    return [(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)]
-
-
-def _extreme_pair(plane_rays: List[Vec]) -> Tuple[Vec, Vec]:
-    """The two angular extremes of a pointed 2-dimensional cone in 3-space."""
-    if len(plane_rays) == 2:
-        return plane_rays[0], plane_rays[1]
-    for a, b in itertools.combinations(plane_rays, 2):
-        if all(r in (a, b) or _is_conic_comb_2(r, a, b) for r in plane_rays):
-            return a, b
-    raise AssertionError("no extreme pair found in planar cone")
-
-
-def _is_conic_comb_2(r: Vec, a: Vec, b: Vec) -> bool:
-    """For r in the plane of a and b: is r a nonnegative combination of them?"""
-    n = _cross(a, b)
-    return _dot(_cross(a, r), n) >= 0 and _dot(_cross(r, b), n) >= 0
-
-
-def _rank(vectors: Sequence[Vec]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    rank = r
-    return rank
-
-
-def _chambers_3d(gens: Sequence[Vec]) -> List[Tuple[Vec, Vec, Vec]]:
-    tris: List[Tuple[Vec, Vec, Vec]] = []
-    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    The chamber of a minimal generator g is {xi >= 0 : xi . (h - g) >= 0 for
+    every generator h}. An extreme ray of it is tight on k - 1 independent
+    constraints, so the extreme rays are the cofactor vectors of the
+    (k-1)-subsets of the constraint normals that satisfy every constraint.
+    A chamber is kept when k of its rays are independent.
+    """
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    cones: List[Tuple[Vec, ...]] = []
     for g in gens:
-        normals = [tuple(h[i] - g[i] for i in range(3)) for h in gens if h != g]
-        normals = [n for n in normals if any(n)] + units
-        # candidate extreme rays from pairs of active constraints
-        cands = set()
-        for n1, n2 in itertools.combinations(normals, 2):
-            cr = _cross(n1, n2)
-            if not any(cr):
-                continue
-            for s in (1, -1):
-                v = tuple(s * x for x in cr)
-                if all(_dot(n, v) >= 0 for n in normals):
-                    cands.add(_primitive(v))
-        extremes = [v for v in cands
-                    if _rank([n for n in normals if _dot(n, v) == 0]) >= 2]
-        if _rank(extremes) < 3:
-            continue  # chamber not full-dimensional
-        # 2-dimensional faces: active sets of rank 2
-        faces = set()
-        for n in normals:
-            active = [v for v in extremes if _dot(n, v) == 0]
-            if len(active) >= 2 and _rank(active) == 2:
-                faces.add(frozenset(_extreme_pair(active)))
-        r0 = min(extremes)
-        for face in faces:
-            a, b = sorted(face)
-            if r0 in face:
-                continue
-            tris.append((r0, a, b))
-    return tris
+        normals = [tuple(a - b for a, b in zip(h, g)) for h in gens if h != g] + units
+        rays = set()
+        for rows in itertools.combinations(normals, k - 1):
+            v = _cofactors(rows)
+            dots = [_dot(n, v) for n in normals]
+            s = -1 if min(dots) < 0 else 1
+            if any(v) and all(s * d >= 0 for d in dots):
+                rays.add(_primitive(tuple(s * x for x in v)))
+        if any(_det(c) for c in itertools.combinations(rays, k)):
+            faces = [frozenset(r for r in rays if _dot(n, r) == 0) for n in normals]
+            cones += _pulling(frozenset(rays), faces)
+    return cones
+
+
+def _pulling(cone: frozenset, faces: List[frozenset]) -> List[Tuple[Vec, ...]]:
+    """The pulling dissection of a face of a chamber, given by its extreme
+    rays: its least ray joined to a dissection of each facet that misses it.
+
+    The faces of the face are its intersections with the chamber's faces
+    {r : n . r = 0}, and its facets are the maximal proper ones.
+    """
+    if len(cone) == 1:
+        return [tuple(cone)]
+    r0 = min(cone)
+    proper = {cone & f for f in faces} - {cone}
+    return [(r0,) + simplex for facet in proper
+            if r0 not in facet and not any(facet < other for other in proper)
+            for simplex in _pulling(facet, faces)]
 
 
 def linearity_partition(delta: NewtonPolyhedron) -> List[HalfOpenCone]:
@@ -271,15 +221,8 @@ def linearity_partition(delta: NewtonPolyhedron) -> List[HalfOpenCone]:
     k = delta.k
     if k > 3:
         raise DimensionUnsupported(f"closed-form partition supports k <= 3, got {k}")
-    gens = delta.minimal_generators()
-    if k == 1:
-        chambers = [((1,),)]
-    elif k == 2:
-        chambers = _chambers_2d(gens)
-    else:
-        chambers = _chambers_3d(gens)
-    return [HalfOpenCone(tuple(rays), tuple(support_eval(delta, r) for r in rays))
-            for rays in chambers]
+    return [HalfOpenCone(rays, tuple(support_eval(delta, r) for r in rays))
+            for rays in _chamber_cones(delta.minimal_generators(), k)]
 
 
 def z_of_delta(delta: NewtonPolyhedron) -> MotClass:

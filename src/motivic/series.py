@@ -5,6 +5,7 @@ arc-space Poincare series and of its coefficient limits.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -39,8 +40,6 @@ class RationalMotSeries:
         return cls({0: c}, [(a, b)])
 
     def __add__(self, other: "RationalMotSeries") -> "RationalMotSeries":
-        from collections import Counter
-
         ca, cb = Counter(self.den), Counter(other.den)
         common = ca | cb
         num: Dict[int, MotClass] = {}

@@ -283,6 +283,13 @@ class TestBudgetEnvVar:
         assert code == 1
         assert "BudgetExceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-1", "x"])
+    def test_env_budget_must_be_nonnegative(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MOTIVIC_JETS_BUDGET", raw)
+        code = main(["jets-count", fx("node.model"), "--q", "2", "--n", "1"])
+        assert code == 2
+        assert "error[ValidationError]: MOTIVIC_JETS_BUDGET" in capsys.readouterr().err
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MOTIVIC_JETS_BUDGET", "5")
         code = main(["jets-count", fx("node.model"), "--q", "2", "--n", "1",

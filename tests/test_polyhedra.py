@@ -51,12 +51,28 @@ class TestLinearityPartition:
     def test_3d(self):
         self._check_partition(NewtonPolyhedron(3, [(2, 1, 1), (1, 1, 3)]), 6)
 
-    def test_random_3d(self):
+    def test_random_2d_and_3d(self):
         rng = random.Random(20240815)
-        for _ in range(3):
-            gens = [tuple(rng.randint(1, 4) for _ in range(3))
-                    for _ in range(rng.randint(1, 3))]
-            self._check_partition(NewtonPolyhedron(3, gens), 5)
+        for k, box in ((3, 5), (2, 10)):
+            for _ in range(3):
+                gens = [tuple(rng.randint(1, 4) for _ in range(k))
+                        for _ in range(rng.randint(1, 3))]
+                self._check_partition(NewtonPolyhedron(k, gens), box)
+
+    def test_generator_that_is_not_a_vertex(self):
+        # (2,2) and (2,2,1) are midpoints of edges: their chambers are not
+        # full-dimensional and give no cone
+        for gens, box in (([(1, 3), (2, 2), (3, 1)], 10),
+                          ([(3, 1, 1), (1, 3, 1), (1, 1, 3), (2, 2, 1)], 5)):
+            delta = NewtonPolyhedron(len(gens[0]), gens)
+            self._check_partition(delta, box)
+            closed = expand_completion(z_of_delta(delta), 20)
+            assert closed.matches(z_truncated(delta, 20))
+
+    def test_coarsest_2d_fan(self):
+        # one cone per vertex: (4,1) and (1,5) share no edge, so they add no wall
+        delta = NewtonPolyhedron(2, [(4, 1), (2, 2), (1, 5)])
+        assert len(linearity_partition(delta)) == 3
 
     def test_random_simplicial_cones(self):
         # closed form of one cone with |det| > 1 against a direct sum of
