@@ -2,7 +2,17 @@
 
 Classes here live in Z[L, L^-1] localized at the multiplicative set
 generated by (L^i - 1), i >= 1.  L is the class of the affine line.
-Everything is exact integer/rational arithmetic; no floats.
+Everything is exact integer/rational arithmetic; no floats: the public
+constructors take exponents, coefficients and factors through
+`operator.index`, so a non-integer raises TypeError.
+
+Invariant: a `LaurentPoly` stores no zero coefficient, and a `MotClass`
+stores the canonical pair made by `_reduce` (den == () for zero).  Results
+that are canonical by construction skip `_reduce`: sums and products of two
+classes with no denominator, negation and `shift` (Phi_k(0) = +-1, so
+multiplying by L^k cancels no Phi_k).  Every other sum and product reduces
+once; `mot_sum` adds many fractions with a single reduction, and `__pow__`
+reduces once for the whole power.
 """
 from __future__ import annotations
 
@@ -10,6 +20,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ChiUndefined
@@ -29,8 +40,16 @@ class LaurentPoly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    cleaned[int(e)] = int(c)
+                    cleaned[index(e)] = index(c)
         self.terms = cleaned
+
+    @classmethod
+    def _of(cls, terms: Dict[int, int]) -> "LaurentPoly":
+        """The polynomial of a dict of int exponents and coefficients, whose
+        zero coefficients are dropped and which is otherwise taken as is."""
+        p = object.__new__(cls)
+        p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+        return p
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -80,10 +99,10 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -94,7 +113,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -110,7 +129,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by L^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.terms.items()})
 
     def divexact(self, other: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Exact quotient self / other, or None if the division has a remainder.
@@ -122,7 +141,7 @@ class LaurentPoly:
         if other.is_zero:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero:
-            return LaurentPoly()
+            return self
         # normalize both to ordinary polynomials
         slow, olow = self.low, other.low
         rem = [self.terms.get(e, 0) for e in range(slow, self.degree + 1)]
@@ -141,7 +160,7 @@ class LaurentPoly:
                 rem[top - dd + e] -= q * c
         if any(rem[:dd]):
             return None
-        return LaurentPoly(quot)
+        return LaurentPoly._of(quot)
 
     def eval_at(self, x: Fraction) -> Fraction:
         total = Fraction(0)
@@ -156,7 +175,7 @@ class LaurentPoly:
 
 
 def _clean_den(den: Iterable[int]) -> Tuple[int, ...]:
-    out = tuple(sorted(int(i) for i in den))
+    out = tuple(sorted(map(index, den)))
     for i in out:
         if i < 1:
             raise ValueError(f"denominator factor (L^{i} - 1) needs i >= 1")
@@ -190,7 +209,7 @@ def _phi_divides(k: int, p: LaurentPoly) -> bool:
     folded: Dict[int, int] = {}
     for e, c in p.terms.items():
         folded[e % k] = folded.get(e % k, 0) + c
-    return LaurentPoly(folded).divexact(_cyclotomic(k)) is not None
+    return LaurentPoly._of(folded).divexact(_cyclotomic(k)) is not None
 
 
 def _reduce(nums: List[LaurentPoly], den: Tuple[int, ...]
@@ -241,6 +260,14 @@ class MotClass:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _of(cls, num: LaurentPoly, den: Tuple[int, ...]) -> "MotClass":
+        """The class of a pair that is already in canonical form."""
+        a = object.__new__(cls)
+        a.num = num
+        a.den = den
+        return a
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def const(cls, c: int) -> "MotClass":
@@ -272,33 +299,33 @@ class MotClass:
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "MotClass") -> "MotClass":
-        # common denominator: multiset max of the two factor multisets
-        ca, cb = Counter(self.den), Counter(other.den)
-        common = ca | cb
-        return MotClass(self.num * _binoms((common - ca).elements())
-                        + other.num * _binoms((common - cb).elements()),
-                        common.elements())
+        if self.den == other.den:
+            if not self.den:
+                return MotClass._of(self.num + other.num, ())
+            # the sum may still gain a Phi_k of the denominator
+            return MotClass(self.num + other.num, self.den)
+        return mot_sum(((self.num, self.den), (other.num, other.den)))
 
     def __neg__(self) -> "MotClass":
-        return MotClass(-self.num, self.den)
+        return MotClass._of(-self.num, self.den)
 
     def __sub__(self, other: "MotClass") -> "MotClass":
         return self + (-other)
 
     def __mul__(self, other: "MotClass") -> "MotClass":
+        if not self.den and not other.den:
+            return MotClass._of(self.num * other.num, ())
         return MotClass(self.num * other.num, self.den + other.den)
 
     def __pow__(self, n: int) -> "MotClass":
         if n < 0:
             raise ValueError("negative power of a MotClass")
-        out = MotClass.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return MotClass(self.num ** n, self.den * n)
 
     def shift(self, k: int) -> "MotClass":
         """Multiply by L^k."""
-        return MotClass(self.num.shift(k), self.den)
+        # Phi_j(0) = +-1, so Phi_j divides L^k p exactly when it divides p
+        return MotClass._of(self.num.shift(k), self.den)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MotClass)
@@ -329,6 +356,29 @@ def mot_arith(a: MotClass, b: MotClass, op: str) -> MotClass:
     if op == "mul":
         return a * b
     raise ValueError(f"unknown operation {op!r}")
+
+
+def mot_sum(fractions: Iterable[Tuple[LaurentPoly, Iterable[int]]]) -> MotClass:
+    """The class of the sum of num / prod_{i in den} (L^i - 1) over the
+    (num, den) pairs, none of which need be canonical.
+
+    Numerators over equal denominators are added first; the sums are then
+    put over the multiset max of the denominators and reduced once.
+    """
+    groups: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for num, den in fractions:
+        acc = groups.setdefault(_clean_den(den), {})
+        for e, c in num.terms.items():
+            acc[e] = acc.get(e, 0) + c
+    common: Counter = Counter()
+    for den in groups:
+        common |= Counter(den)
+    total = LaurentPoly()
+    for den, acc in groups.items():
+        num = LaurentPoly._of(acc)
+        missing = common - Counter(den)
+        total = total + (num * _binoms(missing.elements()) if missing else num)
+    return MotClass(total, common.elements())
 
 
 def mot_eq(a: MotClass, b: MotClass) -> bool:
@@ -442,7 +492,7 @@ class HodgeRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Mapping[Tuple[int, int], int], den: Iterable[int] = ()):
-        num = {(int(p), int(q)): int(c) for (p, q), c in num.items() if c}
+        num = {(index(p), index(q)): index(c) for (p, q), c in num.items() if c}
         den = _clean_den(den)
         if not num:
             den = ()
@@ -451,7 +501,7 @@ class HodgeRational:
             slices: Dict[int, Dict[int, int]] = {}
             for (p, q), c in num.items():
                 slices.setdefault(p - q, {})[q] = c
-            polys, den = _reduce([LaurentPoly(w) for w in slices.values()], den)
+            polys, den = _reduce([LaurentPoly._of(w) for w in slices.values()], den)
             num = {(q + s, q): c for s, poly in zip(slices, polys)
                    for q, c in poly.terms.items()}
         self.num = num
@@ -504,7 +554,7 @@ class HodgeRational:
         for (p, q), c in self.num.items():
             e = p + q
             diag[e] = diag.get(e, 0) + c
-        poly = LaurentPoly(diag)
+        poly = LaurentPoly._of(diag)
         for i in self.den:
             qt = poly.divexact(LaurentPoly.binom(1))
             if qt is None:

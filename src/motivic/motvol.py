@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from .errors import (MissingN, RealizationOnlyStrata, StrataNotPartition,
                      ValidationError)
 from .grring import (HodgeRational, LaurentPoly, MotClass, chi_realize,
-                     hodge_realize)
+                     hodge_realize, mot_sum)
 from .polyhedra import NewtonPolyhedron, z_of_delta
 
 
@@ -97,11 +97,6 @@ class PolyhedralStratum:
     delta: Optional[NewtonPolyhedron]
 
 
-def _edge_factor(nu: int) -> MotClass:
-    """(L - 1)/(L^nu - 1)."""
-    return MotClass(LaurentPoly.binom(1), (nu,))
-
-
 def _exact_classes(res: ResolutionData) -> None:
     if res.has_realization_only:
         raise RealizationOnlyStrata(
@@ -109,13 +104,10 @@ def _exact_classes(res: ResolutionData) -> None:
 
 
 def _volume(res: ResolutionData, nu_map: Dict[str, int]) -> MotClass:
-    total = MotClass.zero()
-    for s in res.strata:
-        term = s.cls
-        for name in sorted(s.I):
-            term = term * _edge_factor(nu_map[name])
-        total = total + term
-    return total.shift(-res.d)
+    edge = LaurentPoly.binom(1)
+    return mot_sum((s.cls.num * edge ** len(s.I),
+                    s.cls.den + tuple(nu_map[name] for name in s.I))
+                   for s in res.strata).shift(-res.d)
 
 
 def volume_from_resolution(res: ResolutionData) -> MotClass:
@@ -140,13 +132,11 @@ def volume_from_polyhedra(d: int, strata: Sequence[PolyhedralStratum]) -> MotCla
     """L^{-d} sum_C [C] * Z(Delta_C)."""
     if d < 1:
         raise ValidationError(f"dimension must be positive, got {d}")
-    total = MotClass.zero()
+    terms = []
     for s in strata:
-        if s.delta is None:
-            total = total + s.cls
-        else:
-            total = total + s.cls * z_of_delta(s.delta)
-    return total.shift(-d)
+        z = MotClass.one() if s.delta is None else z_of_delta(s.delta)
+        terms.append((s.cls.num * z.num, s.cls.den + z.den))
+    return mot_sum(terms).shift(-d)
 
 
 def kontsevich_invariant(res: ResolutionData) -> MotClass:
@@ -155,9 +145,7 @@ def kontsevich_invariant(res: ResolutionData) -> MotClass:
     _exact_classes(res)
     if res.declared_Y is None:
         raise ValidationError("kontsevich_invariant needs a declared total class [Y]")
-    total = MotClass.zero()
-    for s in res.strata:
-        total = total + s.cls
+    total = mot_sum((s.cls.num, s.cls.den) for s in res.strata)
     if total != res.declared_Y:
         raise StrataNotPartition(
             f"strata classes sum to {total!r}, declared total is {res.declared_Y!r}")

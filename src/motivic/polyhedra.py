@@ -20,7 +20,7 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionUnsupported
-from .grring import CompletionExpansion, LaurentPoly, MotClass
+from .grring import CompletionExpansion, LaurentPoly, MotClass, mot_sum
 
 Vec = Tuple[int, ...]
 
@@ -134,7 +134,11 @@ class HalfOpenCone:
         return total
 
     def lattice_sum(self) -> MotClass:
-        """Sum of L^-phi(x) over the lattice points x of the cone.
+        """Sum of L^-phi(x) over the lattice points x of the cone."""
+        return MotClass(*self.lattice_fraction())
+
+    def lattice_fraction(self) -> Tuple[LaurentPoly, Tuple[int, ...]]:
+        """`lattice_sum` as an unreduced (num, den) pair.
 
         phi is the linear function equal to linear_value on the rays, all of
         them positive. Each x is p + sum n_j rays_j with integers n_j >= 0 and
@@ -161,7 +165,7 @@ class HalfOpenCone:
             lam = [det if x == 0 and is_open else x for x, is_open in zip(p, opened)]
             e = sum(a) - _dot(lam, a) // det
             num[e] = num.get(e, 0) + 1
-        return MotClass(LaurentPoly(num), a)
+        return LaurentPoly(num), a
 
 
 def support_eval(delta: NewtonPolyhedron, xi: Sequence[int]) -> int:
@@ -228,10 +232,9 @@ def linearity_partition(delta: NewtonPolyhedron) -> List[HalfOpenCone]:
 def z_of_delta(delta: NewtonPolyhedron) -> MotClass:
     """(L-1)^k sum over the open lattice orthant of L^{-support}, in closed form."""
     cones = linearity_partition(delta)  # raises DimensionUnsupported for k > 3
-    total = MotClass.zero()
-    for cone in cones:
-        total = total + cone.lattice_sum()
-    return total * MotClass(LaurentPoly.binom(1) ** delta.k)
+    scale = LaurentPoly.binom(1) ** delta.k
+    return mot_sum((num * scale, den)
+                   for num, den in map(HalfOpenCone.lattice_fraction, cones))
 
 
 def z_truncated(delta: NewtonPolyhedron, m: int) -> CompletionExpansion:

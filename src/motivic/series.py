@@ -8,10 +8,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import NoLimit
-from .grring import LaurentPoly, MotClass
+from .grring import MotClass, mot_sum
 from .parsing import format_series_num
 
 
@@ -26,9 +27,9 @@ class RationalMotSeries:
             if e < 0:
                 raise ValueError("negative T-exponent in series numerator")
             if not c.is_zero:
-                self.num[int(e)] = c
+                self.num[index(e)] = c
         self.den: Tuple[Tuple[int, int], ...] = tuple(sorted(
-            (int(a), int(b)) for a, b in den))
+            (index(a), index(b)) for a, b in den))
         for a, b in self.den:
             if b < 1:
                 raise ValueError(f"denominator factor (1 - L^{a} T^{b}) needs b >= 1")
@@ -105,15 +106,12 @@ def limit_of_coefficients(P: RationalMotSeries, d: int) -> MotClass:
         others.append((a, b))
     if not dominant_seen:
         return MotClass.zero()
-    # evaluate L^{-d} * num(T = L^{-d}) / prod of remaining factors at T = L^{-d}
-    value = MotClass.zero()
-    for e, c in P.num.items():
-        value = value + c.shift(-d * e)
-    for a, b in others:
-        # 1 - L^{a - b d} = (L^{bd - a} - 1) * L^{a - b d}; divide by it
-        i = b * d - a
-        value = value * MotClass(LaurentPoly.L(i), (i,))
-    return value.shift(-d)
+    # evaluate L^{-d} * num(T = L^{-d}) / prod of remaining factors at T = L^{-d};
+    # 1 - L^{a - b d} = (L^{bd - a} - 1) * L^{a - b d}, so dividing by it is
+    # multiplying by L^i / (L^i - 1), i = bd - a
+    rest = tuple(b * d - a for a, b in others)
+    return mot_sum((c.num.shift(sum(rest) - d * (e + 1)), c.den + rest)
+                   for e, c in P.num.items())
 
 
 def specialize_at_q(P: RationalMotSeries, q: int, N: int) -> List[Fraction]:

@@ -1,5 +1,7 @@
 """Localized ring arithmetic, canonicalization, filtration, realizations."""
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,9 @@ from motivic.errors import ChiUndefined
 from motivic.grring import (CompletionExpansion, HodgeRational, LaurentPoly,
                             MotClass, chi_realize, expand_completion,
                             filtration_degree, hodge_realize, mot_arith,
-                            mot_eq)
+                            mot_eq, mot_sum)
 from motivic.parsing import format_motclass
+from motivic.series import RationalMotSeries
 
 
 def laurent(terms):
@@ -113,6 +116,90 @@ class TestRingAxioms:
         assert mot_eq(mot_arith(a, b, "mul"), a * b)
         with pytest.raises(ValueError):
             mot_arith(a, b, "div")
+
+
+def _cross(a: MotClass, b: MotClass) -> MotClass:
+    """a + b by the public constructor on the cross-multiplied fraction."""
+    return MotClass(a.num * b.den_poly() + b.num * a.den_poly(), a.den + b.den)
+
+
+# factor multisets from {1, 2, 3, 4, 6}: Phi_1 divides every factor, Phi_2
+# those of 2, 4, 6 and Phi_3 those of 3, 6, so the denominators share Phi's
+shared_den_st = st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=3)
+
+# pairs of canonical classes whose denominators are empty, the same (as a
+# rule: a numerator seldom has a cyclotomic factor) or drawn independently
+pair_st = st.one_of(
+    st.tuples(st.builds(MotClass, laurent_st), st.builds(MotClass, laurent_st)),
+    shared_den_st.flatmap(lambda d: st.tuples(st.builds(MotClass, laurent_st, st.just(d)),
+                                              st.builds(MotClass, laurent_st, st.just(d)))),
+    st.tuples(st.builds(MotClass, laurent_st, shared_den_st),
+              st.builds(MotClass, laurent_st, shared_den_st)))
+
+
+def _same(x: MotClass, want: MotClass) -> bool:
+    return (x.num, x.den) == (want.num, want.den) and mot_eq(x, want)
+
+
+class TestFastPaths:
+    @settings(max_examples=300)
+    @given(pair_st, st.integers(min_value=-6, max_value=6))
+    def test_results_are_the_public_canonical_form(self, pair, k):
+        a, b = pair
+        assert _same(a + b, _cross(a, b))
+        assert _same(a - b, _cross(a, MotClass(-b.num, b.den)))
+        assert _same(a * b, MotClass(a.num * b.num, a.den + b.den))
+        assert _same(-a, MotClass(-a.num, a.den))
+        assert _same(a.shift(k), MotClass(a.num.shift(k), a.den))
+
+    def test_equal_denominators_can_still_cancel(self):
+        # 1/(L^2-1) + L/(L^2-1) = 1/(L-1)
+        a = MotClass(LaurentPoly.const(1), (2,))
+        s = a + a.shift(1)
+        assert (s.num, s.den) == (LaurentPoly.const(1), (1,))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(MotClass, laurent_st, shared_den_st), max_size=5),
+           st.randoms(use_true_random=False))
+    def test_one_shot_sum_is_a_left_fold(self, classes, rng):
+        want = functools.reduce(operator.add, classes, MotClass.zero())
+        assert _same(mot_sum((a.num, a.den) for a in classes), want)
+        # with the negatives added in, in any order, the sum cancels to zero
+        terms = classes + [-a for a in classes]
+        rng.shuffle(terms)
+        zero = mot_sum((a.num, a.den) for a in terms)
+        assert zero.is_zero and zero.den == ()
+
+    def test_one_shot_sum_of_unreduced_fractions(self):
+        # (L+1)/(L^2-1) + (L^2+L+1)/(L^3-1) = 2/(L-1)
+        s = mot_sum([(laurent({1: 1, 0: 1}), (2,)),
+                     (laurent({2: 1, 1: 1, 0: 1}), (3,))])
+        assert (s.num, s.den) == (LaurentPoly.const(2), (1,))
+
+    @settings(max_examples=100)
+    @given(motclass_st, st.integers(min_value=0, max_value=6))
+    def test_power_is_repeated_product(self, a, n):
+        want = functools.reduce(operator.mul, [a] * n, MotClass.one())
+        assert _same(a ** n, want)
+
+    def test_power_of_a_three_factor_class(self):
+        a = MotClass(laurent({2: 1, 0: -1}), (1, 3, 4))
+        want = functools.reduce(operator.mul, [a] * 40, MotClass.one())
+        assert _same(a ** 40, want)
+
+
+class TestExactConstructors:
+    def test_non_integers_raise(self):
+        for make in (lambda: LaurentPoly({0: 2.5}),
+                     lambda: LaurentPoly({0: Fraction(5, 2)}),
+                     lambda: LaurentPoly({0.5: 1}),
+                     lambda: MotClass(LaurentPoly.const(1), (2.9,)),
+                     lambda: HodgeRational({(0.5, 0): Fraction(3, 2)}),
+                     lambda: HodgeRational({(0, 0): Fraction(3, 2)}),
+                     lambda: RationalMotSeries({0.5: MotClass.one()}),
+                     lambda: RationalMotSeries({0: MotClass.one()}, [(1.5, 1)])):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestFiltration:

@@ -1,12 +1,15 @@
 """Newton polyhedra: support function, fan partition, zeta values."""
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from motivic.errors import DimensionUnsupported
 from motivic.grring import (CompletionExpansion, LaurentPoly, MotClass,
                             expand_completion, mot_eq)
+from motivic.parsing import format_motclass
 from motivic.polyhedra import (HalfOpenCone, NewtonPolyhedron, _det, _dot,
                                linearity_partition, support_eval, z_of_delta,
                                z_truncated)
@@ -131,6 +134,15 @@ class TestZeta:
                                      (3, 3, 2), (2, 3, 3)])
         closed = expand_completion(z_of_delta(delta), 12)
         assert closed.matches(z_truncated(delta, 12))
+
+    def test_stress_outputs_are_pinned(self):
+        # printed values of the 4- and 5-generator stress inputs; the
+        # canonical form makes them independent of the order of summation
+        path = Path(__file__).parent / "fixtures" / "zdelta_stress.txt"
+        for line in path.read_text().splitlines():
+            gens, want = line.split("\t")
+            delta = NewtonPolyhedron(3, json.loads(gens))
+            assert format_motclass(z_of_delta(delta)) == want
 
     def test_truncated_is_plain_enumeration(self):
         # k = 1, vertex (2,): sum over xi >= 1 of (L-1) L^{-2 xi},
