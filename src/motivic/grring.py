@@ -7,12 +7,13 @@ constructors take exponents, coefficients and factors through
 `operator.index`, so a non-integer raises TypeError.
 
 Invariant: a `LaurentPoly` stores no zero coefficient, and a `MotClass`
-stores the canonical pair made by `_reduce` (den == () for zero).  Results
-that are canonical by construction skip `_reduce`: sums and products of two
-classes with no denominator, negation and `shift` (Phi_k(0) = +-1, so
-multiplying by L^k cancels no Phi_k).  Every other sum and product reduces
-once; `mot_sum` adds many fractions with a single reduction, and `__pow__`
-reduces once for the whole power.
+stores the canonical pair made by `_reduce` (den == () for zero).  The
+constructor never reduces an empty denominator, so sums and products of
+classes with no denominator skip `_reduce`; negation and `shift` store their
+result as is (Phi_k(0) = +-1, so multiplying by L^k cancels no Phi_k).  Every
+other sum and product reduces once; a sum over equal denominators skips the
+common-denominator work, `mot_sum` adds many fractions with a single
+reduction, and `__pow__` reduces once for the whole power.
 """
 from __future__ import annotations
 
@@ -300,9 +301,6 @@ class MotClass:
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "MotClass") -> "MotClass":
         if self.den == other.den:
-            if not self.den:
-                return MotClass._of(self.num + other.num, ())
-            # the sum may still gain a Phi_k of the denominator
             return MotClass(self.num + other.num, self.den)
         return mot_sum(((self.num, self.den), (other.num, other.den)))
 
@@ -313,8 +311,6 @@ class MotClass:
         return self + (-other)
 
     def __mul__(self, other: "MotClass") -> "MotClass":
-        if not self.den and not other.den:
-            return MotClass._of(self.num * other.num, ())
         return MotClass(self.num * other.num, self.den + other.den)
 
     def __pow__(self, n: int) -> "MotClass":
