@@ -20,6 +20,11 @@ n // 2; deciding whether a jet lifts to level n searches to level n // 2
 below it.  Truncation images, their stabilization in the lifting depth,
 and three-valued evaluation of ord/angular-component conditions are built
 on top of the enumerator.
+
+A jet extends to level m exactly when one of its children does, so a table
+for n = 0..n_max searches only its level-n_max jets and each row reads its
+lifting depths off the row below.  Conditions read ord and ac of their atom
+polynomials off series carried like those of f.
 """
 from __future__ import annotations
 
@@ -28,12 +33,13 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ParseError, Unstable, ValidationError
 from .parsing import And, Not, Or, parse_int_poly, read_condition, split_affine
 
 Poly = Dict[Tuple[int, ...], int]
+FrozenPoly = Tuple[Tuple[Tuple[int, ...], int], ...]  # sorted (monomial, coefficient)
 Jet = Tuple[Tuple[int, ...], ...]  # N coordinate series, each of length n+1
 
 DEFAULT_BUDGET = 10 ** 8
@@ -138,6 +144,14 @@ def _poly_eval_series(p: Poly, jet: Jet, order: int, q: int) -> List[int]:
         for i in range(order + 1):
             out[i] = (out[i] + term[i]) % q
     return out
+
+
+def _first_nonzero(coeffs: Iterable[int]) -> Tuple[Optional[int], Optional[int]]:
+    """(ord, ac) of a series from its coefficients; (None, None) if all vanish."""
+    for i, c in enumerate(coeffs):
+        if c:
+            return i, c
+    return None, None
 
 
 class _Base:
@@ -261,9 +275,12 @@ class _Lifter:
     grad m(x0) . a to their new coefficient.  `lift` counts the extensions
     of a node of length s + 1 to any level up to 2s + 1 with one solve.
     One lifter serves one whole computation, so its budget caps all of it.
+    The monomials of `atoms`, the polynomials a condition reads ord and ac
+    of, are carried too, so `ord_ac` reads them off a node.
     """
 
-    def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None):
+    def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None,
+                 atoms: Sequence[FrozenPoly] = ()):
         _check_q(q)
         self.X = X
         self.q = q
@@ -296,14 +313,24 @@ class _Lifter:
         derivs = [[[(c * m[u] % q, carry(m[:u] + (m[u] - 1,) + m[u + 1:]))
                     for m, c in p.items() if sum(m) > 1 and c * m[u] % q]
                    for u in range(X.N)] for p in self.polys]
+        if any(len(m) != X.N for f in atoms for m, _ in f):
+            raise ValidationError(f"condition monomials need {X.N} exponents")
+        atom_monos = {carry(m) for f in atoms for m, _ in f if sum(m) > 1}
         # a node carries the whole series of the monomials that a longer one
-        # extends and of those in a derivative, after its N coordinates
-        self.carried = sorted({ref for _, _, ref in chain if ref >= X.N} |
+        # extends, of those in a derivative and of those in an atom, after
+        # its N coordinates
+        self.carried = sorted({ref for _, _, ref in chain if ref >= X.N} | atom_monos |
                               {k for row in derivs for col in row
                                for _, k in col if k >= X.N})
         where = {ref: X.N + j for j, ref in enumerate(self.carried)}
         where.update({v: v for v in range(X.N)})
         self.steps = [(v, ref, where[ref]) for _, v, ref in chain]
+        # atom f = const + sum c * (series at) over its nonconstant monomials,
+        # as coefficients (const, c, ...) and positions (at, ...)
+        self.atoms = {f: ([sum(c for m, c in f if not any(m)) % q] +
+                          [c % q for m, c in f if any(m) and c % q],
+                          [where[index[m]] for m, c in f if any(m) and c % q])
+                      for f in atoms}
         self.carried_monos = [chain[ref - X.N][0] for ref in self.carried]
         self.derivs = [[[(c, where[k]) for c, k in col] for col in row]
                        for row in derivs]
@@ -421,6 +448,14 @@ class _Lifter:
             high[k].append(h % q)
         return [sum(c * high[k][d] for c, k in terms) % q for terms in self.terms]
 
+    def ord_ac(self, f: FrozenPoly, series) -> Tuple[Optional[int], Optional[int]]:
+        """(ord, ac) of the atom f on a node, read off the carried series."""
+        coeffs, at = self.atoms[f]
+        if coeffs == [0, 1]:  # f is one monomial: read its series
+            return _first_nonzero(series[at[0]])
+        cols = itertools.zip_longest((1,), *[series[k] for k in at], fillvalue=0)
+        return _first_nonzero(sum(map(mul, coeffs, col)) % self.q for col in cols)
+
     def children(self, node: Node) -> List[Node]:
         """All one-level extensions of a solution jet."""
         q = self.q
@@ -535,50 +570,94 @@ class StabilizedResult:
         return iter((self.N_n, self.j_star, self.stable))
 
 
-def _affine_space_result(X: JetVariety, n: int, q: int, j_max: int) -> StabilizedResult:
-    count = q ** (X.N * (n + 1))
-    return StabilizedResult(N_n=count, j_star=0, stable=True,
-                            counts=[count] * (j_max + 3))
+class _Tree:
+    """The jets over the points where J(x0) has lower rank, levels 0..n_max.
 
-
-def _stabilize(lifter: _Lifter, level_n_nodes: List[Node], n: int, j_max: int,
-               lifting: int) -> Tuple[StabilizedResult, List[Node]]:
-    """Image counts of the level-n jets at lifting depths j = 0, 1, ...,
-    j_max + 2, stopping at the first three equal consecutive counts; returns
-    the result and the given nodes that lift to the last depth reached.
-    `lifting` level-n jets besides the given ones are known to lift to every
-    depth and are counted without a search.
-
-    A jet that lifts to depth j + 1 lifts to depth j, so the survivor sets
-    shrink as j grows: equal counts mean equal sets, and only the newest
-    triple of counts needs checking.
+    A level-l jet extends to level m > l exactly when one of its children
+    does, so only the leaves, at level n_max, are searched (from a witness
+    kept per leaf); a jet below asks its children, which are contiguous in
+    the next level, and its level keeps only where they start.  Each jet
+    keeps the deepest level it is known to reach and the one it fails at.
     """
-    # keep per surviving level-n jet a witness node and the deepest level,
-    # up to the last depth that can be asked for, that the witness is known
-    # to extend to; the depths up to there cost nothing, and a fresh search
-    # from level n runs only when the witness does not reach far enough
-    deepest = n + j_max + 2
-    witnesses = [(node, node, n) for node in level_n_nodes]
-    counts = [lifting + len(witnesses)]
-    for j in range(1, j_max + 3):
-        m = n + j
-        nxt = []
-        for node, wit, reach in witnesses:
-            if reach < m:
-                found = lifter.can_extend(wit, m, deepest)
-                if found is None and wit is not node:
-                    found = lifter.can_extend(node, m, deepest)
-                if found is None:
-                    continue
-                wit, reach = found
-            nxt.append((node, wit, reach))
-        witnesses = nxt
-        counts.append(lifting + len(witnesses))
-        if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
-            return (StabilizedResult(N_n=counts[j], j_star=j - 2, stable=True,
-                                     counts=counts), [w[0] for w in witnesses])
-    return (StabilizedResult(N_n=counts[-1], j_star=len(counts) - 1, stable=False,
-                             counts=counts), [w[0] for w in witnesses])
+
+    def __init__(self, lifter: _Lifter, roots: List[Node], n_max: int, j_max: int):
+        self.lifter, self.roots, self.j_max = lifter, roots, j_max
+        self.deepest = n_max + j_max + 2  # the deepest level a row asks
+        level = [root for root in roots if not root[1].smooth]
+        self.starts: List[List[int]] = []
+        self.reach = [[0] * len(level)]
+        for l in range(1, n_max + 1):
+            level.reverse()  # popped in order, so each parent is freed early
+            starts, nxt = [0], []
+            while level:
+                nxt += lifter.children(level.pop())
+                starts.append(len(nxt))
+            self.starts.append(starts)
+            self.reach.append([l] * len(nxt))
+            level = nxt
+        self.leaves = level
+        self.fail = [[self.deepest + 1] * len(r) for r in self.reach]
+        self.witness: Dict[int, Node] = {}
+
+    def extends(self, l: int, i: int, m: int) -> bool:
+        """Whether jet i of level l extends to level m."""
+        reach, fail = self.reach[l], self.fail[l]
+        if m <= reach[i]:
+            return True
+        if m >= fail[i]:
+            return False
+        if l == len(self.starts):
+            node = self.leaves[i]
+            top = min(self.deepest, 2 * l + 1)
+            if m <= top:  # one solve settles every depth up to top
+                reach[i] = self.lifter.lift(node, top)[0]
+                fail[i] = reach[i] + 1 if reach[i] < top else fail[i]
+                return m <= reach[i]
+            wit = self.witness.pop(i, node)
+            found = self.lifter.can_extend(wit, m, self.deepest)
+            if found is None and wit is not node:
+                found = self.lifter.can_extend(node, m, self.deepest)
+            if found is not None:
+                if found[0] is not node:
+                    self.witness[i] = found[0]
+                reach[i] = found[1]
+                return True
+        else:
+            below = self.reach[l + 1]
+            for k in range(self.starts[l][i], self.starts[l][i + 1]):
+                if self.extends(l + 1, k, m):
+                    reach[i] = max(m, below[k])
+                    return True
+        fail[i] = m
+        return False
+
+    def row(self, n: int) -> Tuple[StabilizedResult, List[int]]:
+        """Image counts of the level-n jets at lifting depths j = 0, 1, ...,
+        j_max + 2, up to the first three equal consecutive counts, and the
+        tree's level-n jets that lift to the last depth reached; the jets
+        over the other points all lift and are counted in closed form.  The
+        survivor sets shrink as j grows, so equal counts mean equal sets."""
+        lifting = _hensel_count(self.lifter, self.roots, n)
+        alive = list(range(len(self.reach[n])))
+        counts = [lifting + len(alive)]
+        for j in range(1, self.j_max + 3):
+            alive = [i for i in alive if self.extends(n, i, n + j)]
+            counts.append(lifting + len(alive))
+            if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
+                return StabilizedResult(counts[j], j - 2, True, counts), alive
+        return StabilizedResult(counts[-1], len(counts) - 1, False, counts), alive
+
+
+def _table(X: JetVariety, q: int, n_max: int, j_max: int, budget: Optional[int],
+           rows: Sequence[int]) -> List[StabilizedResult]:
+    """The given rows n <= n_max of the stabilized table, in that order."""
+    _check_q(q)
+    if _is_affine_space(X, q):
+        return [StabilizedResult(q ** (X.N * (n + 1)), 0, True,
+                                 [q ** (X.N * (n + 1))] * (j_max + 3)) for n in rows]
+    lifter = _Lifter(X, q, budget)
+    tree = _Tree(lifter, lifter.level0(), n_max, j_max)
+    return [tree.row(n)[0] for n in rows]
 
 
 def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
@@ -588,37 +667,20 @@ def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
     arc space |pi_n(L(X))(F_q)|."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
-    _check_q(q)
-    if _is_affine_space(X, q):
-        return _affine_space_result(X, n, q, j_max)
-    lifter = _Lifter(X, q, budget)
-    roots = lifter.level0()
-    nodes = [node for root in roots if not root[1].smooth
-             for node in lifter.descendants(root, n)]
-    return _stabilize(lifter, nodes, n, j_max, _hensel_count(lifter, roots, n))[0]
+    return _table(X, q, n, j_max, budget, [n])[0]
 
 
 def stabilized_table(X: JetVariety, q: int, n_max: int, j_max: int,
                      budget: Optional[int] = None) -> List[StabilizedResult]:
-    """stabilized_count(X, n, q, j_max) for n = 0..n_max from one traversal:
-    the level-n jets over the points where J has lower rank are built once,
-    from the level-(n-1) ones, the others are counted in closed form, and
-    one budget caps the whole table."""
+    """stabilized_count(X, n, q, j_max) for n = 0..n_max from one traversal
+    and one budget; the jets over the points where J has full rank are
+    counted in closed form.  A jet lifts to a depth exactly when one of its
+    children does, so the rows are taken from n_max down: row n reads its
+    answers off the jets that row n + 1 settled, and only the level-n_max
+    jets are searched."""
     if n_max < 0 or j_max < 0:
         raise ValueError("n_max and j_max must be nonnegative")
-    _check_q(q)
-    if _is_affine_space(X, q):
-        return [_affine_space_result(X, n, q, j_max) for n in range(n_max + 1)]
-    lifter = _Lifter(X, q, budget)
-    roots = lifter.level0()
-    frontier = [root for root in roots if not root[1].smooth]
-    rows = []
-    for n in range(n_max + 1):
-        if n:
-            frontier = [child for node in frontier for child in lifter.children(node)]
-        rows.append(_stabilize(lifter, frontier, n, j_max,
-                               _hensel_count(lifter, roots, n))[0])
-    return rows
+    return _table(X, q, n_max, j_max, budget, range(n_max, -1, -1))[::-1]
 
 
 def greenberg_estimate(X: JetVariety, n: int, q: int, j_max: int,
@@ -655,8 +717,8 @@ def oesterle_sequence(X: JetVariety, q: int, n_max: int, j_max: int,
 class OrdCmp:
     """Atom: ord f >= ord g + (param_coeffs . params + const)."""
 
-    f: Tuple[Tuple[Tuple[int, ...], int], ...]
-    g: Tuple[Tuple[Tuple[int, ...], int], ...]
+    f: FrozenPoly
+    g: FrozenPoly
     param_coeffs: Tuple[int, ...] = ()
     const: int = 0
 
@@ -666,7 +728,7 @@ class OrdMod:
     """Atom: ord f == residue (mod modulus); ord = +infinity satisfies every
     congruence by convention."""
 
-    f: Tuple[Tuple[Tuple[int, ...], int], ...]
+    f: FrozenPoly
     modulus: int
     residue: int
 
@@ -676,11 +738,11 @@ class AcRel:
     """Atom: h(ac(f_1), ..., ac(f_m)) == 0 in F_q, where ac is the lowest
     nonzero coefficient (0 for the zero series)."""
 
-    h: Tuple[Tuple[Tuple[int, ...], int], ...]
-    fs: Tuple[Tuple[Tuple[Tuple[int, ...], int], ...], ...]
+    h: FrozenPoly
+    fs: Tuple[FrozenPoly, ...]
 
 
-def _freeze_poly(p: Poly) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+def _freeze_poly(p: Poly) -> FrozenPoly:
     return tuple(sorted(p.items()))
 
 
@@ -703,15 +765,14 @@ SemiAlgCondition = Union[OrdCmp, OrdMod, AcRel, And, Or, Not, bool]
 UNKNOWN = "unknown"
 
 
-def _ord_and_ac(f, p: JetPoint, memo: Dict) -> Tuple[Optional[int], Optional[int]]:
-    """(ord, ac) of f on the truncated jet; (None, None) when the truncation
-    vanishes identically so neither is determined.  memo holds the values
-    already found on this jet."""
-    found = memo.get(f)
-    if found is None:
-        series = _poly_eval_series(dict(f), p.coords, p.n, p.q)
-        found = memo[f] = next(((i, c) for i, c in enumerate(series) if c), (None, None))
-    return found
+def _atom_polys(c: SemiAlgCondition) -> set:
+    """The polynomials that the atoms of c read ord or ac of."""
+    if isinstance(c, (And, Or)):
+        return set().union(*map(_atom_polys, c.children))
+    if isinstance(c, Not):
+        return _atom_polys(c.child)
+    return ({c.f, c.g} if isinstance(c, OrdCmp) else {c.f} if isinstance(c, OrdMod)
+            else set(c.fs) if isinstance(c, AcRel) else set())
 
 
 def _kleene_and(values):
@@ -735,26 +796,31 @@ def eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int] = ()):
     unknown unless every possibility agrees.  Each polynomial is evaluated
     on the jet once, however many atoms read it.
     """
-    return _eval_semialg(c, p, params, {})
+    found = {f: _first_nonzero(_poly_eval_series(dict(f), p.coords, p.n, p.q))
+             for f in _atom_polys(c)}
+    return _eval_semialg(c, found, p.n, p.q, params)
 
 
-def _eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int], memo: Dict):
+def _eval_semialg(c: SemiAlgCondition, found: Dict, n: int, q: int,
+                  params: Sequence[int]):
+    """eval_semialg on a level-n jet, with the (ord, ac) of each atom
+    polynomial on it in found; (None, None) when the truncation vanishes."""
     if isinstance(c, bool):
         return c
     if isinstance(c, And):
-        return _kleene_and(_eval_semialg(k, p, params, memo) for k in c.children)
+        return _kleene_and(_eval_semialg(k, found, n, q, params) for k in c.children)
     if isinstance(c, Or):
         return _kleene_not(_kleene_and(
-            _kleene_not(_eval_semialg(k, p, params, memo)) for k in c.children))
+            _kleene_not(_eval_semialg(k, found, n, q, params)) for k in c.children))
     if isinstance(c, Not):
-        return _kleene_not(_eval_semialg(c.child, p, params, memo))
+        return _kleene_not(_eval_semialg(c.child, found, n, q, params))
     if isinstance(c, OrdCmp):
         if len(params) != len(c.param_coeffs):
             raise ValueError("parameter vector length mismatch")
         off = sum(a * b for a, b in zip(c.param_coeffs, params)) + c.const
-        a, _ = _ord_and_ac(c.f, p, memo)
-        b, _ = _ord_and_ac(c.g, p, memo)
-        bound = p.n + 1  # an undetermined ord lies in [n+1, +infinity]
+        a, _ = found[c.f]
+        b, _ = found[c.g]
+        bound = n + 1  # an undetermined ord lies in [n+1, +infinity]
         if a is not None and b is not None:
             return a >= b + off
         if a is None and b is not None:
@@ -765,7 +831,7 @@ def _eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int], memo:
             return False if a - off < bound else UNKNOWN
         return UNKNOWN
     if isinstance(c, OrdMod):
-        a, _ = _ord_and_ac(c.f, p, memo)
+        a, _ = found[c.f]
         if a is not None:
             return a % c.modulus == c.residue % c.modulus
         # +infinity satisfies every congruence, finite candidates vary
@@ -773,11 +839,11 @@ def _eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int], memo:
     if isinstance(c, AcRel):
         acs = []
         for f in c.fs:
-            _, ac = _ord_and_ac(f, p, memo)
+            _, ac = found[f]
             if ac is None:
                 return UNKNOWN
             acs.append(ac)
-        return _poly_eval_point(dict(c.h), acs, p.q) == 0
+        return _poly_eval_point(dict(c.h), acs, q) == 0
     raise TypeError(f"bad condition node {c!r}")
 
 
@@ -846,24 +912,26 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
 
     The jets over the points where J has full row rank all lift; they are
     streamed and evaluated before the others are stabilized, so the search
-    spends its budget in the same order as it would building them all."""
+    spends its budget in the same order as it would building them all.  The
+    jets carry the series of the monomials of the atom polynomials, so ord
+    and ac of an atom on a jet are read off a linear combination of them."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
-    lifter = _Lifter(X, q, budget)
+    atoms = _atom_polys(c)
+    lifter = _Lifter(X, q, budget, atoms)
     roots = lifter.level0()
     counts = {True: 0, UNKNOWN: 0, False: 0}
 
     def tally(nodes) -> None:
         for node in nodes:
-            counts[eval_semialg(c, JetPoint(q=q, n=n, coords=node[0][:X.N]), params)] += 1
+            found = {f: lifter.ord_ac(f, node[0]) for f in atoms}
+            counts[_eval_semialg(c, found, n, q, params)] += 1
 
     tally(node for root in roots if root[1].smooth
           for node in lifter.descendants(root, n))
-    res, survivors = _stabilize(
-        lifter, [node for root in roots if not root[1].smooth
-                 for node in lifter.descendants(root, n)], n, j_max,
-        _hensel_count(lifter, roots, n))
+    tree = _Tree(lifter, roots, n, j_max)
+    res, survivors = tree.row(n)
     if not res.stable:
         raise Unstable(f"image counts did not stabilize within j_max={j_max}")
-    tally(survivors)
+    tally(tree.leaves[i] for i in survivors)
     return counts[True], counts[UNKNOWN]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionUnsupported
@@ -73,7 +73,7 @@ class NewtonPolyhedron:
             raise ValueError("ambient dimension must be positive")
         gens = []
         for g in generators:
-            g = tuple(int(x) for x in g)
+            g = tuple(map(index, g))
             if len(g) != k:
                 raise ValueError(f"generator {g} has wrong dimension (expected {k})")
             if any(x < 1 for x in g):

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionUnsupported, InfiniteFibers, ParseError
@@ -121,11 +121,11 @@ class RatFunc:
 
     def __init__(self, nvars: int, num: Dict[Expo, int], den: Sequence[Expo] = ()):
         self.nvars = nvars
-        self.num = {tuple(m): int(c) for m, c in num.items() if c}
+        self.num = {tuple(map(index, m)): index(c) for m, c in num.items() if c}
         for m in self.num:
             if len(m) != nvars or any(e < 0 for e in m):
                 raise ValueError(f"bad numerator exponent {m}")
-        self.den = tuple(sorted(tuple(c) for c in den))
+        self.den = tuple(sorted(tuple(map(index, c)) for c in den))
         for c in self.den:
             if len(c) != nvars or any(e < 0 for e in c) or not any(c):
                 raise ValueError(f"bad denominator exponent {c}")

@@ -2,6 +2,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,11 @@ class TestNewtonPolyhedron:
     def test_entries_must_be_positive(self):
         with pytest.raises(ValueError):
             NewtonPolyhedron(2, [(0, 1)])
+
+    def test_non_integer_generators_raise(self):
+        for gens in ([[2.9]], [[Fraction(5, 2)]], [[1, 1.0]]):
+            with pytest.raises(TypeError):
+                NewtonPolyhedron(len(gens[0]), gens)
 
     def test_dominated_generators_removed(self):
         delta = NewtonPolyhedron(2, [(1, 1), (2, 3)])

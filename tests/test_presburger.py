@@ -1,5 +1,6 @@
 """Presburger sets: membership, generating functions, image maps."""
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,14 @@ class TestRatFunc:
             RatFunc(1, {(-1,): 1})
         with pytest.raises(ValueError):
             RatFunc(2, {(0, 0): 1}, [(0, 0)])
+
+    def test_non_integers_raise(self):
+        for make in (lambda: RatFunc(1, {(0,): 2.5}),
+                     lambda: RatFunc(1, {(0,): Fraction(5, 2)}),
+                     lambda: RatFunc(1, {(0.5,): 1}),
+                     lambda: RatFunc(1, {(0,): 1}, [(1.5,)])):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestImage:
