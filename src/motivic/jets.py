@@ -611,7 +611,8 @@ class _Tree:
             top = min(self.deepest, 2 * l + 1)
             if m <= top:  # one solve settles every depth up to top
                 reach[i] = self.lifter.lift(node, top)[0]
-                fail[i] = reach[i] + 1 if reach[i] < top else fail[i]
+                if reach[i] < top:
+                    fail[i] = reach[i] + 1
                 return m <= reach[i]
             wit = self.witness.pop(i, node)
             found = self.lifter.can_extend(wit, m, self.deepest)
