@@ -451,8 +451,6 @@ class _Lifter:
     def ord_ac(self, f: FrozenPoly, series) -> Tuple[Optional[int], Optional[int]]:
         """(ord, ac) of the atom f on a node, read off the carried series."""
         coeffs, at = self.atoms[f]
-        if coeffs == [0, 1]:  # f is one monomial: read its series
-            return _first_nonzero(series[at[0]])
         cols = itertools.zip_longest((1,), *[series[k] for k in at], fillvalue=0)
         return _first_nonzero(sum(map(mul, coeffs, col)) % self.q for col in cols)
 

@@ -233,6 +233,20 @@ class TestTables:
         whole = least_budget(lambda b: stabilized_table(NODE, 2, 2, 4, budget=b))
         assert max(rows) <= whole < sum(rows)
 
+    def test_rows_draw_on_one_budget(self, monkeypatch):
+        # one lifter, whose count of expansions runs on across the rows and
+        # is exactly what the whole table needs; a fresh lifter or count per
+        # row would leave a count below that
+        lifters = []
+        original = jets._Lifter.__init__
+        monkeypatch.setattr(jets._Lifter, "__init__",
+                            lambda self, *args: lifters.append(self) or original(self, *args))
+        stabilized_table(NODE, 2, 2, 4, budget=10 ** 6)
+        assert len(lifters) == 1
+        monkeypatch.undo()
+        whole = least_budget(lambda b: stabilized_table(NODE, 2, 2, 4, budget=b))
+        assert lifters[0].expansions == whole
+
 
 def random_poly(n_vars):
     monomials = [m for m in itertools.product(range(4), repeat=n_vars)
