@@ -24,7 +24,7 @@ on top of the enumerator.
 A jet extends to level m exactly when one of its children does, so a table
 for n = 0..n_max searches only its level-n_max jets and each row reads its
 lifting depths off the row below.  Conditions read ord and ac of their atom
-polynomials off series carried like those of f.
+polynomials off the atoms' own series, carried like the monomials of f.
 """
 from __future__ import annotations
 
@@ -160,7 +160,7 @@ class _Base:
     Gauss-Jordan on [J | I] gives the transform E with E J = RREF(J); each
     node over x0 then solves J a = b by one product E b, in the pivot order
     that reducing [J | b] would take.  `jac0` is J(x0), its entries reduced
-    mod q, and `grads` holds the gradient at x0 of each carried monomial.
+    mod q, and `grads` holds the gradient at x0 of each carried series.
     """
 
     __slots__ = ("q", "n_vars", "jac0", "pivot_rows", "check_rows",
@@ -275,8 +275,9 @@ class _Lifter:
     grad m(x0) . a to their new coefficient.  `lift` counts the extensions
     of a node of length s + 1 to any level up to 2s + 1 with one solve.
     One lifter serves one whole computation, so its budget caps all of it.
-    The monomials of `atoms`, the polynomials a condition reads ord and ac
-    of, are carried too, so `ord_ac` reads them off a node.
+    Each of `atoms`, the polynomials a condition reads ord and ac of, is
+    carried the same way as one more series, a child adding grad f(x0) . a
+    to the part its nonlinear monomials give, so `ord_ac` reads it off a node.
     """
 
     def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None,
@@ -315,23 +316,22 @@ class _Lifter:
                    for u in range(X.N)] for p in self.polys]
         if any(len(m) != X.N for f in atoms for m, _ in f):
             raise ValidationError(f"condition monomials need {X.N} exponents")
-        atom_monos = {carry(m) for f in atoms for m, _ in f if sum(m) > 1}
-        # a node carries the whole series of the monomials that a longer one
-        # extends, of those in a derivative and of those in an atom, after
-        # its N coordinates
-        self.carried = sorted({ref for _, _, ref in chain if ref >= X.N} | atom_monos |
-                              {k for row in derivs for col in row
-                               for _, k in col if k >= X.N})
-        where = {ref: X.N + j for j, ref in enumerate(self.carried)}
+        # an atom's coefficient t^s, like that of a chain monomial, is the
+        # one with a_s = 0 (these terms at top) plus grad f(x0) . a
+        atoms = list(atoms)
+        self.atom_terms = [[(c, carry(m)) for m, c in f if sum(m) > 1] for f in atoms]
+        # a node carries, after its N coordinates, the whole series of the
+        # monomials that a longer one extends and of those in a derivative,
+        # then the series of each atom
+        monos = sorted({ref for _, _, ref in chain if ref >= X.N} |
+                       {k for row in derivs for col in row for _, k in col if k >= X.N})
+        where = {ref: X.N + j for j, ref in enumerate(monos)}
         where.update({v: v for v in range(X.N)})
         self.steps = [(v, ref, where[ref]) for _, v, ref in chain]
-        # atom f = const + sum c * (series at) over its nonconstant monomials,
-        # as coefficients (const, c, ...) and positions (at, ...)
-        self.atoms = {f: ([sum(c for m, c in f if not any(m)) % q] +
-                          [c % q for m, c in f if any(m) and c % q],
-                          [where[index[m]] for m, c in f if any(m) and c % q])
-                      for f in atoms}
-        self.carried_monos = [chain[ref - X.N][0] for ref in self.carried]
+        # `children` puts the atoms' coefficients at top after the chain's
+        self.carried = monos + [X.N + len(chain) + i for i in range(len(atoms))]
+        self.atoms = {f: X.N + len(monos) + i for i, f in enumerate(atoms)}
+        self.carried_polys = [{chain[ref - X.N][0]: 1} for ref in monos] + list(map(dict, atoms))
         self.derivs = [[[(c, where[k]) for c, k in col] for col in row]
                        for row in derivs]
 
@@ -349,11 +349,11 @@ class _Lifter:
             if all(_poly_eval_point(p, point, q) == 0 for p in self.polys):
                 rows = [[_poly_eval_point(dp, point, q) for dp in row]
                         for row in self.jacobian]
-                grads = [[_poly_eval_point(_poly_derivative({m: 1}, v), point, q)
-                          for v in range(self.X.N)] for m in self.carried_monos]
+                grads = [[_poly_eval_point(_poly_derivative(p, v), point, q)
+                          for v in range(self.X.N)] for p in self.carried_polys]
                 out.append((tuple((x,) for x in point) +
-                            tuple((_poly_eval_point({m: 1}, point, q),)
-                                  for m in self.carried_monos),
+                            tuple((_poly_eval_point(p, point, q),)
+                                  for p in self.carried_polys),
                             _Base(rows, self.X.N, q, grads)))
         return out
 
@@ -449,10 +449,8 @@ class _Lifter:
         return [sum(c * high[k][d] for c, k in terms) % q for terms in self.terms]
 
     def ord_ac(self, f: FrozenPoly, series) -> Tuple[Optional[int], Optional[int]]:
-        """(ord, ac) of the atom f on a node, read off the carried series."""
-        coeffs, at = self.atoms[f]
-        cols = itertools.zip_longest((1,), *[series[k] for k in at], fillvalue=0)
-        return _first_nonzero(sum(map(mul, coeffs, col)) % self.q for col in cols)
+        """(ord, ac) of the atom f on a node, read off its carried series."""
+        return _first_nonzero(series[self.atoms[f]])
 
     def children(self, node: Node) -> List[Node]:
         """All one-level extensions of a solution jet."""
@@ -462,6 +460,7 @@ class _Lifter:
         if not base.consistent(rhs):
             return []
         particular = base.particular(rhs)
+        top += [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
         start = particular + [top[ref] + sum(map(mul, g, particular))
                               for ref, g in zip(self.carried, base.grads)]
         return [(tuple([c + ((a + d) % q,) for c, a, d in zip(series, start, delta)]),
@@ -912,8 +911,8 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
     The jets over the points where J has full row rank all lift; they are
     streamed and evaluated before the others are stabilized, so the search
     spends its budget in the same order as it would building them all.  The
-    jets carry the series of the monomials of the atom polynomials, so ord
-    and ac of an atom on a jet are read off a linear combination of them."""
+    jets carry the series of each atom polynomial, so ord and ac of an atom
+    on a jet are read off its series."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     atoms = _atom_polys(c)
