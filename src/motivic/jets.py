@@ -36,7 +36,8 @@ from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ParseError, Unstable, ValidationError
-from .parsing import And, Not, Or, parse_int_poly, read_condition, split_affine
+from .parsing import (And, Not, Or, atoms, fold, parse_int_poly, read_condition,
+                      split_affine)
 
 Poly = Dict[Tuple[int, ...], int]
 FrozenPoly = Tuple[Tuple[Tuple[int, ...], int], ...]  # sorted (monomial, coefficient)
@@ -652,7 +653,7 @@ def _table(X: JetVariety, q: int, n_max: int, j_max: int, budget: Optional[int],
     _check_q(q)
     if _is_affine_space(X, q):
         return [StabilizedResult(q ** (X.N * (n + 1)), 0, True,
-                                 [q ** (X.N * (n + 1))] * (j_max + 3)) for n in rows]
+                                 [q ** (X.N * (n + 1))] * 3) for n in rows]
     lifter = _Lifter(X, q, budget)
     tree = _Tree(lifter, lifter.level0(), n_max, j_max)
     return [tree.row(n)[0] for n in rows]
@@ -765,26 +766,9 @@ UNKNOWN = "unknown"
 
 def _atom_polys(c: SemiAlgCondition) -> set:
     """The polynomials that the atoms of c read ord or ac of."""
-    if isinstance(c, (And, Or)):
-        return set().union(*map(_atom_polys, c.children))
-    if isinstance(c, Not):
-        return _atom_polys(c.child)
-    return ({c.f, c.g} if isinstance(c, OrdCmp) else {c.f} if isinstance(c, OrdMod)
-            else set(c.fs) if isinstance(c, AcRel) else set())
-
-
-def _kleene_and(values):
-    out = True
-    for v in values:
-        if v is False:
-            return False
-        if v == UNKNOWN:
-            out = UNKNOWN
-    return out
-
-
-def _kleene_not(v):
-    return UNKNOWN if v == UNKNOWN else (not v)
+    return set().union(*({a.f, a.g} if isinstance(a, OrdCmp) else {a.f}
+                         if isinstance(a, OrdMod) else set(a.fs) if isinstance(a, AcRel)
+                         else set() for a in atoms(c)))
 
 
 def eval_semialg(c: SemiAlgCondition, p: JetPoint, params: Sequence[int] = ()):
@@ -803,15 +787,12 @@ def _eval_semialg(c: SemiAlgCondition, found: Dict, n: int, q: int,
                   params: Sequence[int]):
     """eval_semialg on a level-n jet, with the (ord, ac) of each atom
     polynomial on it in found; (None, None) when the truncation vanishes."""
-    if isinstance(c, bool):
-        return c
-    if isinstance(c, And):
-        return _kleene_and(_eval_semialg(k, found, n, q, params) for k in c.children)
-    if isinstance(c, Or):
-        return _kleene_not(_kleene_and(
-            _kleene_not(_eval_semialg(k, found, n, q, params)) for k in c.children))
-    if isinstance(c, Not):
-        return _kleene_not(_eval_semialg(c.child, found, n, q, params))
+    value = fold(c, lambda atom: _eval_atom(atom, found, n, q, params))
+    return value if isinstance(value, bool) else UNKNOWN
+
+
+def _eval_atom(c, found: Dict, n: int, q: int, params: Sequence[int]):
+    """One atom of _eval_semialg: True, False or UNKNOWN."""
     if isinstance(c, OrdCmp):
         if len(params) != len(c.param_coeffs):
             raise ValueError("parameter vector length mismatch")
@@ -915,14 +896,14 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
     on a jet are read off its series."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
-    atoms = _atom_polys(c)
-    lifter = _Lifter(X, q, budget, atoms)
+    polys = _atom_polys(c)
+    lifter = _Lifter(X, q, budget, polys)
     roots = lifter.level0()
     counts = {True: 0, UNKNOWN: 0, False: 0}
 
     def tally(nodes) -> None:
         for node in nodes:
-            found = {f: lifter.ord_ac(f, node[0]) for f in atoms}
+            found = {f: lifter.ord_ac(f, node[0]) for f in polys}
             counts[_eval_semialg(c, found, n, q, params)] += 1
 
     tally(node for root in roots if root[1].smooth

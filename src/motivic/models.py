@@ -79,6 +79,14 @@ def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _names(value: str, lineno: int, what: str) -> Tuple[str, ...]:
+    names = tuple(value.split())
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            _fail(lineno, f"{what} names {name!r} twice")
+    return names
+
+
 def _int(value: str, lineno: int, what: str) -> int:
     try:
         return int(value)
@@ -203,7 +211,7 @@ def _parse_generators(value: str, lineno: int) -> List[Tuple[int, ...]]:
     except (ValueError, SyntaxError):
         _fail(lineno, f"bad generator list {value!r}")
     if (not isinstance(raw, list) or not raw
-            or not all(isinstance(g, list) and all(isinstance(e, int) for e in g)
+            or not all(isinstance(g, list) and all(type(e) is int for e in g)
                        for g in raw)):
         _fail(lineno, "generators must be a list of integer lists")
     return [tuple(g) for g in raw]
@@ -274,13 +282,13 @@ def _parse_variety(body) -> VarietyModel:
     for lineno, line in body:
         k, v = _split_kv(line, lineno)
         if k == "vars":
-            names = tuple(v.split())
+            names = _names(v, lineno, "vars")
         elif k == "poly":
             poly_lines.append((lineno, v))
         elif k == "dimension":
             dimension = _int(v, lineno, "dimension")
         elif k == "params":
-            params = tuple(v.split())
+            params = _names(v, lineno, "params")
         elif k == "condition":
             condition_text = v
         else:
@@ -360,7 +368,7 @@ def _parse_presburger(body) -> PresburgerModel:
     for lineno, line in body:
         k, v = _split_kv(line, lineno)
         if k == "vars":
-            names = tuple(v.split())
+            names = _names(v, lineno, "vars")
         elif k == "condition":
             condition = (lineno, v)
         elif k == "map":

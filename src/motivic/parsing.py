@@ -6,8 +6,9 @@ AST that one evaluator maps to its target: classes over `L` with divisors
 written `/(L^i-1)` (repeatable), polynomials in T with class coefficients,
 or integer polynomials in named variables.  Conditions are s-expressions
 whose `and`/`or`/`not` skeleton one reader parses, leaving the atoms to the
-caller.  The printers share one signed-sum writer, and printing then
-parsing reproduces the value.
+caller; one walker, `fold`, evaluates such a tree, substitutes into it or
+evaluates it three-valued, and `atoms` lists its leaves.  The printers
+share one signed-sum writer, and printing then parsing reproduces the value.
 """
 from __future__ import annotations
 
@@ -222,6 +223,40 @@ def _condition(node, atom):
     if value is None:
         raise ParseError(f"unknown condition operator {head!r}")
     return value
+
+
+def fold(cond, atom: Callable[[object], object]):
+    """The tree with each atom a replaced by atom(a) and the constants folded:
+    an `and` is False at its first False child and drops True ones, an `or`
+    the reverse, and an empty `and`/`or` is True/False.  A value other than
+    a bool stays in the tree, so with True/False atoms this evaluates, with
+    rewritten atoms it substitutes, and with some atoms unknown a result
+    that is not a bool means unknown (Kleene's logic)."""
+    if isinstance(cond, bool):
+        return cond
+    if isinstance(cond, Not):
+        child = fold(cond.child, atom)
+        return (not child) if isinstance(child, bool) else Not(child)
+    if isinstance(cond, (And, Or)):
+        absorbing = isinstance(cond, Or)  # True decides an Or, False an And
+        kids = []
+        for child in cond.children:
+            child = fold(child, atom)
+            if child is absorbing:
+                return absorbing
+            if not isinstance(child, bool):
+                kids.append(child)
+        return type(cond)(tuple(kids)) if kids else not absorbing
+    return atom(cond)
+
+
+def atoms(cond) -> set:
+    """The leaf atoms of the tree."""
+    if isinstance(cond, (And, Or)):
+        return set().union(*map(atoms, cond.children))
+    if isinstance(cond, Not):
+        return atoms(cond.child)
+    return set() if isinstance(cond, bool) else {cond}
 
 
 # -- evaluation -------------------------------------------------------------

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index, mul
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionUnsupported, InfiniteFibers, ParseError
-from .parsing import (And, Not, Or, format_fraction, format_monomial, poly_mul,
-                      read_condition)
+from .parsing import (And, Not, Or, atoms, fold, format_fraction, format_monomial,
+                      poly_mul, read_condition)
 
 Expo = Tuple[int, ...]
 
@@ -82,32 +82,18 @@ class PresburgerSet:
 
 
 def _holds(atom: Union[Ge, Mod], point: Sequence[int]) -> bool:
-    value = atom.affine.eval(point)
     if isinstance(atom, Ge):
-        return value >= 0
-    return value % atom.modulus == atom.residue % atom.modulus
-
-
-def _eval_condition(cond: Condition, holds: Callable[[Union[Ge, Mod]], bool]) -> bool:
-    """Value of the tree, given the truth value of each atom."""
-    if isinstance(cond, bool):
-        return cond
-    if isinstance(cond, (Ge, Mod)):
-        return holds(cond)
-    if isinstance(cond, And):
-        return all(_eval_condition(c, holds) for c in cond.children)
-    if isinstance(cond, Or):
-        return any(_eval_condition(c, holds) for c in cond.children)
-    if isinstance(cond, Not):
-        return not _eval_condition(cond.child, holds)
-    raise TypeError(f"bad condition node {cond!r}")
+        return atom.affine.eval(point) >= 0
+    if isinstance(atom, Mod):
+        return atom.affine.eval(point) % atom.modulus == atom.residue % atom.modulus
+    raise TypeError(f"bad condition node {atom!r}")
 
 
 def member(P: PresburgerSet, point: Sequence[int]) -> bool:
     """Pointwise membership by direct evaluation."""
     if len(point) != P.m:
         raise ValueError(f"point has arity {len(point)}, set has arity {P.m}")
-    return _eval_condition(P.condition, lambda atom: _holds(atom, point))
+    return fold(P.condition, lambda atom: _holds(atom, point))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +240,12 @@ def _genfun_image(P: PresburgerSet, maps: List[Affine]) -> RatFunc:
     congruence is constant on each class.  Each class is summed in one sweep;
     m = 1 runs as m = 2 with j <= 0."""
     r = len(maps)
-    mods = _atoms(P.condition, Mod)
+    mods = [a for a in atoms(P.condition) if isinstance(a, Mod)]
     scales = [lcm(*(a.modulus // gcd(a.modulus, a.affine.coeffs[v]) for a in mods))
               for v in range(P.m)]
     terms: Dict[Tuple[Expo, ...], Dict[Expo, int]] = {}
     for offsets in itertools.product(*map(range, scales)):
-        cond = _substitute(P.condition, scales, offsets)
+        cond = fold(P.condition, lambda atom: _substitute(atom, scales, offsets))
         if cond is False:
             continue
         if P.m == 1:
@@ -274,41 +260,14 @@ def _genfun_image(P: PresburgerSet, maps: List[Affine]) -> RatFunc:
                     if any(num.values())])
 
 
-def _atoms(cond: Condition, kind: type) -> Set:
-    if isinstance(cond, kind):
-        return {cond}
-    if isinstance(cond, (And, Or)):
-        return set().union(*(_atoms(c, kind) for c in cond.children))
-    if isinstance(cond, Not):
-        return _atoms(cond.child, kind)
-    return set()
-
-
-def _substitute(cond: Condition, scales: Sequence[int],
-                offsets: Sequence[int]) -> Condition:
-    """Apply x_v -> scales[v]*x_v + offsets[v]; congruences become constants,
-    which are folded into the tree."""
-    if isinstance(cond, bool):
-        return cond
-    if isinstance(cond, Ge):
-        aff = cond.affine
+def _substitute(atom: Union[Ge, Mod], scales: Sequence[int],
+                offsets: Sequence[int]) -> Union[Ge, bool]:
+    """Apply x_v -> scales[v]*x_v + offsets[v] to an atom; a congruence
+    becomes a constant, its value at the offsets."""
+    if isinstance(atom, Ge):
+        aff = atom.affine
         return Ge(Affine(tuple(map(mul, aff.coeffs, scales)), aff.eval(offsets)))
-    if isinstance(cond, Mod):
-        return cond.affine.eval(offsets) % cond.modulus == cond.residue % cond.modulus
-    if isinstance(cond, Not):
-        c = _substitute(cond.child, scales, offsets)
-        return (not c) if isinstance(c, bool) else Not(c)
-    if isinstance(cond, (And, Or)):
-        absorbing = isinstance(cond, Or)  # True decides an Or, False an And
-        kids = []
-        for c in cond.children:
-            c = _substitute(c, scales, offsets)
-            if c is absorbing:
-                return absorbing
-            if not isinstance(c, bool):
-                kids.append(c)
-        return type(cond)(tuple(kids)) if kids else not absorbing
-    raise TypeError(f"bad condition node {cond!r}")
+    return _holds(atom, offsets)
 
 
 def _ij(aff: Affine) -> Tuple[int, int]:
@@ -333,9 +292,9 @@ def _sweep(cond: Condition, maps: List[Affine],
     s <= i < s + r/gcd(r, p).  When phi ignores j, a column adds its number
     of points instead, which is affine in i on each class mod a period.
     """
-    atoms = _atoms(cond, Ge)
+    ges = atoms(cond)  # the substitution left only Ge atoms
     lines: Dict[Optional[Ge], Tuple[int, int, int]] = {None: (0, 0, 1)}
-    for g in atoms:
+    for g in ges:
         a, b = _ij(g.affine)
         if b > 0:
             lines[g] = (-a, -g.affine.const, b)
@@ -356,12 +315,12 @@ def _sweep(cond: Condition, maps: List[Affine],
         num[e] = num.get(e, 0) + c
 
     def switches(i: int, order) -> List[Tuple[Optional[Ge], int]]:
-        truth = {g: g.affine.eval((i, 0)) >= 0 for g in atoms}
+        truth = {g: g.affine.eval((i, 0)) >= 0 for g in ges}
         out, held = [], False
         for key in [None] + order:
             if key is not None:
                 truth[key] = not truth[key]
-            if _eval_condition(cond, truth.__getitem__) != held:
+            if fold(cond, truth.__getitem__) != held:
                 held = not held
                 out.append((key, 1 if held else -1))
         if held and not any(bstep):
@@ -372,7 +331,7 @@ def _sweep(cond: Condition, maps: List[Affine],
         return -sum(w * at(key, i) for key, w in sw)
 
     cuts = [0]
-    for g in atoms:
+    for g in ges:
         a, b = _ij(g.affine)
         if a and not b:
             cuts.append(-g.affine.const // a + 1)

@@ -201,6 +201,13 @@ class TestTables:
             assert (row.N_n, row.j_star, row.stable, row.counts) == \
                 (res.N_n, res.j_star, res.stable, res.counts)
 
+    @pytest.mark.parametrize("X", [PLANE, A1, LINE, NODE])
+    def test_stable_rows_stop_at_three_equal_counts(self, X):
+        for row in stabilized_table(X, 2, 4, 4):
+            assert row.stable
+            assert len(row.counts) == row.j_star + 3
+            assert row.counts[-3:] == [row.N_n] * 3
+
     def test_cusp_table_at_five(self):
         rows = [(row.N_n, row.j_star, row.stable, row.counts)
                 for row in stabilized_table(CUSP, 5, 5, 4)]

@@ -56,6 +56,15 @@ class TestModelFiles:
     def test_long_flat_polynomial(self):
         assert parse_int_poly("x" + "+x" * 3000, ["x"]) == {(1,): 3001}
 
+    @pytest.mark.parametrize("gens", ["[[True, 2]]", "[[1, 2], [3, False]]"])
+    def test_generators_must_be_ints(self, gens):
+        # True is an int to isinstance, but it is not the text 1
+        with pytest.raises(ParseError, match="integer lists"):
+            parse_model(f"kind = polyhedron\ngenerators = {gens}\n")
+        with pytest.raises(ParseError, match="integer lists"):
+            parse_model("kind = polyhedron\ndimension = 1\n"
+                        f"stratum | class = 1 | generators = {gens}\n")
+
 
 class TestCliExitCodes:
     def test_success(self, capsys):
@@ -118,12 +127,23 @@ class TestCliExitCodes:
         "vars = i\ncondition = (>= i 0)\nmap = i - 1\n",
         "vars = i\ncondition = (mod i 0 0)\n",
         "vars = i\ncondition = " + "(not " * 2000 + "(>= i 0)" + ")" * 2000 + "\n",
+        "vars = i i\ncondition = (>= (- 3 i) 0)\n",
     ])
     def test_bad_presburger_model_is_two(self, body, tmp_path, capsys):
         path = tmp_path / "bad.model"
         path.write_text("kind = presburger\n" + body)
         assert main(["genfun", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error[ParseError]")
+
+    @pytest.mark.parametrize("body", [
+        "vars = x x\ndimension = 1\npoly = x\n",
+        "vars = x\nparams = n n\ndimension = 1\ncondition = (ord>= {x} {1} n)\n",
+    ])
+    def test_duplicate_variety_name_is_two(self, body, tmp_path, capsys):
+        path = tmp_path / "dup.model"
+        path.write_text("kind = variety\n" + body)
+        assert main(["jets-count", str(path), "--q", "2", "--n", "1"]) == 2
+        assert "twice" in capsys.readouterr().err
 
     def test_deep_jet_condition_is_two(self, tmp_path):
         path = tmp_path / "deep.model"

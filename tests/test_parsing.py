@@ -8,8 +8,9 @@ from motivic.errors import ParseError
 from motivic.grring import HodgeRational, LaurentPoly, MotClass
 from motivic.jets import parse_semialg
 from motivic.models import ModelFile, parse_model, print_model
-from motivic.parsing import (format_hodge, format_int_poly, format_motclass,
-                             parse_int_poly, parse_motclass)
+from motivic.parsing import (And, Not, Or, atoms, fold, format_hodge,
+                             format_int_poly, format_motclass, parse_int_poly,
+                             parse_motclass)
 from motivic.presburger import RatFunc, format_ratfunc
 from motivic.series import RationalMotSeries
 
@@ -158,3 +159,69 @@ def test_series_model_round_trip(num, den):
 def test_parse_errors(parse, text, message):
     with pytest.raises(ParseError, match=message):
         parse(text)
+
+
+# -- the condition-tree walker ---------------------------------------------
+
+UNKNOWN = "unknown"  # any value other than a bool is left in the tree
+
+
+def cond_trees(leaves, depth=3):
+    if depth == 0:
+        return leaves
+    sub = cond_trees(leaves, depth - 1)
+    kids = st.lists(sub, max_size=3).map(tuple)
+    return leaves | st.builds(Not, sub) | st.builds(And, kids) | st.builds(Or, kids)
+
+
+NAMES = ("a", "b", "c", "d")
+named_trees = cond_trees(st.booleans() | st.sampled_from(NAMES))
+
+
+def kleene(tree, value):
+    """Oracle: the rank of the tree's value, with F < U < T ranked 0, 1, 2."""
+    if isinstance(tree, bool):
+        return 2 * tree
+    if isinstance(tree, Not):
+        return 2 - kleene(tree.child, value)
+    if isinstance(tree, And):
+        return min((kleene(c, value) for c in tree.children), default=2)
+    if isinstance(tree, Or):
+        return max((kleene(c, value) for c in tree.children), default=0)
+    return {False: 0, UNKNOWN: 1, True: 2}[value[tree]]
+
+
+def leaves(tree):
+    if isinstance(tree, (And, Or)):
+        return {a for c in tree.children for a in leaves(c)}
+    if isinstance(tree, Not):
+        return leaves(tree.child)
+    return set() if isinstance(tree, bool) else {tree}
+
+
+def plain(tree, value):
+    if isinstance(tree, bool):
+        return tree
+    if isinstance(tree, Not):
+        return not plain(tree.child, value)
+    if isinstance(tree, And):
+        return all(plain(c, value) for c in tree.children)
+    if isinstance(tree, Or):
+        return any(plain(c, value) for c in tree.children)
+    return value[tree]
+
+
+@settings(max_examples=300)
+@given(named_trees, st.tuples(*[st.sampled_from([True, False, UNKNOWN])] * len(NAMES)))
+def test_fold_is_kleene_logic(tree, values):
+    value = dict(zip(NAMES, values))
+    folded = fold(tree, value.__getitem__)
+    assert (2 * folded if isinstance(folded, bool) else 1) == kleene(tree, value)
+    assert atoms(tree) == leaves(tree)
+
+
+@settings(max_examples=300)
+@given(named_trees, st.tuples(*[st.booleans()] * len(NAMES)))
+def test_fold_with_bool_atoms_evaluates(tree, values):
+    value = dict(zip(NAMES, values))
+    assert fold(tree, value.__getitem__) is plain(tree, value)

@@ -1,6 +1,7 @@
 """Presburger sets: membership, generating functions, image maps."""
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from motivic.errors import (DimensionUnsupported, InfiniteFibers, ParseError)
 from motivic.presburger import (Affine, And, Ge, Mod, Not, Or, PresburgerSet,
                                 RatFunc, format_condition, format_ratfunc,
                                 genfun, genfun_image, genfun_truncated,
-                                member, parse_condition)
+                                _substitute, member, parse_condition)
+from motivic.parsing import atoms as atoms_of
+from motivic.parsing import fold
 
 # a fixed corpus mixing inequalities and congruences, arities 1 and 2
 CORPUS = [
@@ -126,6 +129,26 @@ class TestSweepProperty:
         else:
             f = genfun_image(P, [Affine(c, 0) for c in maps])
         assert f.expand(14) == fibre_counts(P, maps, 14)
+
+
+class TestResidual:
+    """Folding the substitution x_v -> s_v*x_v + o_v into a condition leaves
+    a residual over the new variables that holds where P holds at the image
+    point, when each s_v makes every congruence constant on its class."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees(2), st.tuples(st.integers(1, 2), st.integers(1, 2)),
+           st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    def test_residual_is_membership(self, cond, multiples, offsets):
+        mods = [a for a in atoms_of(cond) if isinstance(a, Mod)]
+        scales = [k * lcm(*(a.modulus // gcd(a.modulus, a.affine.coeffs[v])
+                            for a in mods))
+                  for v, k in enumerate(multiples)]
+        residual = fold(cond, lambda atom: _substitute(atom, scales, offsets))
+        P = PresburgerSet(2, cond)
+        for i, j in itertools.product(range(-2, 4), repeat=2):
+            image = (scales[0] * i + offsets[0], scales[1] * j + offsets[1])
+            assert member(PresburgerSet(2, residual), (i, j)) == member(P, image)
 
 
 class TestInclusionExclusion:
