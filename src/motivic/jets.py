@@ -7,29 +7,45 @@ amounts to solving a linear system over F_q whose matrix is the Jacobian J
 at the constant term x0, so dead branches are pruned early.  J(x0) is
 row-reduced once per level-0 point, and each node computes only the new
 coefficient t^s of f(x(t)), from the series of the monomials of f carried
-along the path.  Where J(x0) has full row rank r, Hensel's lemma gives the
-count without a search: each of the q^{(N-r)n} level-n jets over x0 lifts
-to every depth.
+along the path.
 
-The search stops halfway.  Over a level-s jet x, f(x + delta) = f(x) +
-J(x(t)) delta mod t^(2s+2) for every delta of order > s, so the level-n
-extensions of x, for n <= 2s + 1, are the solutions of one linear system
-over F_q, J(x(t)) a(t) = -f(x(t)) t^-(s+1) mod t^(n-s), which `_Lifter.lift`
-solves without building a jet.  Counting level-n jets searches to level
-n // 2; deciding whether a jet lifts to level n searches to level n // 2
-below it.  Truncation images, their stabilization in the lifting depth,
-and three-valued evaluation of ord/angular-component conditions are built
-on top of the enumerator.
+Most subtrees are counted in closed form (Newton's lemma, the key lemma of
+Denef-Loeser section 4 after Greenberg).  Over a level-s jet x of one
+equation f, let e = min_u ord df/dx_u(x(t)) and k* the first level in
+(s, s + e] where f(x(t)) has a nonzero coefficient (infinity if none).  If
+e <= s, then for n >= s and j >= 0 the level-n truncations over x of the
+level-(n+j) jets number
+    q^((N-1)(n-s) + max(0, min(n-s, e-j)))  if n + j < k*,  else 0:
+a unit change of variables brings grad f(x(t)) to (t^e, 0, ..., 0), and
+each coefficient of f(x + delta) above level s + e then fixes one
+coefficient of the first new variable.  Over a point where J(x0) has full
+row rank r (Hensel) the same holds with N - r for N - 1 and e = 0, under
+any number of equations.  So does e = k - s when f(x(t)) has a nonzero
+coefficient at a level k <= 2s + 1 and grad f(x(t)) = 0 mod t^(k-s): then
+f(x + delta) = f(x) mod t^(k+1), so x has every extension below level k
+and none from k on.  Such jets are closed; only the open ones are expanded.
+
+Over an open jet the search stops halfway.  Over a level-s jet x,
+f(x + delta) = f(x) + J(x(t)) delta mod t^(2s+2) for every delta of order
+> s, so the level-n extensions of x, for n <= 2s + 1, are the solutions of
+one linear system over F_q, J(x(t)) a(t) = -f(x(t)) t^-(s+1) mod t^(n-s),
+which `_Lifter.lift` solves without building a jet.  Counting level-n jets
+searches to level n // 2; deciding whether a jet lifts to level n searches
+to level n // 2 below it.  Truncation images, their stabilization in the
+lifting depth, and three-valued evaluation of ord/angular-component
+conditions are built on top of the enumerator.
 
 A jet extends to level m exactly when one of its children does, so a table
-for n = 0..n_max searches only its level-n_max jets and each row reads its
-lifting depths off the row below.  Conditions read ord and ac of their atom
-polynomials off the atoms' own series, carried like the monomials of f.
+for n = 0..n_max searches only its open level-n_max jets and each row reads
+its lifting depths off the row below.  Conditions read ord and ac of their
+atom polynomials off the atoms' own series, carried like the monomials of f.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -263,6 +279,9 @@ def _solve_toeplitz(jac: List[List[List[int]]], fs: List[List[int]], n_vars: int
 # A node of the jet tree: its N coordinate series followed by the series of
 # the carried monomials, and the reduction at its level-0 point.
 Node = Tuple[Tuple[Tuple[int, ...], ...], _Base]
+# A closed node's (s, e, k*): its level, the exponent e and the first level
+# k* it does not extend to (math.inf if none); see `_Lifter.closed`.
+Closed = Tuple[int, int, float]
 
 
 class _Lifter:
@@ -274,8 +293,10 @@ class _Lifter:
     O(s) from the series of the shorter one; the monomials that a longer one
     extends are carried along the path as series, and a child adds
     grad m(x0) . a to their new coefficient.  `lift` counts the extensions
-    of a node of length s + 1 to any level up to 2s + 1 with one solve.
-    One lifter serves one whole computation, so its budget caps all of it.
+    of a node of length s + 1 to any level up to 2s + 1 with one solve, and
+    `closed` tells whether the whole subtree has a closed count.
+    One lifter serves one whole computation, so its budget caps all of it:
+    one unit per node, which `closed`, `children` and `lift` share.
     Each of `atoms`, the polynomials a condition reads ord and ac of, is
     carried the same way as one more series, a child adding grad f(x0) . a
     to the part its nonlinear monomials give, so `ord_ac` reads it off a node.
@@ -335,6 +356,7 @@ class _Lifter:
         self.carried_polys = [{chain[ref - X.N][0]: 1} for ref in monos] + list(map(dict, atoms))
         self.derivs = [[[(c, where[k]) for c, k in col] for col in row]
                        for row in derivs]
+        self._memo: Optional[Tuple[Node, List[int], List[int]]] = None
 
     def _charge(self) -> None:
         self.expansions += 1
@@ -361,7 +383,11 @@ class _Lifter:
     def _residual(self, node: Node) -> Tuple[List[int], List[int]]:
         """One expansion of a node of length s: the right-hand side -[f]_s
         of J(x0) a = -[f]_s and the coefficients t^s of the coordinates and
-        of the monomials in the chain, all taken with a_s = 0."""
+        of the monomials in the chain, all taken with a_s = 0.  It costs the
+        node's one budget unit; asked again for the node it last expanded,
+        it answers from memory."""
+        if self._memo is not None and self._memo[0] is node:
+            return self._memo[1], self._memo[2]
         self._charge()
         q = self.q
         series = node[0]
@@ -371,12 +397,67 @@ class _Lifter:
             top.append((x[0] * top[ref]
                         + sum(map(mul, x[1:], series[at][:0:-1]))) % q)
         rhs = [-sum(c * top[k] for c, k in terms) % q for terms in self.terms]
+        self._memo = (node, rhs, top)
         return rhs, top
 
+    def closed(self, node: Node) -> Optional[Closed]:
+        """(s, e, k*) if the subtree over the level-s node has a closed
+        count (see `closed_dim`), else None.
+
+        Over a point where J(x0) has full row rank it is (s, 0, inf), under
+        any number of equations and at no cost.  Otherwise it answers only
+        for one equation f: scanning d = 0, 1, ..., s, it is (s, d, inf) at
+        the first d where grad f(x(t)) has a nonzero coefficient t^d, and
+        (s, d + 1, s + 1 + d) at the first where f(x(t)) has a nonzero
+        coefficient t^(s+1+d), whichever comes first.  In the first case
+        e = d <= s and the coefficients of f(x(t)) on (s, s + e] vanish, so
+        k* = inf; in the second, only k* matters.  A node with neither is
+        open: grad f(x(t)) = 0 mod t^(s+1) and f(x(t)) = 0 mod t^(2s+2).
+        """
+        s = len(node[0][0]) - 1
+        if node[1].smooth:
+            return s, 0, math.inf
+        if len(self.polys) != 1:
+            return None
+        found = self._newton(node, s + 1)
+        return None if found is None else (s,) + found
+
+    def closed_dim(self, info: Closed, n: int, j: int) -> Optional[int]:
+        """log_q of the number of level-n truncations of the level-(n+j)
+        jets over a closed node (s, e, k*), n >= s, or None if there are
+        none.  This is Newton's lemma; with r equations,
+            (N - r)(n - s) + max(0, min(n - s, e - j))  if n + j < k*."""
+        s, e, k = info
+        if n + j >= k:
+            return None
+        return (self.X.N - len(self.polys)) * (n - s) + max(0, min(n - s, e - j))
+
+    def closed_count(self, info: Closed, n: int, j: int) -> int:
+        """The number that `closed_dim` gives log_q of."""
+        dim = self.closed_dim(info, n, j)
+        return 0 if dim is None else self.q ** dim
+
+    def _newton(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
+        """The scan of `closed` over d < width <= s + 1, as (e, k*); None
+        if it finds nothing.  J(x(t)) is read off the carried series of the
+        derivative monomials, and [f(x)]_l, l > s + 1, from the chain: a
+        chain monomial x_v * r gets its coefficient l from those of r."""
+        series, base = node
+        rhs, top = self._residual(node)
+        s = len(series[0]) - 1
+        # coefficients s + 1, s + 2, ... of each chain monomial
+        high = [[c] if k >= self.X.N else None for k, c in enumerate(top)]
+        for d in range(width):
+            if any(base.jac0[0] if d == 0 else self._jacobian_coeffs(series, d)[0]):
+                return d, math.inf
+            if rhs[0] if d == 0 else self._f_coeffs(series, high, d)[0]:
+                return d + 1, s + 1 + d
+        return None
+
     def lift(self, node: Node, n: int) -> Tuple[int, int]:
-        """(m, e) for a level-s node and n <= 2s + 1: the deepest level
-        m <= n that node extends to, and log_q of the number of its level-m
-        extensions; no jet is built.
+        """(m, dim) for a level-s node and n <= 2s + 1 (any n if the node is
+        closed): the deepest level m <= n that node extends to, and log_q of
+        the number of its level-m extensions; no jet is built.
 
         For ord delta > s, f(x + delta) = f(x) + J(x(t)) delta mod t^(2s+2),
         so the extensions a_{s+1}, ..., a_m are the solutions over F_q of the
@@ -385,37 +466,31 @@ class _Lifter:
         i.e. of J(x(t)) a(t) = -F(t) mod t^(m-s) with a(t) = sum a_{s+1+i} t^i
         and F(t) = sum [f(x)]_{s+1+i} t^i.  Block row s+1 alone is the step
         of `children`.  For one equation the Smith form of the row J(x(t))
-        over F_q[[t]] is t^e, e = min_u ord J_u(x(t)), so the system is
-        solvable mod t^w iff ord F >= min(e, w), with q^(min(e, w) + (N-1)w)
-        solutions; more equations are row-reduced by `_solve_toeplitz`.
-        J(x(t)) mod t^(n-s) is read off the carried series of the derivative
-        monomials, and [f(x)]_l, l > s+1, from the chain: a chain monomial
-        x_v * r gets its coefficient l from those of r.  One budget unit per
-        call.
+        over F_q[[t]] is t^e, e = min_u ord J_u(x(t)), so this is the closed
+        form of `closed_dim` at j = 0, with e capped at n - s; more
+        equations are row-reduced by `_solve_toeplitz`.  One budget unit per
+        node.
         """
         series, base = node
         length = len(series[0])
         if n < length:
             return n, 0
+        s = length - 1
+        if base.smooth:
+            return n, self.closed_dim((s, 0, math.inf), n, 0)
+        if len(self.polys) == 1:
+            e, k = self._newton(node, min(n - s, s + 1)) or (n - s, math.inf)
+            m = min(n, k - 1)
+            return m, self.closed_dim((s, e, k), m, 0)
         rhs, top = self._residual(node)
         if not base.consistent(rhs):
-            return length - 1, 0
+            return s, 0
         if n == length:
             return n, base.free
         N = self.X.N
-        width = n - length + 1
+        width = n - s
         # coefficients length, length + 1, ... of each chain monomial
         high = [[c] if k >= N else None for k, c in enumerate(top)]
-        if len(self.polys) == 1:
-            # J_0, ..., J_{d-1} and F_0, ..., F_{d-1} vanish at step d
-            if any(base.jac0[0]):
-                return n, (N - 1) * width
-            for d in range(1, width):
-                if any(self._jacobian_coeffs(series, d)[0]):
-                    return n, d + (N - 1) * width
-                if self._f_coeffs(series, high, d)[0]:
-                    return length - 1 + d, N * d
-            return n, N * width
         jac = [[[c] for c in row] for row in base.jac0]
         fs = [[-b % self.q] for b in rhs]
         for d in range(1, width):
@@ -461,15 +536,19 @@ class _Lifter:
         if not base.consistent(rhs):
             return []
         particular = base.particular(rhs)
-        top += [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
+        top = top + [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
         start = particular + [top[ref] + sum(map(mul, g, particular))
                               for ref, g in zip(self.carried, base.grads)]
         return [(tuple([c + ((a + d) % q,) for c, a, d in zip(series, start, delta)]),
                  base)
                 for delta in base.kernel()]
 
-    def descendants(self, node: Node, depth: int) -> Iterator[Node]:
-        """The nodes depth levels below node, depth first and in order."""
+    def walk(self, node: Node, depth: int,
+             prune: bool = True) -> Iterator[Tuple[Node, Optional[Closed]]]:
+        """Depth first and in order, each node depth levels below node with
+        None, and with prune each closed node above them with its `closed`
+        answer; a closed node is not expanded, and the nodes at depth are
+        not asked, since `lift` answers for them within the same unit."""
         stack = [[node]]
         while stack:
             level = stack[-1]
@@ -478,19 +557,32 @@ class _Lifter:
                 continue
             nd = level.pop()
             if len(stack) > depth:
-                yield nd
+                yield nd, None
+                continue
+            info = self.closed(nd) if prune else None
+            if info is not None:
+                yield nd, info
             else:
                 stack.append(self.children(nd)[::-1])
 
+    def descendants(self, node: Node, depth: int) -> Iterator[Node]:
+        """The nodes depth levels below node, depth first and in order."""
+        return (nd for nd, _ in self.walk(node, depth, prune=False))
+
     def can_extend(self, node: Node, n: int,
                    deepest: int = 0) -> Optional[Tuple[Node, int]]:
-        """Whether node extends to level n: a depth-first search to the
-        level s = max(level of node, n // 2), where `lift` decides the rest.
-        Returns the first node found at level s that extends, as a witness,
-        with the deepest level up to min(max(n, deepest), 2s + 1) that it
-        extends to; or None."""
+        """Whether node extends to level n: a depth-first search over the
+        open nodes to the level s = max(level of node, n // 2), where `lift`
+        decides the rest; a closed node (s, e, k*) on the way decides its
+        subtree at once, since it extends to level n iff n < k*.  Returns the first node found that extends, as a witness, with
+        the deepest level up to max(n, deepest) that it extends to (up to
+        2s + 1 for an open one); or None."""
         depth = max(0, n // 2 - len(node[0][0]) + 1)
-        for found in self.descendants(node, depth):
+        for found, info in self.walk(node, depth):
+            if info is not None:
+                if n < info[2]:
+                    return found, min(info[2] - 1, max(n, deepest))
+                continue
             reach, _ = self.lift(found, min(max(n, deepest), 2 * len(found[0][0]) - 1))
             if reach >= n:
                 return found, reach
@@ -502,31 +594,24 @@ def _is_affine_space(X: JetVariety, q: int) -> bool:
     return not any(c % q for p in X.polys for c in p.values())
 
 
-def _hensel_count(lifter: _Lifter, roots: List[Node], n: int) -> int:
-    """Level-n jets over the level-0 points where J has full row rank r:
-    q^((N - r) n) over each of them."""
-    smooth = sum(1 for root in roots if root[1].smooth)
-    return smooth * lifter.q ** ((lifter.X.N - len(lifter.polys)) * n)
-
-
 def enumerate_jets(X: JetVariety, n: int, q: int,
                    budget: Optional[int] = None) -> int:
-    """|L_n(X)(F_q)|: the number of level-n jets."""
+    """|L_n(X)(F_q)|: the number of level-n jets, searched over the open
+    jets to level n // 2 and counted in closed form over the closed ones."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_q(q)
     if _is_affine_space(X, q):
         return q ** (X.N * (n + 1))
     lifter = _Lifter(X, q, budget)
-    roots = lifter.level0()
-    total = _hensel_count(lifter, roots, n)
-    for root in roots:
-        if root[1].smooth:
-            continue
-        for node in lifter.descendants(root, n // 2):
-            reach, dim = lifter.lift(node, n)
-            if reach == n:
-                total += lifter.q ** dim
+    total = 0
+    for root in lifter.level0():
+        for node, info in lifter.walk(root, n // 2):
+            if info is not None:
+                total += lifter.closed_count(info, n, 0)
+            else:
+                reach, dim = lifter.lift(node, n)
+                total += q ** dim if reach == n else 0
     return total
 
 
@@ -550,11 +635,14 @@ def image_count(X: JetVariety, n: int, j: int, q: int,
     if _is_affine_space(X, q):
         return q ** (X.N * (n + 1))
     lifter = _Lifter(X, q, budget)
-    roots = lifter.level0()
-    return _hensel_count(lifter, roots, n) + sum(
-        1 for root in roots if not root[1].smooth
-        for node in lifter.descendants(root, n)
-        if lifter.can_extend(node, n + j) is not None)
+    total = 0
+    for root in lifter.level0():
+        for node, info in lifter.walk(root, n):
+            if info is not None:
+                total += lifter.closed_count(info, n, j)
+            elif lifter.can_extend(node, n + j) is not None:
+                total += 1
+    return total
 
 
 @dataclass
@@ -569,36 +657,60 @@ class StabilizedResult:
 
 
 class _Tree:
-    """The jets over the points where J(x0) has lower rank, levels 0..n_max.
+    """The open jets over the level-0 points, levels 0..n_max, and the
+    closed jets among their children, each kept as (node, (s, e, k*)) and
+    not expanded.
 
     A level-l jet extends to level m > l exactly when one of its children
-    does, so only the leaves, at level n_max, are searched (from a witness
-    kept per leaf); a jet below asks its children, which are contiguous in
-    the next level, and its level keeps only where they start.  Each jet
-    keeps the deepest level it is known to reach and the one it fails at.
+    does.  A closed child answers by its k* alone, so an open jet starts out
+    reaching the largest k* - 1 of its closed children; its open children,
+    contiguous in the next level, are asked in turn, and its level keeps
+    only where they start.  Only the open leaves, at level n_max, are
+    searched: the one unit that finds a leaf open settles it up to level
+    2 n_max + 1, and deeper levels are searched from a witness kept per
+    leaf.  Each open jet keeps the deepest level it is known to reach and
+    the one it fails at.  Row n adds, for each closed jet at a level s <= n,
+    the count `closed_dim` gives: Newton's lemma for one equation where
+    e = min_u ord df/dx_u(x(t)) <= s, Hensel's (e = 0) at full-rank points.
     """
 
-    def __init__(self, lifter: _Lifter, roots: List[Node], n_max: int, j_max: int):
-        self.lifter, self.roots, self.j_max = lifter, roots, j_max
-        self.deepest = n_max + j_max + 2  # the deepest level a row asks
-        level = [root for root in roots if not root[1].smooth]
+    def __init__(self, lifter: _Lifter, n_max: int, j_max: int):
+        self.lifter, self.j_max = lifter, j_max
+        self.deepest = deepest = n_max + j_max + 2  # the deepest level a row asks
+        top = min(deepest, 2 * n_max + 1)
+        self.closed: List[Tuple[Node, Closed]] = []
         self.starts: List[List[int]] = []
-        self.reach = [[0] * len(level)]
-        for l in range(1, n_max + 1):
-            level.reverse()  # popped in order, so each parent is freed early
-            starts, nxt = [0], []
-            while level:
-                nxt += lifter.children(level.pop())
-                starts.append(len(nxt))
-            self.starts.append(starts)
-            self.reach.append([l] * len(nxt))
-            level = nxt
-        self.leaves = level
-        self.fail = [[self.deepest + 1] * len(r) for r in self.reach]
+        self.reach: List[List[int]] = []
+        self.leaves: List[Node] = []
+        # (index of the parent, node), under one stand-in parent at level 0
+        level = [(0, root) for root in lifter.level0()]
+        above = [0]
+        for l in range(n_max + 1):
+            reach, opened, nxt = [], [0] * (len(above) + 1), []
+            for parent, node in level:
+                info = lifter.closed(node)
+                if info is not None:
+                    self.closed.append((node, info))
+                    above[parent] = max(above[parent], min(info[2] - 1, deepest))
+                    continue
+                opened[parent + 1] += 1
+                if l < n_max:
+                    nxt += [(len(reach), child) for child in lifter.children(node)]
+                    reach.append(l)
+                else:
+                    self.leaves.append(node)
+                    reach.append(lifter.lift(node, top)[0])
+            if l:
+                self.starts.append(list(itertools.accumulate(opened)))
+            self.reach.append(reach)
+            above, level = reach, nxt
+        self.fail = [[deepest + 1] * len(r) for r in self.reach]
+        self.fail[-1] = [m + 1 if m < top else deepest + 1 for m in self.reach[-1]]
+        self.kinds = Counter(info for _, info in self.closed)
         self.witness: Dict[int, Node] = {}
 
     def extends(self, l: int, i: int, m: int) -> bool:
-        """Whether jet i of level l extends to level m."""
+        """Whether open jet i of level l extends to level m."""
         reach, fail = self.reach[l], self.fail[l]
         if m <= reach[i]:
             return True
@@ -606,12 +718,6 @@ class _Tree:
             return False
         if l == len(self.starts):
             node = self.leaves[i]
-            top = min(self.deepest, 2 * l + 1)
-            if m <= top:  # one solve settles every depth up to top
-                reach[i] = self.lifter.lift(node, top)[0]
-                if reach[i] < top:
-                    fail[i] = reach[i] + 1
-                return m <= reach[i]
             wit = self.witness.pop(i, node)
             found = self.lifter.can_extend(wit, m, self.deepest)
             if found is None and wit is not node:
@@ -633,15 +739,20 @@ class _Tree:
     def row(self, n: int) -> Tuple[StabilizedResult, List[int]]:
         """Image counts of the level-n jets at lifting depths j = 0, 1, ...,
         j_max + 2, up to the first three equal consecutive counts, and the
-        tree's level-n jets that lift to the last depth reached; the jets
-        over the other points all lift and are counted in closed form.  The
+        open level-n jets that lift to the last depth reached; the jets over
+        the closed ones at levels s <= n are counted in closed form.  The
         survivor sets shrink as j grows, so equal counts mean equal sets."""
-        lifting = _hensel_count(self.lifter, self.roots, n)
+        kinds = [(info, mult) for info, mult in self.kinds.items() if info[0] <= n]
+
+        def count(j: int, alive: List[int]) -> int:
+            return len(alive) + sum(mult * self.lifter.closed_count(info, n, j)
+                                    for info, mult in kinds)
+
         alive = list(range(len(self.reach[n])))
-        counts = [lifting + len(alive)]
+        counts = [count(0, alive)]
         for j in range(1, self.j_max + 3):
             alive = [i for i in alive if self.extends(n, i, n + j)]
-            counts.append(lifting + len(alive))
+            counts.append(count(j, alive))
             if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
                 return StabilizedResult(counts[j], j - 2, True, counts), alive
         return StabilizedResult(counts[-1], len(counts) - 1, False, counts), alive
@@ -654,8 +765,7 @@ def _table(X: JetVariety, q: int, n_max: int, j_max: int, budget: Optional[int],
     if _is_affine_space(X, q):
         return [StabilizedResult(q ** (X.N * (n + 1)), 0, True,
                                  [q ** (X.N * (n + 1))] * 3) for n in rows]
-    lifter = _Lifter(X, q, budget)
-    tree = _Tree(lifter, lifter.level0(), n_max, j_max)
+    tree = _Tree(_Lifter(X, q, budget), n_max, j_max)
     return [tree.row(n)[0] for n in rows]
 
 
@@ -889,16 +999,20 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
                   budget: Optional[int] = None) -> Tuple[int, int]:
     """(definitely_true, unknown) over the stabilized level-n image points.
 
-    The jets over the points where J has full row rank all lift; they are
-    streamed and evaluated before the others are stabilized, so the search
-    spends its budget in the same order as it would building them all.  The
-    jets carry the series of each atom polynomial, so ord and ac of an atom
-    on a jet are read off its series."""
+    The open level-n jets that survive come from the table's row n.  Over a
+    closed jet (s, e, k*), every level-n jet survives to depth j* when the
+    closed form at j* equals the one at depth 0 (e = 0, for one); those
+    jets are streamed from it, and otherwise each one is asked for its own
+    k*.  The jets carry the series of each atom polynomial, so ord and ac
+    of an atom on a jet are read off its series."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     polys = _atom_polys(c)
     lifter = _Lifter(X, q, budget, polys)
-    roots = lifter.level0()
+    tree = _Tree(lifter, n, j_max)
+    res, survivors = tree.row(n)
+    if not res.stable:
+        raise Unstable(f"image counts did not stabilize within j_max={j_max}")
     counts = {True: 0, UNKNOWN: 0, False: 0}
 
     def tally(nodes) -> None:
@@ -906,11 +1020,15 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
             found = {f: lifter.ord_ac(f, node[0]) for f in polys}
             counts[_eval_semialg(c, found, n, q, params)] += 1
 
-    tally(node for root in roots if root[1].smooth
-          for node in lifter.descendants(root, n))
-    tree = _Tree(lifter, roots, n, j_max)
-    res, survivors = tree.row(n)
-    if not res.stable:
-        raise Unstable(f"image counts did not stabilize within j_max={j_max}")
+    depth = n + res.j_star
+    for node, info in tree.closed:
+        some = lifter.closed_dim(info, n, res.j_star)
+        if some is None:
+            continue
+        below = lifter.descendants(node, n - info[0])
+        if some == lifter.closed_dim(info, n, 0):
+            tally(below)
+        else:
+            tally(jet for jet in below if depth < lifter.closed(jet)[2])
     tally(tree.leaves[i] for i in survivors)
     return counts[True], counts[UNKNOWN]

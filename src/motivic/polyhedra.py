@@ -73,6 +73,8 @@ class NewtonPolyhedron:
             raise ValueError("ambient dimension must be positive")
         gens = []
         for g in generators:
+            if bool in map(type, g):  # operator.index takes True as 1
+                raise TypeError(f"generator {g} has a boolean entry")
             g = tuple(map(index, g))
             if len(g) != k:
                 raise ValueError(f"generator {g} has wrong dimension (expected {k})")

@@ -107,6 +107,9 @@ class RatFunc:
 
     def __init__(self, nvars: int, num: Dict[Expo, int], den: Sequence[Expo] = ()):
         self.nvars = nvars
+        # operator.index takes True as 1
+        if bool in map(type, itertools.chain(num.values(), *num, *den)):
+            raise TypeError("RatFunc exponents and coefficients must be integers, not booleans")
         self.num = {tuple(map(index, m)): index(c) for m, c in num.items() if c}
         for m in self.num:
             if len(m) != nvars or any(e < 0 for e in m):

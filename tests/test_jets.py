@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from motivic import jets
@@ -219,6 +219,14 @@ class TestTables:
             (2605, 6, False, [5625, 5625, 3125, 2725, 2625, 2605, 2605]),
             (13025, 6, False, [90625, 28125, 18125, 13625, 13125, 13025, 13025])]
 
+    def test_cusp_table_at_six_within_budget(self):
+        # only the open jets over the origin (grad f = 0 mod t^(s+1) and
+        # f = 0 mod t^(2s+2)) are expanded; a search of all 390,625 level-6
+        # jets over the origin needs 472,676 units
+        rows = stabilized_table(CUSP, 5, 6, 4, budget=10_000)
+        assert [row.N_n for row in rows] == [5, 21, 103, 525, 2605, 13025, 65125]
+        assert [row.stable for row in rows] == [True] * 4 + [False] * 3
+
     def test_smooth_table_is_closed_form(self):
         points = len(plane_points(CONIC, 5))
         for n, row in enumerate(stabilized_table(CONIC, 5, 20, 4, budget=30)):
@@ -270,6 +278,16 @@ def small_varieties(draw):
     return JetVariety(n_vars, polys, 1)
 
 
+def gradient_order(poly, node, q):
+    """min_u ord df/dx_u(x(t)) over a node of level s, or s + 1 if every
+    derivative vanishes mod t^(s+1)."""
+    s = len(node[0][0]) - 1
+    N = len(next(iter(poly)))
+    derivs = (jets._poly_eval_series(jets._poly_derivative(poly, u), node[0][:N], s, q)
+              for u in range(N))
+    return min(next((i for i, c in enumerate(d) if c), s + 1) for d in derivs)
+
+
 def dfs_leaves(lifter, node, n):
     """Level-n jets over a node, counted by building them."""
     return sum(1 for _ in lifter.descendants(node, n - len(node[0][0]) + 1))
@@ -279,18 +297,25 @@ class TestTailKernel:
     @settings(max_examples=80, deadline=None)
     @given(X=small_varieties(), q=st.sampled_from([2, 3, 5]), data=st.data())
     def test_count_matches_search(self, X, q, data):
+        # one solve counts to level 2s + 1, and to 2s + 3 and beyond over a
+        # node of one equation with e = min_u ord df/dx_u(x(t)) <= s
         s = data.draw(st.integers(1, 2 if q < 5 else 1), label="s")
         lifter = jets._Lifter(X, q, budget=1000)
         try:
             for root in lifter.level0():
                 for node in lifter.descendants(root, s):
+                    closed = len(lifter.polys) == 1 and \
+                        gradient_order(lifter.polys[0], node, q) <= s
                     counts = {n: dfs_leaves(lifter, node, n)
-                              for n in range(s + 1, 2 * s + 2)}
+                              for n in range(s + 1, 2 * s + (4 if closed else 2))}
                     for n, count in counts.items():
                         reach, dim = lifter.lift(node, n)
                         assert (q ** dim if reach == n else 0) == count
                     assert lifter.lift(node, 2 * s + 1)[0] == \
-                        max([s] + [n for n, count in counts.items() if count])
+                        max([s] + [n for n, count in counts.items()
+                                   if count and n <= 2 * s + 1])
+                    if closed:
+                        assert lifter.closed(node) is not None
         except BudgetExceeded:
             assume(False)
 
@@ -343,6 +368,49 @@ class TestOnePassTable:
             assume(False)
         assert [(r.N_n, r.j_star, r.stable, r.counts) for r in table] == \
             [(r.N_n, r.j_star, r.stable, r.counts) for r in rows]
+
+
+@st.composite
+def one_equation(draw):
+    """One random equation in two or three variables."""
+    n_vars = draw(st.sampled_from([2, 3]), label="N")
+    return JetVariety(n_vars, [draw(random_poly(n_vars), label="f")], n_vars - 1)
+
+
+class TestClosedSubtrees:
+    # y^2 - x^3 at q = 2, where df/dy = 2y vanishes, and x^4, whose nodes
+    # over x = 0 stay open at every level
+    @settings(max_examples=60, deadline=None)
+    @example(X=CUSP, q=2, n_max=2, j_max=2)
+    @example(X=variety(["x^4"], 1, ("x", "y")), q=3, n_max=2, j_max=1)
+    @example(X=variety(["x^4"], 1, ("x", "y")), q=2, n_max=1, j_max=2)
+    @given(X=one_equation(), q=st.sampled_from([2, 3, 5]),
+           n_max=st.integers(0, 2), j_max=st.integers(0, 2))
+    def test_rows_match_built_jets(self, X, q, n_max, j_max):
+        # each count is the number of level-n truncations of the level-(n+j)
+        # jets built one by one, and enumerate_jets counts that stream
+        try:
+            table = stabilized_table(X, q, n_max, j_max, budget=3000)
+            built = {}
+            for n, row in enumerate(table):
+                for j, count in enumerate(row.counts):
+                    if n + j not in built:
+                        built[n + j] = [p.coords for p in
+                                        enumerate_jet_points(X, n + j, q, budget=300)]
+                    assert count == len({tuple(c[:n + 1] for c in coords)
+                                         for coords in built[n + j]})
+            for m, coords in built.items():
+                assert enumerate_jets(X, m, q, budget=3000) == len(coords)
+        except BudgetExceeded:
+            assume(False)
+
+    def test_closed_nodes_are_not_expanded(self):
+        # a level-s jet of y^2 - x^3 at q = 5 is open when grad f = 0 mod
+        # t^(s+1) and f = 0 mod t^(2s+2), i.e. ord y >= s + 1 and
+        # ord x >= 2(s + 1) / 3: q^floor((s+1)/3) jets, all over the origin
+        tree = jets._Tree(jets._Lifter(CUSP, 5, budget=10 ** 6), 6, 4)
+        assert [len(level) for level in tree.reach] == \
+            [5 ** ((s + 1) // 3) for s in range(7)]
 
 
 def plane_points(X, q):

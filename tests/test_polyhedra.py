@@ -26,6 +26,12 @@ class TestNewtonPolyhedron:
             with pytest.raises(TypeError):
                 NewtonPolyhedron(len(gens[0]), gens)
 
+    def test_boolean_generators_raise(self):
+        # True is an int to operator.index, but not the exponent 1
+        for gens in ([[True, 2]], [[2, False]]):
+            with pytest.raises(TypeError):
+                NewtonPolyhedron(2, gens)
+
     def test_dominated_generators_removed(self):
         delta = NewtonPolyhedron(2, [(1, 1), (2, 3)])
         assert delta.minimal_generators() == ((1, 1),)

@@ -199,6 +199,14 @@ class TestRatFunc:
             with pytest.raises(TypeError):
                 make()
 
+    def test_booleans_raise(self):
+        for make in (lambda: RatFunc(1, {(True,): 1}),
+                     lambda: RatFunc(1, {(0,): True}),
+                     lambda: RatFunc(1, {(0,): False}),
+                     lambda: RatFunc(1, {(0,): 1}, [(True,)])):
+            with pytest.raises(TypeError):
+                make()
+
 
 class TestImage:
     def test_sum_map(self):
