@@ -29,11 +29,13 @@ Over an open jet the search stops halfway.  Over a level-s jet x,
 f(x + delta) = f(x) + J(x(t)) delta mod t^(2s+2) for every delta of order
 > s, so the level-n extensions of x, for n <= 2s + 1, are the solutions of
 one linear system over F_q, J(x(t)) a(t) = -f(x(t)) t^-(s+1) mod t^(n-s),
-which `_Lifter.lift` solves without building a jet.  Counting level-n jets
-searches to level n // 2; deciding whether a jet lifts to level n searches
-to level n // 2 below it.  Truncation images, their stabilization in the
-lifting depth, and three-valued evaluation of ord/angular-component
-conditions are built on top of the enumerator.
+which `_Lifter.lift` solves without building a jet.  A child z + a t^s of
+an open jet z of one equation gets the two coefficients that decide its
+scan from one Taylor step of f at z, in O(N^2) (see `_Lifter`).  Counting
+level-n jets searches to level n // 2; deciding whether a jet lifts to
+level n searches to level n // 2 below it.  Truncation images, their
+stabilization in the lifting depth, and three-valued evaluation of
+ord/angular-component conditions are built on top of the enumerator.
 
 A jet extends to level m exactly when one of its children does, so a table
 for n = 0..n_max searches only its open level-n_max jets and each row reads
@@ -116,14 +118,16 @@ def _check_q(q: int) -> None:
         raise ValidationError(f"q must be a prime <= 97, got {q}")
 
 
-def _poly_derivative(p: Poly, v: int) -> Poly:
+def _poly_derivative(p: Poly, v: int, k: int = 1) -> Poly:
+    """The k-th Hasse derivative in x_v: x_v^m goes to C(m, k) x_v^(m-k).
+    For k = 2 it need not vanish mod 2 where d^2/dx_v^2 does."""
     out: Poly = {}
     for mono, c in p.items():
-        if mono[v]:
+        if mono[v] >= k:
             m = list(mono)
-            m[v] -= 1
+            m[v] -= k
             key = tuple(m)
-            out[key] = out.get(key, 0) + c * mono[v]
+            out[key] = out.get(key, 0) + c * math.comb(mono[v], k)
     return {m: c for m, c in out.items() if c}
 
 
@@ -178,13 +182,17 @@ class _Base:
     node over x0 then solves J a = b by one product E b, in the pivot order
     that reducing [J | b] would take.  `jac0` is J(x0), its entries reduced
     mod q, and `grads` holds the gradient at x0 of each carried series.
+    Where one equation f has J(x0) = 0, `second` holds the Hessian H of f
+    at x0 and the Hasse second derivatives D_u f(x0): the quadratic part
+    of f(x0 + a) is Q(a) = sum_u D_u a_u^2 + sum_{u<v} H_uv a_u a_v.
     """
 
-    __slots__ = ("q", "n_vars", "jac0", "pivot_rows", "check_rows",
-                 "pivots", "basis", "free", "smooth", "grads", "_kernel")
+    __slots__ = ("q", "n_vars", "jac0", "pivot_rows", "check_rows", "pivots",
+                 "basis", "free", "smooth", "grads", "second", "_kernel", "_taylor")
 
     def __init__(self, rows: List[List[int]], n_vars: int, q: int,
-                 grads: List[List[int]]):
+                 grads: List[List[int]],
+                 second: Optional[Tuple[List[List[int]], List[int]]] = None):
         aug = [[x % q for x in row] + [int(i == k) for k in range(len(rows))]
                for i, row in enumerate(rows)]
         pivots: List[int] = []
@@ -221,7 +229,9 @@ class _Base:
         # q^free children at every level
         self.smooth = r == len(rows)
         self.grads = grads
+        self.second = second
         self._kernel: Optional[List[List[int]]] = None
+        self._taylor: Optional[List[Tuple[int, List[int]]]] = None
 
     def consistent(self, rhs: List[int]) -> bool:
         return not any(sum(map(mul, row, rhs)) % self.q for row in self.check_rows)
@@ -246,6 +256,20 @@ class _Base:
                         vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
                 self._kernel.append(vec + [sum(map(mul, g, vec)) for g in self.grads])
         return self._kernel
+
+    def taylor(self) -> List[Tuple[int, List[int]]]:
+        """(Q(a), H a) mod q for each vector a of `kernel`, in its order;
+        only over a point with `second`, where the kernel is all of F_q^N."""
+        q, n = self.q, self.n_vars
+        if self._taylor is None:
+            hess, hasse = self.second
+            self._taylor = []
+            for vec in self.kernel():
+                a = vec[:n]
+                quad = sum(a[u] * (hasse[u] * a[u] + sum(map(mul, hess[u][u + 1:], a[u + 1:])))
+                           for u in range(n))
+                self._taylor.append((quad % q, [sum(map(mul, row, a)) % q for row in hess]))
+        return self._taylor
 
 
 def _solve_toeplitz(jac: List[List[List[int]]], fs: List[List[int]], n_vars: int,
@@ -277,8 +301,11 @@ def _solve_toeplitz(jac: List[List[List[int]]], fs: List[List[int]], n_vars: int
 
 
 # A node of the jet tree: its N coordinate series followed by the series of
-# the carried monomials, and the reduction at its level-0 point.
-Node = Tuple[Tuple[Tuple[int, ...], ...], _Base]
+# the carried monomials, the reduction at its level-0 point, and, if it is a
+# level-s child of an open node of one equation, its record: its k* as far
+# as one Taylor step decides it (2s, inf, or 2s + 1 for "at least 2s + 1";
+# see `_Lifter`), else None.
+Node = Tuple[Tuple[Tuple[int, ...], ...], _Base, Optional[float]]
 # A closed node's (s, e, k*): its level, the exponent e and the first level
 # k* it does not extend to (math.inf if none); see `_Lifter.closed`.
 Closed = Tuple[int, int, float]
@@ -300,6 +327,23 @@ class _Lifter:
     Each of `atoms`, the polynomials a condition reads ord and ac of, is
     carried the same way as one more series, a child adding grad f(x0) . a
     to the part its nonlinear monomials give, so `ord_ac` reads it off a node.
+
+    For one equation f, `closed` and `lift` read one scan of the
+    coefficients of grad f(x(t)) and f(x(t)).  A child y = z + a t^s of an
+    open level-(s-1) node z mostly goes without one.  grad f(z(t)) = 0
+    mod t^s and f(z(t)) = 0 mod t^(2s), so by the Taylor step
+        f(y) = f(z) + t^s grad f(z) . a + t^(2s) Q(a)  mod t^(3s),
+        grad f(y) = grad f(z) + t^s H(x0) a  mod t^(2s),
+    with H the Hessian and Q the quadratic part of f(x0 + a), the scan of y
+    finds nothing below [f(y)]_2s and [grad f(y)]_s, and these are
+        [f(y)]_2s = [f(z)]_2s + [grad f(z)]_s . a + Q(a),
+        [grad f(y)]_s = [grad f(z)]_s + H(x0) a.
+    Where the first is nonzero, y has e = s and k* = 2s; else, where the
+    second is, e = s and k* = inf; else y is open or has k* = 2s + 1.
+    `children` keeps this k* (2s + 1 in the last case) as the child's
+    record, and only a child with 2s + 1 is scanned from its series
+    (`_newton`).  A child answered from its record is charged its unit
+    when it is asked.
     """
 
     def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None,
@@ -313,6 +357,13 @@ class _Lifter:
         self.polys = [p for p in self.polys if p]
         self.jacobian = [[_poly_derivative(p, v) for v in range(X.N)]
                          for p in self.polys]
+        # one equation: its Hessian and Hasse second derivatives, which
+        # `level0` evaluates where J(x0) = 0
+        self.second = None
+        if len(self.polys) == 1:
+            self.second = ([[_poly_derivative(d, v) for v in range(X.N)]
+                            for d in self.jacobian[0]],
+                           [_poly_derivative(self.polys[0], u, 2) for u in range(X.N)])
         # chain[k] = (m, v, ref): monomial m of degree >= 2 is x_v times the
         # coordinate ref < N or the monomial chain[ref - N]; in _residual the
         # coefficient t^s of coordinate v sits at top[v], of chain[k] at
@@ -354,15 +405,34 @@ class _Lifter:
         self.carried = monos + [X.N + len(chain) + i for i in range(len(atoms))]
         self.atoms = {f: X.N + len(monos) + i for i, f in enumerate(atoms)}
         self.carried_polys = [{chain[ref - X.N][0]: 1} for ref in monos] + list(map(dict, atoms))
+        self.carried_grads = [[_poly_derivative(p, v) for v in range(X.N)]
+                              for p in self.carried_polys]
         self.derivs = [[[(c, where[k]) for c, k in col] for col in row]
                        for row in derivs]
-        self._memo: Optional[Tuple[Node, List[int], List[int]]] = None
+        # grad f over the chain's coefficients t^s, for `children`'s records
+        self.top_derivs = derivs[0] if len(self.polys) == 1 else None
+        # the node last charged, its `_residual` and `_f_coeffs` once
+        # computed, and whether its whole scan found it open
+        self._node: Optional[Node] = None
+        self._state: Optional[Tuple[List[int], List[int]]] = None
+        self._high: Optional[List[Optional[List[int]]]] = None
+        self._open = False
 
-    def _charge(self) -> None:
+    def _charge(self, node: Optional[Node] = None) -> None:
+        """One budget unit for node, or for a point of the level-0 scan."""
         self.expansions += 1
         if self.expansions > self.budget:
+            where = ("scanning level-0 points" if node is None
+                     else f"expanding a level-{len(node[0][0]) - 1} jet")
             raise BudgetExceeded(
-                f"jet enumeration exceeded the budget of {self.budget} node expansions")
+                f"jet enumeration exceeded the budget of {self.budget} node expansions:"
+                f" all {self.budget} units used, stopped while {where}")
+
+    def _enter(self, node: Node) -> None:
+        """Charge node its one budget unit, unless it was the last one charged."""
+        if node is not self._node:
+            self._charge(node)
+            self._node, self._state, self._high, self._open = node, None, None, False
 
     def level0(self) -> List[Node]:
         q = self.q
@@ -372,12 +442,17 @@ class _Lifter:
             if all(_poly_eval_point(p, point, q) == 0 for p in self.polys):
                 rows = [[_poly_eval_point(dp, point, q) for dp in row]
                         for row in self.jacobian]
-                grads = [[_poly_eval_point(_poly_derivative(p, v), point, q)
-                          for v in range(self.X.N)] for p in self.carried_polys]
+                grads = [[_poly_eval_point(dp, point, q) for dp in row]
+                         for row in self.carried_grads]
+                second = None
+                if self.second is not None and not any(rows[0]):
+                    hess, hasse = self.second
+                    second = ([[_poly_eval_point(p, point, q) for p in row] for row in hess],
+                              [_poly_eval_point(p, point, q) for p in hasse])
                 out.append((tuple((x,) for x in point) +
                             tuple((_poly_eval_point(p, point, q),)
                                   for p in self.carried_polys),
-                            _Base(rows, self.X.N, q, grads)))
+                            _Base(rows, self.X.N, q, grads, second), None))
         return out
 
     def _residual(self, node: Node) -> Tuple[List[int], List[int]]:
@@ -386,19 +461,18 @@ class _Lifter:
         of the monomials in the chain, all taken with a_s = 0.  It costs the
         node's one budget unit; asked again for the node it last expanded,
         it answers from memory."""
-        if self._memo is not None and self._memo[0] is node:
-            return self._memo[1], self._memo[2]
-        self._charge()
-        q = self.q
-        series = node[0]
-        top = [0] * self.X.N
-        for v, ref, at in self.steps:
-            x = series[v]
-            top.append((x[0] * top[ref]
-                        + sum(map(mul, x[1:], series[at][:0:-1]))) % q)
-        rhs = [-sum(c * top[k] for c, k in terms) % q for terms in self.terms]
-        self._memo = (node, rhs, top)
-        return rhs, top
+        self._enter(node)
+        if self._state is None:
+            q = self.q
+            series = node[0]
+            top = [0] * self.X.N
+            for v, ref, at in self.steps:
+                x = series[v]
+                top.append((x[0] * top[ref]
+                            + sum(map(mul, x[1:], series[at][:0:-1]))) % q)
+            rhs = [-sum(c * top[k] for c, k in terms) % q for terms in self.terms]
+            self._state = rhs, top
+        return self._state
 
     def closed(self, node: Node) -> Optional[Closed]:
         """(s, e, k*) if the subtree over the level-s node has a closed
@@ -419,7 +493,7 @@ class _Lifter:
             return s, 0, math.inf
         if len(self.polys) != 1:
             return None
-        found = self._newton(node, s + 1)
+        found = self._scan(node, s + 1)
         return None if found is None else (s,) + found
 
     def closed_dim(self, info: Closed, n: int, j: int) -> Optional[int]:
@@ -437,21 +511,40 @@ class _Lifter:
         dim = self.closed_dim(info, n, j)
         return 0 if dim is None else self.q ** dim
 
+    def _scan(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
+        """The answer of `_newton`, read off the node's record k where it
+        has one (see `_Lifter`): a width below s finds nothing, width s
+        finds only k = 2s, and width s + 1 finds k unless k = 2s + 1, which
+        leaves the scan to `_newton`."""
+        k = node[2]
+        if k is None:
+            return self._newton(node, width)
+        self._enter(node)
+        s = len(node[0][0]) - 1
+        if width < s or width == s and k > 2 * s:
+            return None
+        return self._newton(node, width) if k == 2 * s + 1 else (s, k)
+
     def _newton(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
-        """The scan of `closed` over d < width <= s + 1, as (e, k*); None
-        if it finds nothing.  J(x(t)) is read off the carried series of the
-        derivative monomials, and [f(x)]_l, l > s + 1, from the chain: a
-        chain monomial x_v * r gets its coefficient l from those of r."""
-        series, base = node
+        """The scan of `closed` over d < width <= s + 1 from the node's own
+        series, as (e, k*); None if it finds nothing.  J(x(t)) is read off
+        the carried series of the derivative monomials, and [f(x)]_l,
+        l > s + 1, from the chain: a chain monomial x_v * r gets its
+        coefficient l from those of r.  It serves the nodes without a record
+        and the records on which both coefficients vanish.  A node whose
+        whole scan finds nothing is open, and its children get records."""
+        series, base, _ = node
         rhs, top = self._residual(node)
+        if self._open:
+            return None
         s = len(series[0]) - 1
-        # coefficients s + 1, s + 2, ... of each chain monomial
-        high = [[c] if k >= self.X.N else None for k, c in enumerate(top)]
         for d in range(width):
             if any(base.jac0[0] if d == 0 else self._jacobian_coeffs(series, d)[0]):
                 return d, math.inf
-            if rhs[0] if d == 0 else self._f_coeffs(series, high, d)[0]:
+            if rhs[0] if d == 0 else self._f_coeffs(series, d)[0]:
                 return d + 1, s + 1 + d
+        if width == s + 1:
+            self._open = True
         return None
 
     def lift(self, node: Node, n: int) -> Tuple[int, int]:
@@ -471,7 +564,7 @@ class _Lifter:
         equations are row-reduced by `_solve_toeplitz`.  One budget unit per
         node.
         """
-        series, base = node
+        series, base, _ = node
         length = len(series[0])
         if n < length:
             return n, 0
@@ -479,7 +572,7 @@ class _Lifter:
         if base.smooth:
             return n, self.closed_dim((s, 0, math.inf), n, 0)
         if len(self.polys) == 1:
-            e, k = self._newton(node, min(n - s, s + 1)) or (n - s, math.inf)
+            e, k = self._scan(node, min(n - s, s + 1)) or (n - s, math.inf)
             m = min(n, k - 1)
             return m, self.closed_dim((s, e, k), m, 0)
         rhs, top = self._residual(node)
@@ -489,15 +582,13 @@ class _Lifter:
             return n, base.free
         N = self.X.N
         width = n - s
-        # coefficients length, length + 1, ... of each chain monomial
-        high = [[c] if k >= N else None for k, c in enumerate(top)]
         jac = [[[c] for c in row] for row in base.jac0]
         fs = [[-b % self.q] for b in rhs]
         for d in range(1, width):
             for row, coeffs in zip(jac, self._jacobian_coeffs(series, d)):
                 for col, c in zip(row, coeffs):
                     col.append(c)
-            for f, c in zip(fs, self._f_coeffs(series, high, d)):
+            for f, c in zip(fs, self._f_coeffs(series, d)):
                 f.append(c)
         w, dim = _solve_toeplitz(jac, fs, N, width, self.q)
         return length - 1 + w, dim
@@ -509,19 +600,24 @@ class _Lifter:
         return [[sum(c * series[at][d] for c, at in col) % q for col in row]
                 for row in self.derivs]
 
-    def _f_coeffs(self, series, high: List[Optional[List[int]]],
-                  d: int) -> List[int]:
-        """Coefficient t^(length + d) of each f_i(x(t)), d = 1, 2, ... in
-        turn, with the coefficients of the node's x from length on zero;
-        each chain monomial's coefficient is appended to its list in high."""
-        q = self.q
+    def _f_coeffs(self, series, d: int) -> List[int]:
+        """Coefficient t^(length + d) of each f_i(x(t)) over the node last
+        charged, for d = 1, 2, ... in turn, with the coefficients of the
+        node's x from length on zero.  `_high` keeps each chain monomial's
+        coefficients length, length + 1, ..., a level appended the first
+        time it is asked."""
+        q, N = self.q, self.X.N
+        if self._high is None:
+            self._high = [[c] if k >= N else None for k, c in enumerate(self._state[1])]
+        high = self._high
         length = len(series[0])
-        for k, (v, ref, at) in enumerate(self.steps, self.X.N):
-            x = series[v]
-            h = sum(map(mul, x[d + 1:], series[at][length - 1:d:-1]))
-            if ref >= self.X.N:
-                h += sum(map(mul, x, high[ref][::-1]))
-            high[k].append(h % q)
+        if self.steps and len(high[N]) == d:
+            for k, (v, ref, at) in enumerate(self.steps, N):
+                x = series[v]
+                h = sum(map(mul, x[d + 1:], series[at][length - 1:d:-1]))
+                if ref >= N:
+                    h += sum(map(mul, x, high[ref][::-1]))
+                high[k].append(h % q)
         return [sum(c * high[k][d] for c, k in terms) % q for terms in self.terms]
 
     def ord_ac(self, f: FrozenPoly, series) -> Tuple[Optional[int], Optional[int]]:
@@ -529,19 +625,31 @@ class _Lifter:
         return _first_nonzero(series[self.atoms[f]])
 
     def children(self, node: Node) -> List[Node]:
-        """All one-level extensions of a solution jet."""
+        """All one-level extensions of a solution jet.  The children of an
+        open node z of length s get their records (see `_Lifter`), with
+        [f(z)]_2s one more level of z's scan and [grad f(z)]_s read off
+        the chain's coefficients t^s."""
         q = self.q
-        series, base = node
+        series, base, _ = node
         rhs, top = self._residual(node)
         if not base.consistent(rhs):
             return []
+        records: Iterable[Optional[float]] = itertools.repeat(None)
+        if self._open:
+            s = len(series[0])
+            f2s = self._f_coeffs(series, s)[0]
+            g = [sum(c * top[k] for c, k in col) % q for col in self.top_derivs]
+            records = [2 * s if (f2s + sum(map(mul, g, a)) + quad) % q
+                       else math.inf if any((x + y) % q for x, y in zip(g, ha))
+                       else 2 * s + 1
+                       for a, (quad, ha) in zip(base.kernel(), base.taylor())]
         particular = base.particular(rhs)
         top = top + [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
         start = particular + [top[ref] + sum(map(mul, g, particular))
                               for ref, g in zip(self.carried, base.grads)]
         return [(tuple([c + ((a + d) % q,) for c, a, d in zip(series, start, delta)]),
-                 base)
-                for delta in base.kernel()]
+                 base, record)
+                for delta, record in zip(base.kernel(), records)]
 
     def walk(self, node: Node, depth: int,
              prune: bool = True) -> Iterator[Tuple[Node, Optional[Closed]]]:
@@ -1012,7 +1120,8 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
     tree = _Tree(lifter, n, j_max)
     res, survivors = tree.row(n)
     if not res.stable:
-        raise Unstable(f"image counts did not stabilize within j_max={j_max}")
+        raise Unstable(
+            f"image counts did not stabilize within j_max={j_max}: {res.counts}")
     counts = {True: 0, UNKNOWN: 0, False: 0}
 
     def tally(nodes) -> None:

@@ -155,6 +155,11 @@ class TestGreenberg:
         with pytest.raises(Unstable):
             greenberg_estimate(NODE, 3, 2, 0)
 
+    def test_semialg_unstable_lists_counts(self):
+        cond = parse_semialg("(ordmod {x} 2 0)", ("x", "y"))
+        with pytest.raises(Unstable, match=r"within j_max=0: \[6, 4, 3\]$"):
+            count_semialg(CUSP, cond, 1, 2, j_max=0)
+
 
 class TestTables:
     def test_poincare_line(self):
@@ -404,6 +409,16 @@ class TestClosedSubtrees:
         except BudgetExceeded:
             assume(False)
 
+    @pytest.mark.parametrize("n_max, units", [(6, 1_076), (8, 2_326)])
+    def test_cusp_table_budget(self, n_max, units):
+        # one unit per node asked, whether its scan is read off its record
+        # or computed from its series
+        lifter = jets._Lifter(CUSP, 5, budget=10 ** 6)
+        tree = jets._Tree(lifter, n_max, 4)
+        for n in range(n_max, -1, -1):
+            tree.row(n)
+        assert lifter.expansions == units
+
     def test_closed_nodes_are_not_expanded(self):
         # a level-s jet of y^2 - x^3 at q = 5 is open when grad f = 0 mod
         # t^(s+1) and f = 0 mod t^(2s+2), i.e. ord y >= s + 1 and
@@ -411,6 +426,57 @@ class TestClosedSubtrees:
         tree = jets._Tree(jets._Lifter(CUSP, 5, budget=10 ** 6), 6, 4)
         assert [len(level) for level in tree.reach] == \
             [5 ** ((s + 1) // 3) for s in range(7)]
+
+
+@st.composite
+def singular_at_origin(draw):
+    """One random equation in two or three variables with no terms of
+    degree below 2, so that the origin is a singular point."""
+    n_vars = draw(st.sampled_from([2, 3]), label="N")
+    monomials = [m for m in itertools.product(range(5), repeat=n_vars)
+                 if 2 <= sum(m) <= 4]
+    poly = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-2, 2),
+                                min_size=1, max_size=4), label="f")
+    return JetVariety(n_vars, [poly], n_vars - 1)
+
+
+class TestTaylorRecords:
+    # y^2 - x^3 at q = 2, where d^2f/dy^2 = 2 vanishes but the Hasse
+    # derivative D_y f = 1 puts a_y^2 in Q; x*y^2 at q = 3, where an open
+    # jet z = (x1 t, y1 t) has [grad f(z)]_2 = (y1^2, 0) != 0; and x^4,
+    # whose jets over x = 0 are open at every level
+    @settings(max_examples=60, deadline=None)
+    @example(X=CUSP, q=2, depth=2)
+    @example(X=variety(["x*y^2"], 1, ("x", "y")), q=3, depth=2)
+    @example(X=variety(["x^4"], 1, ("x", "y")), q=2, depth=3)
+    @given(X=st.one_of(one_equation(), singular_at_origin()),
+           q=st.sampled_from([2, 3, 5]), depth=st.integers(0, 2))
+    def test_record_equals_scan(self, X, q, depth):
+        # every child y of an open jet answers closed and lift, n = s..2s+1,
+        # from its record within one unit, as the scan of its bare series does
+        lifter = jets._Lifter(X, q, budget=20_000)
+        try:
+            stack = lifter.level0()
+            while stack:
+                z = stack.pop()
+                if lifter.closed(z) is not None:
+                    continue
+                children = lifter.children(z)
+                for y in children:
+                    assert y[2] is not None
+                    s = len(y[0][0]) - 1
+                    bare = y[:2] + (None,)
+                    answers = []
+                    for node in (y, bare):
+                        before = lifter.expansions
+                        answers.append([lifter.closed(node)] +
+                                       [lifter.lift(node, n) for n in range(s, 2 * s + 2)])
+                        assert lifter.expansions == before + 1
+                    assert answers[0] == answers[1]
+                if len(z[0][0]) <= depth:
+                    stack += children
+        except BudgetExceeded:
+            assume(False)
 
 
 def plane_points(X, q):

@@ -303,6 +303,20 @@ class TestBudgetEnvVar:
         assert code == 1
         assert "BudgetExceeded" in capsys.readouterr().err
 
+    def test_budget_error_names_units_and_level(self, capsys):
+        # 5 units end inside the 9-point level-0 scan of F_3^2; 300 units
+        # end on a level-4 jet of the cusp table
+        assert main(["jets-count", fx("node.model"), "--q", "3", "--n", "4",
+                     "--budget", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error[BudgetExceeded]: jet enumeration exceeded the budget of 5 node"
+            " expansions: all 5 units used, stopped while scanning level-0 points\n")
+        assert main(["jets-poincare", fx("cusp.model"), "--q", "5", "--n-max", "6",
+                     "--j-max", "4", "--budget", "300"]) == 1
+        assert capsys.readouterr().err == (
+            "error[BudgetExceeded]: jet enumeration exceeded the budget of 300 node"
+            " expansions: all 300 units used, stopped while expanding a level-4 jet\n")
+
     @pytest.mark.parametrize("raw", ["-1", "x"])
     def test_env_budget_must_be_nonnegative(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("MOTIVIC_JETS_BUDGET", raw)
