@@ -41,6 +41,8 @@ A jet extends to level m exactly when one of its children does, so a table
 for n = 0..n_max searches only its open level-n_max jets and each row reads
 its lifting depths off the row below.  Conditions read ord and ac of their
 atom polynomials off the atoms' own series, carried like the monomials of f.
+A condition decided on a jet inside a closed subtree cuts out a cylinder,
+counted in closed form: no jet below it is built.
 """
 from __future__ import annotations
 
@@ -341,9 +343,9 @@ class _Lifter:
     Where the first is nonzero, y has e = s and k* = 2s; else, where the
     second is, e = s and k* = inf; else y is open or has k* = 2s + 1.
     `children` keeps this k* (2s + 1 in the last case) as the child's
-    record, and only a child with 2s + 1 is scanned from its series
-    (`_newton`).  A child answered from its record is charged its unit
-    when it is asked.
+    record.  A child with 2s + 1 reads only [f(y)]_(2s+1) off its series;
+    no child is scanned in full (`_newton`).  A child answered from its
+    record is charged its unit when it is asked.
     """
 
     def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None,
@@ -514,8 +516,9 @@ class _Lifter:
     def _scan(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
         """The answer of `_newton`, read off the node's record k where it
         has one (see `_Lifter`): a width below s finds nothing, width s
-        finds only k = 2s, and width s + 1 finds k unless k = 2s + 1, which
-        leaves the scan to `_newton`."""
+        finds only k = 2s, and width s + 1 finds k unless k = 2s + 1.  Then
+        it reads the one coefficient [f]_(2s+1) that the record leaves: the
+        node is (s + 1, 2s + 1) where it is nonzero, else open."""
         k = node[2]
         if k is None:
             return self._newton(node, width)
@@ -523,16 +526,25 @@ class _Lifter:
         s = len(node[0][0]) - 1
         if width < s or width == s and k > 2 * s:
             return None
-        return self._newton(node, width) if k == 2 * s + 1 else (s, k)
+        if k != 2 * s + 1:
+            return s, k
+        # [grad f]_d = 0 for d <= s and [f]_l = 0 for l <= 2s: only
+        # [f]_(2s+1), level s of `_f_coeffs` (built in order), is left
+        if not self._open:
+            self._residual(node)
+            if [self._f_coeffs(node[0], d)[0] for d in range(1, s + 1)][-1]:
+                return s + 1, 2 * s + 1
+            self._open = True
+        return None
 
     def _newton(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
         """The scan of `closed` over d < width <= s + 1 from the node's own
         series, as (e, k*); None if it finds nothing.  J(x(t)) is read off
         the carried series of the derivative monomials, and [f(x)]_l,
         l > s + 1, from the chain: a chain monomial x_v * r gets its
-        coefficient l from those of r.  It serves the nodes without a record
-        and the records on which both coefficients vanish.  A node whose
-        whole scan finds nothing is open, and its children get records."""
+        coefficient l from those of r.  It serves the nodes without a
+        record.  A node whose whole scan finds nothing is open, and its
+        children get records."""
         series, base, _ = node
         rhs, top = self._residual(node)
         if self._open:
@@ -1107,12 +1119,15 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
                   budget: Optional[int] = None) -> Tuple[int, int]:
     """(definitely_true, unknown) over the stabilized level-n image points.
 
-    The open level-n jets that survive come from the table's row n.  Over a
-    closed jet (s, e, k*), every level-n jet survives to depth j* when the
-    closed form at j* equals the one at depth 0 (e = 0, for one); those
-    jets are streamed from it, and otherwise each one is asked for its own
-    k*.  The jets carry the series of each atom polynomial, so ord and ac
-    of an atom on a jet are read off its series."""
+    The open level-n jets that survive come from the table's row n.  Under
+    each closed jet with survivors, a depth-first walk evaluates the
+    condition on each jet x at its own level s.  That is monotone: an
+    undetermined ord lies in [s+1, inf], and a longer jet only narrows it.
+    So x, once decided, adds its closed count at depth j* to its value and
+    is not expanded.  A level-n jet counts if it survives to depth j*:
+    every one when the closed form at j* equals the one at depth 0 (e = 0,
+    for one), else each by its own k*.  Ord and ac of an atom are read
+    off the series that each jet carries."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     polys = _atom_polys(c)
@@ -1124,20 +1139,27 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
             f"image counts did not stabilize within j_max={j_max}: {res.counts}")
     counts = {True: 0, UNKNOWN: 0, False: 0}
 
-    def tally(nodes) -> None:
-        for node in nodes:
-            found = {f: lifter.ord_ac(f, node[0]) for f in polys}
-            counts[_eval_semialg(c, found, n, q, params)] += 1
+    def value(node, s: int):
+        return _eval_semialg(c, {f: lifter.ord_ac(f, node[0]) for f in polys}, s, q, params)
 
     depth = n + res.j_star
-    for node, info in tree.closed:
+    for top, info in tree.closed:
         some = lifter.closed_dim(info, n, res.j_star)
         if some is None:
             continue
-        below = lifter.descendants(node, n - info[0])
-        if some == lifter.closed_dim(info, n, 0):
-            tally(below)
-        else:
-            tally(jet for jet in below if depth < lifter.closed(jet)[2])
-    tally(tree.leaves[i] for i in survivors)
+        every = some == lifter.closed_dim(info, n, 0)
+        # (node, its `closed` answer if already known), depth first
+        stack = [(top, info)]
+        while stack:
+            node, known = stack.pop()
+            s = len(node[0][0]) - 1
+            v = value(node, s)
+            if s == n:
+                counts[v] += every or depth < (known or lifter.closed(node))[2]
+            elif v is not UNKNOWN:
+                counts[v] += lifter.closed_count(known or lifter.closed(node), n, res.j_star)
+            else:
+                stack += [(child, None) for child in lifter.children(node)[::-1]]
+    for i in survivors:
+        counts[value(tree.leaves[i], n)] += 1
     return counts[True], counts[UNKNOWN]

@@ -620,23 +620,55 @@ class TestSemialg:
 
 
 PLANE_ATOMS = ["x", "y", "x - 1", "1", "x*y + x^3", "y^2 - x", "x + y + 1"]
+SPACE_ATOMS = PLANE_ATOMS + ["z", "x*z - y^2", "z^2 + y"]
 
 
 @st.composite
-def plane_conditions(draw, depth=0):
-    """A condition tree over ord>=, ord=, ordmod and ac= atoms in x, y."""
+def plane_conditions(draw, depth=0, names=("x", "y"), params=()):
+    """A condition tree over ord>=, ord=, ordmod and ac= atoms in x, y (and
+    z, if named); with params, an ord offset may be its first parameter
+    plus a constant."""
     if depth < 2 and draw(st.booleans()):
-        kids = tuple(draw(plane_conditions(depth + 1)) for _ in range(2))
+        kids = tuple(draw(plane_conditions(depth + 1, names, params)) for _ in range(2))
         return draw(st.sampled_from([And, Or]))(kids)
     kind = draw(st.sampled_from(["ord>=", "ord=", "ordmod", "ac="]))
-    f, g = (f"{{{draw(st.sampled_from(PLANE_ATOMS))}}}" for _ in range(2))
+    atoms = SPACE_ATOMS if "z" in names else PLANE_ATOMS
+    f, g = (f"{{{draw(st.sampled_from(atoms))}}}" for _ in range(2))
     if kind == "ordmod":
         text = f"(ordmod {f} {draw(st.integers(1, 3))} {draw(st.integers(0, 2))})"
     elif kind == "ac=":
         text = f"(ac= {{a1*a2 - {draw(st.integers(0, 2))}}} {f} {g})"
     else:
-        text = f"({kind} {f} {g} {draw(st.integers(-1, 2))})"
-    return parse_semialg(text, ("x", "y"))
+        off = draw(st.integers(-1, 2))
+        if params and draw(st.booleans()):
+            off = f"{{{params[0]} + {off + 1}}}"
+        text = f"({kind} {f} {g} {off})"
+    return parse_semialg(text, names, params)
+
+
+def scratch_tally(X, c, n, q, j_star):
+    """(definitely_true, unknown) over the level-n jets that extend to level
+    n + j_star, each jet built and asked on its own and the condition
+    evaluated on it from scratch."""
+    lifter = jets._Lifter(X, q, budget=10 ** 5)
+    tally = {True: 0, UNKNOWN: 0, False: 0}
+    for root in lifter.level0():
+        for node in lifter.descendants(root, n):
+            if lifter.can_extend(node, n + j_star) is not None:
+                point = JetPoint(q=q, n=n, coords=node[0][:X.N])
+                tally[eval_semialg(c, point)] += 1
+    return tally[True], tally[UNKNOWN]
+
+
+XYZ = ("x", "y", "z")
+
+
+@st.composite
+def space_varieties(draw):
+    """One or two random equations in x, y, z."""
+    polys = [draw(random_poly(3), label=f"f{i}")
+             for i in range(draw(st.sampled_from([1, 2]), label="r"))]
+    return JetVariety(3, polys, 3 - len(polys), XYZ)
 
 
 class TestCarriedAtoms:
@@ -651,15 +683,66 @@ class TestCarriedAtoms:
             res = stabilized_count(X, n, q, j_max, budget=5000)
             assume(res.stable)
             got = count_semialg(X, c, n, q, j_max=j_max, budget=5000)
-            # the same survivors, found jet by jet, and evaluated on each
-            # jet from scratch
-            lifter = jets._Lifter(X, q, budget=10 ** 5)
-            tally = {True: 0, UNKNOWN: 0, False: 0}
-            for root in lifter.level0():
-                for node in lifter.descendants(root, n):
-                    if lifter.can_extend(node, n + res.j_star) is not None:
-                        point = JetPoint(q=q, n=n, coords=node[0][:2])
-                        tally[eval_semialg(c, point)] += 1
+            assert got == scratch_tally(X, c, n, q, res.j_star)
         except BudgetExceeded:
             assume(False)
-        assert got == (tally[True], tally[UNKNOWN])
+
+    # x*y in three variables, whose closed jets over the line x = y = 0
+    # have e = 1 and lose extensions with the lifting depth, so each of
+    # their level-n jets is asked for its own k*; and a space curve, where
+    # only full-rank points are closed and the open survivors are counted
+    @settings(max_examples=30, deadline=None)
+    @example(X=variety(["x*y"], 2, XYZ), c=parse_semialg("(ord<= {x} {1} 2)", XYZ),
+             q=2, n=2, j_max=2, split=True)
+    @example(X=variety(["x*y", "z - x^2"], 1, XYZ),
+             c=parse_semialg("(or (ord>= {y} {1} 1) (ac= {a1*a2 - 1} {x} {z}))", XYZ),
+             q=3, n=2, j_max=2, split=False)
+    @given(X=space_varieties(), c=plane_conditions(names=XYZ), q=st.sampled_from([2, 3]),
+           n=st.integers(0, 2), j_max=st.integers(0, 3), split=st.just(False))
+    def test_carried_equals_from_scratch_in_space(self, X, c, q, n, j_max, split):
+        try:
+            lifter = jets._Lifter(X, q, budget=5000)
+            tree = jets._Tree(lifter, n, j_max)
+            res, _ = tree.row(n)
+            assume(res.stable)
+            # some closed jet has fewer survivors at depth j* than jets
+            assert split <= any(
+                lifter.closed_dim(info, n, res.j_star) not in
+                (None, lifter.closed_dim(info, n, 0)) for _, info in tree.closed)
+            got = count_semialg(X, c, n, q, j_max=j_max, budget=5000)
+            assert got == scratch_tally(X, c, n, q, res.j_star)
+        except BudgetExceeded:
+            assume(False)
+
+    def test_decided_subtrees_are_not_built(self, monkeypatch):
+        # ord x mod 2 on A^1 is decided on every jet with x != 0: at q = 5,
+        # n = 6 the walk expands only the zero jet at levels 0..5, six units
+        # besides the five of the level-0 scan, not the 5^7 level-6 jets
+        lifters = []
+        original = jets._Lifter.__init__
+        monkeypatch.setattr(jets._Lifter, "__init__",
+                            lambda self, *args: lifters.append(self) or original(self, *args))
+        assert count_semialg(A1, ord_mod(X1, 2, 0), 6, 5, budget=11) == (65104, 1)
+        assert lifters[0].expansions == 11
+
+
+class TestMonotone:
+    @settings(max_examples=150, deadline=None)
+    @given(c=plane_conditions(params=("l",)), q=st.sampled_from([2, 3]), data=st.data())
+    def test_decided_truncation_agrees(self, c, q, data):
+        # Kleene logic: an undetermined ord lies in [s+1, inf] and a longer
+        # jet only narrows it, so a value decided on the level-s truncation
+        # is the value on the level-n jet
+        n = data.draw(st.integers(0, 4), label="n")
+        coords = []
+        for _ in range(2):
+            # leading zeros first, so that ords often stay undetermined
+            zeros = data.draw(st.integers(0, n + 1), label="zeros")
+            rest = data.draw(st.lists(st.integers(0, q - 1), min_size=n + 1 - zeros,
+                                      max_size=n + 1 - zeros), label="rest")
+            coords.append((0,) * zeros + tuple(rest))
+        params = (data.draw(st.integers(-1, 3), label="l"),)
+        whole = eval_semialg(c, JetPoint(q, n, tuple(coords)), params)
+        for s in range(n):
+            part = eval_semialg(c, JetPoint(q, s, tuple(x[:s + 1] for x in coords)), params)
+            assert part == UNKNOWN or part == whole

@@ -288,6 +288,13 @@ class TestCliOutputs:
         assert capsys.readouterr().out.strip() == \
             "definitely_true=10 unknown=1"
 
+    def test_semialg_count_decided_subtrees_within_budget(self, capsys):
+        # ord x is decided on each jet with x != 0, so its level-6 jets are
+        # counted in closed form, not built one by one
+        assert main(["semialg-count", fx("a1_cond.model"), "--q", "5",
+                     "--n", "6", "--budget", "20"]) == 0
+        assert capsys.readouterr().out == "definitely_true=65104 unknown=1\n"
+
     def test_outputs_are_deterministic(self, capsys):
         runs = []
         for _ in range(2):
