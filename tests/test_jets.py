@@ -705,7 +705,8 @@ class TestCarriedAtoms:
             tree = jets._Tree(lifter, n, j_max)
             res, _ = tree.row(n)
             assume(res.stable)
-            # some closed jet has fewer survivors at depth j* than jets
+            # on a split example, some closed jet has level-n jets that do
+            # not survive to depth j*
             assert split <= any(
                 lifter.closed_dim(info, n, res.j_star) not in
                 (None, lifter.closed_dim(info, n, 0)) for _, info in tree.closed)
