@@ -29,9 +29,10 @@ Over an open jet the search stops halfway.  Over a level-s jet x,
 f(x + delta) = f(x) + J(x(t)) delta mod t^(2s+2) for every delta of order
 > s, so the level-n extensions of x, for n <= 2s + 1, are the solutions of
 one linear system over F_q, J(x(t)) a(t) = -f(x(t)) t^-(s+1) mod t^(n-s),
-which `_Lifter.lift` solves without building a jet.  A child z + a t^s of
-an open jet z of one equation gets the two coefficients that decide its
-scan from one Taylor step of f at z, in O(N^2) (see `_Lifter`).  Counting
+which `_Lifter.lift` solves without building a jet.  A jet of one
+equation gets the record that decides its scan from its parent: a child
+of a closed jet inherits it, and a child z + a t^s of an open jet z gets
+it from one Taylor step of f at z, in O(N^2) (see `_Lifter`).  Counting
 level-n jets searches to level n // 2; deciding whether a jet lifts to
 level n searches to level n // 2 below it.  Truncation images, their
 stabilization in the lifting depth, and three-valued evaluation of
@@ -302,12 +303,14 @@ def _solve_toeplitz(jac: List[List[List[int]]], fs: List[List[int]], n_vars: int
     return width, n_vars * width - len(pivots)
 
 
+# A level-s node's record (g, k, lo), read for one equation f at a singular
+# point: ord grad f(x(t)) where it is known to be <= s, k* where it is known,
+# and the first level at which f(x(t)) may be nonzero (see `_Lifter`).
+Record = Tuple[Optional[int], Optional[int], int]
+_ROOT: Record = (None, None, 2)  # open; see `_Lifter`
 # A node of the jet tree: its N coordinate series followed by the series of
-# the carried monomials, the reduction at its level-0 point, and, if it is a
-# level-s child of an open node of one equation, its record: its k* as far
-# as one Taylor step decides it (2s, inf, or 2s + 1 for "at least 2s + 1";
-# see `_Lifter`), else None.
-Node = Tuple[Tuple[Tuple[int, ...], ...], _Base, Optional[float]]
+# the carried monomials, the reduction at its level-0 point, and its record.
+Node = Tuple[Tuple[Tuple[int, ...], ...], _Base, Record]
 # A closed node's (s, e, k*): its level, the exponent e and the first level
 # k* it does not extend to (math.inf if none); see `_Lifter.closed`.
 Closed = Tuple[int, int, float]
@@ -330,10 +333,18 @@ class _Lifter:
     carried the same way as one more series, a child adding grad f(x0) . a
     to the part its nonlinear monomials give, so `ord_ac` reads it off a node.
 
-    For one equation f, `closed` and `lift` read one scan of the
-    coefficients of grad f(x(t)) and f(x(t)).  A child y = z + a t^s of an
-    open level-(s-1) node z mostly goes without one.  grad f(z(t)) = 0
-    mod t^s and f(z(t)) = 0 mod t^(2s), so by the Taylor step
+    For one equation f at a singular point, `closed` and `lift` read the
+    scan of grad f(x(t)) and f(x(t)) off the node's record (g, k, lo), which
+    `children` builds once per parent from the parent's answer.  A root is
+    open: J(x0) = 0, and [f]_1 = 0 on a constant jet.  A child y of a
+    closed level-s node x (s, e, k*) inherits.  With finite k*,
+    f(y) = f(x) mod t^(k*+1) and grad f(y) = 0 mod t^(k*-s), so a level-s'
+    descendant is (s', k* - s', k*).  With k* = inf, e <= s, so grad f(y) =
+    grad f(x) mod t^(s+1) keeps the order e, and f(y) = f(x) mod t^(s+e+1):
+    y reads only [f(y)]_(s+1+e).
+    A child y = z + a t^s of an open level-(s-1) node z gets its record
+    from one Taylor step: grad f(z(t)) = 0 mod t^s and f(z(t)) = 0 mod
+    t^(2s), so
         f(y) = f(z) + t^s grad f(z) . a + t^(2s) Q(a)  mod t^(3s),
         grad f(y) = grad f(z) + t^s H(x0) a  mod t^(2s),
     with H the Hessian and Q the quadratic part of f(x0 + a), the scan of y
@@ -341,10 +352,8 @@ class _Lifter:
         [f(y)]_2s = [f(z)]_2s + [grad f(z)]_s . a + Q(a),
         [grad f(y)]_s = [grad f(z)]_s + H(x0) a.
     Where the first is nonzero, y has e = s and k* = 2s; else, where the
-    second is, e = s and k* = inf; else y is open or has k* = 2s + 1.
-    `children` keeps this k* (2s + 1 in the last case) as the child's
-    record.  A child with 2s + 1 reads only [f(y)]_(2s+1) off its series;
-    no child is scanned in full (`_newton`).  A child answered from its
+    second is, e = s and k* = inf; else y reads only [f(y)]_(2s+1) off its
+    series, and is open where it vanishes.  A child answered from its
     record is charged its unit when it is asked.
     """
 
@@ -374,11 +383,16 @@ class _Lifter:
         index = {tuple(int(u == v) for u in range(X.N)): v for v in range(X.N)}
 
         def carry(mono: Tuple[int, ...]) -> int:
-            if mono not in index:
+            # a loop, not a recursion, for monomials of any degree
+            path = []
+            while mono not in index:
                 v = next(v for v, e in enumerate(mono) if e)
-                ref = carry(mono[:v] + (mono[v] - 1,) + mono[v + 1:])
-                index[mono] = X.N + len(chain)
-                chain.append((mono, v, ref))
+                path.append((mono, v))
+                mono = mono[:v] + (mono[v] - 1,) + mono[v + 1:]
+            for longer, v in reversed(path):
+                chain.append((longer, v, index[mono]))
+                index[longer] = X.N + len(chain) - 1
+                mono = longer
             return index[mono]
 
         # constant and linear terms add nothing at t^s once a_s = 0
@@ -413,12 +427,11 @@ class _Lifter:
                        for row in derivs]
         # grad f over the chain's coefficients t^s, for `children`'s records
         self.top_derivs = derivs[0] if len(self.polys) == 1 else None
-        # the node last charged, its `_residual` and `_f_coeffs` once
-        # computed, and whether its whole scan found it open
+        # the node last charged, and its `_residual` and `_f_coeffs` once
+        # computed
         self._node: Optional[Node] = None
         self._state: Optional[Tuple[List[int], List[int]]] = None
         self._high: Optional[List[Optional[List[int]]]] = None
-        self._open = False
 
     def _charge(self, node: Optional[Node] = None) -> None:
         """One budget unit for node, or for a point of the level-0 scan."""
@@ -434,7 +447,7 @@ class _Lifter:
         """Charge node its one budget unit, unless it was the last one charged."""
         if node is not self._node:
             self._charge(node)
-            self._node, self._state, self._high, self._open = node, None, None, False
+            self._node, self._state, self._high = node, None, None
 
     def level0(self) -> List[Node]:
         q = self.q
@@ -454,7 +467,7 @@ class _Lifter:
                 out.append((tuple((x,) for x in point) +
                             tuple((_poly_eval_point(p, point, q),)
                                   for p in self.carried_polys),
-                            _Base(rows, self.X.N, q, grads, second), None))
+                            _Base(rows, self.X.N, q, grads, second), _ROOT))
         return out
 
     def _residual(self, node: Node) -> Tuple[List[int], List[int]]:
@@ -489,13 +502,14 @@ class _Lifter:
         e = d <= s and the coefficients of f(x(t)) on (s, s + e] vanish, so
         k* = inf; in the second, only k* matters.  A node with neither is
         open: grad f(x(t)) = 0 mod t^(s+1) and f(x(t)) = 0 mod t^(2s+2).
+        `_scan` reads this off the node's record.
         """
         s = len(node[0][0]) - 1
         if node[1].smooth:
             return s, 0, math.inf
         if len(self.polys) != 1:
             return None
-        found = self._scan(node, s + 1)
+        found = self._scan(node)
         return None if found is None else (s,) + found
 
     def closed_dim(self, info: Closed, n: int, j: int) -> Optional[int]:
@@ -513,51 +527,24 @@ class _Lifter:
         dim = self.closed_dim(info, n, j)
         return 0 if dim is None else self.q ** dim
 
-    def _scan(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
-        """The answer of `_newton`, read off the node's record k where it
-        has one (see `_Lifter`): a width below s finds nothing, width s
-        finds only k = 2s, and width s + 1 finds k unless k = 2s + 1.  Then
-        it reads the one coefficient [f]_(2s+1) that the record leaves: the
-        node is (s + 1, 2s + 1) where it is nonzero, else open."""
-        k = node[2]
-        if k is None:
-            return self._newton(node, width)
+    def _scan(self, node: Node, last: Optional[int] = None) -> Optional[Tuple[int, float]]:
+        """(e, k*) of a one-equation node at a singular point, read off its
+        record (g, k, lo) (see `_Lifter`); None if the node is open.  Where
+        k is unknown, the first level l in [lo, top] at which f(x(t)) is
+        nonzero gives (l - s, l), with top = s + g, or 2s + 1 if g is
+        unknown; if there is none, the node is (g, inf), or open.  No level
+        above last is read, and None also means that the answer lies above."""
         self._enter(node)
         s = len(node[0][0]) - 1
-        if width < s or width == s and k > 2 * s:
-            return None
-        if k != 2 * s + 1:
-            return s, k
-        # [grad f]_d = 0 for d <= s and [f]_l = 0 for l <= 2s: only
-        # [f]_(2s+1), level s of `_f_coeffs` (built in order), is left
-        if not self._open:
-            self._residual(node)
-            if [self._f_coeffs(node[0], d)[0] for d in range(1, s + 1)][-1]:
-                return s + 1, 2 * s + 1
-            self._open = True
-        return None
-
-    def _newton(self, node: Node, width: int) -> Optional[Tuple[int, float]]:
-        """The scan of `closed` over d < width <= s + 1 from the node's own
-        series, as (e, k*); None if it finds nothing.  J(x(t)) is read off
-        the carried series of the derivative monomials, and [f(x)]_l,
-        l > s + 1, from the chain: a chain monomial x_v * r gets its
-        coefficient l from those of r.  It serves the nodes without a
-        record.  A node whose whole scan finds nothing is open, and its
-        children get records."""
-        series, base, _ = node
-        rhs, top = self._residual(node)
-        if self._open:
-            return None
-        s = len(series[0]) - 1
-        for d in range(width):
-            if any(base.jac0[0] if d == 0 else self._jacobian_coeffs(series, d)[0]):
-                return d, math.inf
-            if rhs[0] if d == 0 else self._f_coeffs(series, d)[0]:
-                return d + 1, s + 1 + d
-        if width == s + 1:
-            self._open = True
-        return None
+        g, k, lo = node[2]
+        if k is None:
+            top = 2 * s + 1 if g is None else s + g
+            end = top if last is None else min(top, last)
+            k = next((l for l in range(lo, end + 1) if self._f_coeffs(node, l - s - 1)[0]),
+                     None)
+            if k is None:
+                return (g, math.inf) if g is not None and end == top else None
+        return k - s, k
 
     def lift(self, node: Node, n: int) -> Tuple[int, int]:
         """(m, dim) for a level-s node and n <= 2s + 1 (any n if the node is
@@ -584,7 +571,7 @@ class _Lifter:
         if base.smooth:
             return n, self.closed_dim((s, 0, math.inf), n, 0)
         if len(self.polys) == 1:
-            e, k = self._scan(node, min(n - s, s + 1)) or (n - s, math.inf)
+            e, k = self._scan(node, n) or (n - s, math.inf)
             m = min(n, k - 1)
             return m, self.closed_dim((s, e, k), m, 0)
         rhs, top = self._residual(node)
@@ -600,7 +587,7 @@ class _Lifter:
             for row, coeffs in zip(jac, self._jacobian_coeffs(series, d)):
                 for col, c in zip(row, coeffs):
                     col.append(c)
-            for f, c in zip(fs, self._f_coeffs(series, d)):
+            for f, c in zip(fs, self._f_coeffs(node, d)):
                 f.append(c)
         w, dim = _solve_toeplitz(jac, fs, N, width, self.q)
         return length - 1 + w, dim
@@ -612,21 +599,23 @@ class _Lifter:
         return [[sum(c * series[at][d] for c, at in col) % q for col in row]
                 for row in self.derivs]
 
-    def _f_coeffs(self, series, d: int) -> List[int]:
+    def _f_coeffs(self, node: Node, d: int) -> List[int]:
         """Coefficient t^(length + d) of each f_i(x(t)) over the node last
-        charged, for d = 1, 2, ... in turn, with the coefficients of the
-        node's x from length on zero.  `_high` keeps each chain monomial's
-        coefficients length, length + 1, ..., a level appended the first
-        time it is asked."""
+        charged, with the coefficients of the node's x from length on zero.
+        `_high` keeps each chain monomial's coefficients length,
+        length + 1, ..., its levels filled in order up to the one asked."""
         q, N = self.q, self.X.N
+        series = node[0]
         if self._high is None:
-            self._high = [[c] if k >= N else None for k, c in enumerate(self._state[1])]
+            self._high = [[c] if k >= N else None
+                          for k, c in enumerate(self._residual(node)[1])]
         high = self._high
         length = len(series[0])
-        if self.steps and len(high[N]) == d:
+        while self.steps and len(high[N]) <= d:
+            level = len(high[N])
             for k, (v, ref, at) in enumerate(self.steps, N):
                 x = series[v]
-                h = sum(map(mul, x[d + 1:], series[at][length - 1:d:-1]))
+                h = sum(map(mul, x[level + 1:], series[at][length - 1:level:-1]))
                 if ref >= N:
                     h += sum(map(mul, x, high[ref][::-1]))
                 high[k].append(h % q)
@@ -637,24 +626,33 @@ class _Lifter:
         return _first_nonzero(series[self.atoms[f]])
 
     def children(self, node: Node) -> List[Node]:
-        """All one-level extensions of a solution jet.  The children of an
-        open node z of length s get their records (see `_Lifter`), with
-        [f(z)]_2s one more level of z's scan and [grad f(z)]_s read off
-        the chain's coefficients t^s."""
+        """All one-level extensions of a solution jet, with their records
+        (see `_Lifter`): one record shared by all, built from the node's own
+        answer, unless the node z of length s is open.  Then each child's
+        comes from a Taylor step, with [f(z)]_2s one more level of z's scan
+        and [grad f(z)]_s read off the chain's coefficients t^s."""
         q = self.q
-        series, base, _ = node
+        series, base, record = node
         rhs, top = self._residual(node)
         if not base.consistent(rhs):
             return []
-        records: Iterable[Optional[float]] = itertools.repeat(None)
-        if self._open:
+        # a record is read only at a singular point of one equation
+        records: Iterable[Record] = itertools.repeat(record)
+        if base.second is not None:
             s = len(series[0])
-            f2s = self._f_coeffs(series, s)[0]
-            g = [sum(c * top[k] for c, k in col) % q for col in self.top_derivs]
-            records = [2 * s if (f2s + sum(map(mul, g, a)) + quad) % q
-                       else math.inf if any((x + y) % q for x, y in zip(g, ha))
-                       else 2 * s + 1
-                       for a, (quad, ha) in zip(base.kernel(), base.taylor())]
+            found = self._scan(node)
+            if found is None:
+                f2s = self._f_coeffs(node, s)[0]
+                g = [sum(c * top[k] for c, k in col) % q for col in self.top_derivs]
+                kinds = (None, 2 * s, 2 * s), (s, None, 2 * s + 1), (None, None, 2 * s + 1)
+                records = [kinds[0] if (f2s + sum(map(mul, g, a)) + quad) % q
+                           else kinds[1] if any((x + y) % q for x, y in zip(g, ha))
+                           else kinds[2]
+                           for a, (quad, ha) in zip(base.kernel(), base.taylor())]
+            elif found[1] < math.inf:
+                records = itertools.repeat((None, found[1], found[1]))
+            else:
+                records = itertools.repeat((found[0], None, s + found[0]))
         particular = base.particular(rhs)
         top = top + [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
         start = particular + [top[ref] + sum(map(mul, g, particular))

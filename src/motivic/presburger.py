@@ -13,11 +13,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionUnsupported, InfiniteFibers, ParseError
+from .errors import BudgetExceeded, DimensionUnsupported, InfiniteFibers, ParseError
+from .jets import default_budget
 from .parsing import (And, Not, Or, atoms, fold, format_fraction, format_monomial,
                       poly_mul, read_condition)
 
@@ -241,13 +242,18 @@ def _genfun_image(P: PresburgerSet, maps: List[Affine]) -> RatFunc:
     """Unfold the congruences: variable v runs over its residue classes mod
     M_v, the lcm over the atoms (mod a.x + c, m) of m / gcd(m, a_v), so every
     congruence is constant on each class.  Each class is summed in one sweep;
-    m = 1 runs as m = 2 with j <= 0."""
+    m = 1 runs as m = 2 with j <= 0.  A class costs one unit of the default
+    budget, and more classes than it holds raise BudgetExceeded at once."""
     r = len(maps)
     mods = [a for a in atoms(P.condition) if isinstance(a, Mod)]
     scales = [lcm(*(a.modulus // gcd(a.modulus, a.affine.coeffs[v]) for a in mods))
               for v in range(P.m)]
+    classes, budget = prod(scales), default_budget()
+    if classes > budget:
+        raise BudgetExceeded(f"generating function needs {classes} residue classes,"
+                             f" more than the budget of {budget}")
     terms: Dict[Tuple[Expo, ...], Dict[Expo, int]] = {}
-    for offsets in itertools.product(*map(range, scales)):
+    for offsets in _classes(scales):
         cond = fold(P.condition, lambda atom: _substitute(atom, scales, offsets))
         if cond is False:
             continue
@@ -261,6 +267,16 @@ def _genfun_image(P: PresburgerSet, maps: List[Affine]) -> RatFunc:
             raise InfiniteFibers("map constant along an infinite arithmetic class")
     return _sum(r, [RatFunc(r, num, den) for den, num in terms.items()
                     if any(num.values())])
+
+
+def _classes(scales: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """itertools.product(*map(range, scales)), without a tuple per range."""
+    if not scales:
+        yield ()
+        return
+    for head in range(scales[0]):
+        for rest in _classes(scales[1:]):
+            yield (head,) + rest
 
 
 def _substitute(atom: Union[Ge, Mod], scales: Sequence[int],

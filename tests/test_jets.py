@@ -1,5 +1,6 @@
 """Finite-field jet enumeration and semi-algebraic counting."""
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,21 @@ class TestTables:
         assert [row.N_n for row in rows] == [5, 21, 103, 525, 2605, 13025, 65125]
         assert [row.stable for row in rows] == [True] * 4 + [False] * 3
 
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cusp_image_oracle(self, q, n):
+        # at odd q the level-n truncations of arcs of y^2 - x^3 number
+        # (q-1) q^n + 1 + sum_{1<=k<=n/2} c_k, c_k counting the arcs
+        # (sigma^2, sigma^3) with ord sigma = k: sigma^2 fixes sigma up to
+        # sign, and sigma^3 fixes the sign once 3k <= n, so c_k = (q-1)
+        # q^(n-2k), halved when 3k > n.  Depth 2n reaches that count
+        # (gamma(n) = 3n) and depth 2n - 1 does not
+        arcs = (q - 1) * q ** n + 1 + sum(
+            (q - 1) * q ** (n - 2 * k) // (1 if 3 * k <= n else 2)
+            for k in range(1, n // 2 + 1))
+        assert image_count(CUSP, n, 2 * n, q) == arcs
+        assert image_count(CUSP, n, 2 * n - 1, q) > arcs
+
     def test_smooth_table_is_closed_form(self):
         points = len(plane_points(CONIC, 5))
         for n, row in enumerate(stabilized_table(CONIC, 5, 20, 4, budget=30)):
@@ -440,41 +456,61 @@ def singular_at_origin(draw):
     return JetVariety(n_vars, [poly], n_vars - 1)
 
 
+def scan_by_definition(poly, node, q):
+    """(s, e, k*) of a level-s node of one equation from the definition, with
+    e' = min_u ord df/dx_u(x(t)) (s + 1 if above s) and k the first level in
+    (s, 2s + 1] where f(x(t)) is nonzero, each coordinate zero-padded:
+    (s, k - s, k) where k - s <= e', else (s, e', inf) where e' <= s, else
+    None (open); and e'."""
+    s = len(node[0][0]) - 1
+    e = gradient_order(poly, node, q)
+    f = jets._poly_eval_series(poly, node[0][:len(next(iter(poly)))], 2 * s + 1, q)
+    k = next((l for l in range(s + 1, 2 * s + 2) if f[l]), None)
+    if k is not None and k - s <= e:
+        return (s, k - s, k), e
+    return (s, e, math.inf) if e <= s else None, e
+
+
 class TestTaylorRecords:
     # y^2 - x^3 at q = 2, where d^2f/dy^2 = 2 vanishes but the Hasse
-    # derivative D_y f = 1 puts a_y^2 in Q; x*y^2 at q = 3, where an open
-    # jet z = (x1 t, y1 t) has [grad f(z)]_2 = (y1^2, 0) != 0; and x^4,
-    # whose jets over x = 0 are open at every level
+    # derivative D_y f = 1 puts a_y^2 in Q, and where (t, 0) is closed with
+    # k* = 3, so its level-2 children inherit a finite k*; x*y^2 at q = 3,
+    # where an open jet z = (x1 t, y1 t) has [grad f(z)]_2 = (y1^2, 0) != 0;
+    # x*y at q = 2, where (t, 0) is closed with k* = inf and its child
+    # (t, t^2) closes with k* = 3; and x^4, whose jets over x = 0 are open
+    # at every level
     @settings(max_examples=60, deadline=None)
     @example(X=CUSP, q=2, depth=2)
     @example(X=variety(["x*y^2"], 1, ("x", "y")), q=3, depth=2)
+    @example(X=NODE, q=2, depth=2)
     @example(X=variety(["x^4"], 1, ("x", "y")), q=2, depth=3)
     @given(X=st.one_of(one_equation(), singular_at_origin()),
            q=st.sampled_from([2, 3, 5]), depth=st.integers(0, 2))
     def test_record_equals_scan(self, X, q, depth):
-        # every child y of an open jet answers closed and lift, n = s..2s+1,
-        # from its record within one unit, as the scan of its bare series does
-        lifter = jets._Lifter(X, q, budget=20_000)
+        # every node to level depth + 1, roots and descendants of closed
+        # jets included, answers closed and lift, n = s..2s+1, from its
+        # record within one unit (none at a full-rank point) as the
+        # definition does: lift counts q^((N-1)(m-s) + min(m-s, e')) level-m
+        # extensions, m = min(n, k* - 1)
+        lifter = jets._Lifter(X, q, budget=10_000)
+        assume(lifter.polys)
+        poly, N = lifter.polys[0], X.N
         try:
             stack = lifter.level0()
             while stack:
-                z = stack.pop()
-                if lifter.closed(z) is not None:
-                    continue
-                children = lifter.children(z)
-                for y in children:
-                    assert y[2] is not None
-                    s = len(y[0][0]) - 1
-                    bare = y[:2] + (None,)
-                    answers = []
-                    for node in (y, bare):
-                        before = lifter.expansions
-                        answers.append([lifter.closed(node)] +
-                                       [lifter.lift(node, n) for n in range(s, 2 * s + 2)])
-                        assert lifter.expansions == before + 1
-                    assert answers[0] == answers[1]
-                if len(z[0][0]) <= depth:
-                    stack += children
+                y = stack.pop()
+                s = len(y[0][0]) - 1
+                before = lifter.expansions
+                answers = [lifter.closed(y)] + [lifter.lift(y, n) for n in range(s, 2 * s + 2)]
+                assert lifter.expansions == before + (not y[1].smooth)
+                info, e = scan_by_definition(poly, y, q)
+                k = math.inf if info is None else info[2]
+                expected = [info] + [(min(n, k - 1), (N - 1) * (min(n, k - 1) - s)
+                                      + min(min(n, k - 1) - s, e))
+                                     for n in range(s, 2 * s + 2)]
+                assert answers == expected
+                if s <= depth and not y[1].smooth:
+                    stack += lifter.children(y)
         except BudgetExceeded:
             assume(False)
 

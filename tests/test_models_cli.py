@@ -181,6 +181,15 @@ class TestCliExitCodes:
         assert f"({limit} digits)" in err
         assert sys.get_int_max_str_digits() == limit
 
+    def test_residue_classes_past_the_budget_are_one(self, tmp_path, capsys):
+        # 99999999999 classes of i are refused before any is unfolded
+        path = tmp_path / "huge.model"
+        path.write_text("kind = presburger\nvars = i\ncondition = (mod i 99999999999 1)\n")
+        assert main(["genfun", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[BudgetExceeded]") and err.count("\n") == 1
+
     def test_other_value_errors_propagate(self, monkeypatch):
         import motivic.cli as cli
 
@@ -294,6 +303,21 @@ class TestCliOutputs:
         assert main(["semialg-count", fx("a1_cond.model"), "--q", "5",
                      "--n", "6", "--budget", "20"]) == 0
         assert capsys.readouterr().out == "definitely_true=65104 unknown=1\n"
+
+    @pytest.mark.parametrize("body, argv, expected", [
+        # x^1200 = 0 mod t^3 iff x(0) = 0: the level-2 jets (0, x1, x2)
+        pytest.param("dimension = 0\npoly = x^1200\n", ["jets-count", "--n", "2"],
+                     "4\n", id="jets-count"),
+        pytest.param("dimension = 1\ncondition = (ordmod {x^1200} 2 0)\n",
+                     ["semialg-count", "--n", "1"], "definitely_true=2 unknown=2\n",
+                     id="semialg-count"),
+    ])
+    def test_high_degree_monomials(self, body, argv, expected, tmp_path, capsys):
+        # the chain of a monomial of degree 1200 is built without recursion
+        path = tmp_path / "high.model"
+        path.write_text("kind = variety\nvars = x\n" + body)
+        assert main([argv[0], str(path), "--q", "2"] + argv[1:]) == 0
+        assert capsys.readouterr() == (expected, "")
 
     def test_outputs_are_deterministic(self, capsys):
         runs = []
