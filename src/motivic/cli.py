@@ -1,5 +1,9 @@
 """Command-line interface: parse model files, run one computation, print
-exact results.  Exit codes: 0 success, 1 domain error, 2 parse error."""
+exact results.  Exit codes: 0 success, 1 domain error, 2 parse error.
+
+Each subcommand is one entry of `COMMANDS`.  `main` reads the model file its
+first argument names and hands the datum to the entry's run function.
+"""
 from __future__ import annotations
 
 import argparse
@@ -9,14 +13,13 @@ import io
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DigitLimit, MotivicError, ParseError, ValidationError
 from .grring import chi_realize, hodge_realize
 from .jets import (count_semialg, enumerate_jets, image_count,
                    oesterle_sequence, poincare_table, stabilized_table)
-from .models import (ModelFile, PolyhedronModel, PresburgerModel, VarietyModel,
-                     parse_model)
+from .models import ModelFile, parse_model
 from .motvol import (ResolutionData, kontsevich_invariant, realize_volume,
                      volume_from_polyhedra, volume_from_resolution,
                      volume_with_ideal)
@@ -47,107 +50,60 @@ def _emit_csv(rows: List[Sequence], header: Sequence[str],
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
+    writer.writerows(rows)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(buf.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
 
 
-def _resolution_arg(args) -> ResolutionData:
-    return _read_model(args.model, "resolution").datum
+# -- run functions: (datum, args) -> exit code or None ------------------------
+# They name the functions they call through this module's globals, so a
+# caller that replaces one of those globals (a tracer, a test) is seen here.
+
+def _chi(x, args) -> None:
+    print(realize_volume(x, "chi") if isinstance(x, ResolutionData) else chi_realize(x))
 
 
-def _cmd_volume(args) -> int:
-    print(format_motclass(volume_from_resolution(_resolution_arg(args))))
-    return EXIT_OK
+def _hodge(x, args) -> None:
+    print(format_hodge(realize_volume(x, "hodge") if isinstance(x, ResolutionData)
+                       else hodge_realize(x)))
 
 
-def _cmd_volume_ideal(args) -> int:
-    print(format_motclass(volume_with_ideal(_resolution_arg(args))))
-    return EXIT_OK
-
-
-def _cmd_volume_polyhedra(args) -> int:
-    pm: PolyhedronModel = _read_model(args.model, "polyhedron").datum
+def _volume_polyhedra(pm, args) -> None:
     if not pm.strata:
         raise ValidationError("the polyhedron model declares no strata")
     print(format_motclass(volume_from_polyhedra(pm.dimension, list(pm.strata))))
-    return EXIT_OK
 
 
-def _cmd_kontsevich(args) -> int:
-    print(format_motclass(kontsevich_invariant(_resolution_arg(args))))
-    return EXIT_OK
-
-
-def _realize(args, target: str) -> int:
-    if os.path.exists(args.input):
-        res = _read_model(args.input, "resolution").datum
-        value = realize_volume(res, target)
-    else:
-        cls = parse_motclass(args.input)
-        value = chi_realize(cls) if target == "chi" else hodge_realize(cls)
-    if target == "chi":
-        print(value)
-    else:
-        print(format_hodge(value))
-    return EXIT_OK
-
-
-def _cmd_chi(args) -> int:
-    return _realize(args, "chi")
-
-
-def _cmd_hodge(args) -> int:
-    return _realize(args, "hodge")
-
-
-def _cmd_zdelta(args) -> int:
-    pm: PolyhedronModel = _read_model(args.model, "polyhedron").datum
+def _zdelta(pm, args) -> None:
     if pm.delta is None:
         raise ValidationError("the polyhedron model declares no generators")
     print(format_motclass(z_of_delta(pm.delta)))
-    return EXIT_OK
 
 
-def _cmd_genfun(args) -> int:
-    pm: PresburgerModel = _read_model(args.model, "presburger").datum
-    if pm.maps:
-        f = genfun_image(pm.pset, list(pm.maps))
-    else:
-        f = genfun(pm.pset)
+def _genfun(pm, args) -> None:
+    f = genfun_image(pm.pset, list(pm.maps)) if pm.maps else genfun(pm.pset)
     print(format_ratfunc(f))
-    return EXIT_OK
 
 
-def _cmd_series_expand(args) -> int:
-    P = _read_model(args.model, "series").datum
+def _series_expand(P, args) -> None:
     for n, c in enumerate(expand(P, args.n)):
         print(f"{n}: {format_motclass(c)}")
-    return EXIT_OK
 
 
-def _cmd_series_limit(args) -> int:
-    P = _read_model(args.model, "series").datum
-    print(format_motclass(limit_of_coefficients(P, args.d)))
-    return EXIT_OK
-
-
-def _cmd_series_check(args) -> int:
-    P = _read_model(args.model, "series").datum
-    counts: List[int] = []
+def _series_check(P, args) -> int:
     try:
         with open(args.counts, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{args.counts}: empty CSV")
-            for row in reader:
-                counts.append(int(row[-1]))
+            rows = list(csv.reader(fh))
+        if not rows:
+            raise ParseError(f"{args.counts}: empty CSV")
+        try:  # the first row is a header unless its last field is an integer
+            counts = [int(rows[0][-1])]
+        except (ValueError, IndexError):
+            counts = []
+        counts += [int(row[-1]) for row in rows[1:]]
     except (OSError, ValueError, IndexError) as exc:
         raise ParseError(f"{args.counts}: {exc}")
     if not counts:
@@ -158,31 +114,22 @@ def _cmd_series_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _variety_arg(args) -> VarietyModel:
-    return _read_model(args.model, "variety").datum
-
-
-def _cmd_jets_count(args) -> int:
-    vm = _variety_arg(args)
+def _jets_count(vm, args) -> None:
     if args.j:
         count = image_count(vm.variety, args.n, args.j, args.q, budget=args.budget)
     else:
         count = enumerate_jets(vm.variety, args.n, args.q, budget=args.budget)
     print(count)
-    return EXIT_OK
 
 
-def _cmd_jets_poincare(args) -> int:
-    vm = _variety_arg(args)
+def _jets_poincare(vm, args) -> None:
     table = poincare_table(vm.variety, args.q, args.n_max, args.j_max,
                            budget=args.budget)
     _emit_csv([(n, N_n, int(stable)) for n, N_n, stable in table],
               ("n", "N_n", "stable"), args.output)
-    return EXIT_OK
 
 
-def _cmd_jets_greenberg(args) -> int:
-    vm = _variety_arg(args)
+def _jets_greenberg(vm, args) -> int:
     table = stabilized_table(vm.variety, args.q, args.n_max, args.j_max,
                              budget=args.budget)
     rows = [(n, res.N_n, n + res.j_star if res.stable else "", int(res.stable))
@@ -191,8 +138,7 @@ def _cmd_jets_greenberg(args) -> int:
     return EXIT_OK if all(res.stable for res in table) else EXIT_DOMAIN
 
 
-def _cmd_jets_oesterle(args) -> int:
-    vm = _variety_arg(args)
+def _jets_oesterle(vm, args) -> None:
     seq = oesterle_sequence(vm.variety, args.q, args.n_max, args.j_max,
                             budget=args.budget)
     _emit_csv([(n, r.numerator, r.denominator) for n, r in enumerate(seq)],
@@ -202,13 +148,10 @@ def _cmd_jets_oesterle(args) -> int:
                                                   zip(tail[1:], tail[:-1])):
         print("warning: sequence tends to 0; the declared dimension may be "
               "too large", file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_semialg_count(args) -> int:
-    vm = _variety_arg(args)
-    cond = vm.condition()
-    if cond is None:
+def _semialg_count(vm, args) -> None:
+    if vm.condition is None:
         raise ValidationError("the variety model declares no condition")
     try:
         params = tuple(int(x) for x in args.params.split(",")) if args.params else ()
@@ -218,12 +161,13 @@ def _cmd_semialg_count(args) -> int:
     if len(params) != len(vm.param_names):
         raise ParseError(f"--params gives {len(params)} values, the model declares "
                          f"{len(vm.param_names)} parameters")
-    true_count, unknown = count_semialg(vm.variety, cond, args.n, args.q,
+    true_count, unknown = count_semialg(vm.variety, vm.condition, args.n, args.q,
                                         params=params, j_max=args.j_max,
                                         budget=args.budget)
     print(f"definitely_true={true_count} unknown={unknown}")
-    return EXIT_OK
 
+
+# -- flags --------------------------------------------------------------------
 
 def _int_at_least(low: int, what: str):
     def parse(text: str) -> int:
@@ -238,26 +182,88 @@ _positive_int = _int_at_least(1, "a positive integer")
 _field_size = _int_at_least(2, "an integer >= 2")
 
 
-def _add_jet_flags(p: argparse.ArgumentParser, n_max: bool = False,
-                   j: bool = False) -> None:
-    p.add_argument("--q", type=int, required=True, help="prime field size")
-    if n_max:
-        p.add_argument("--n-max", type=_nonnegative_int, required=True, dest="n_max")
-    else:
-        p.add_argument("--n", type=_nonnegative_int, required=True,
-                       help="truncation level")
-    if j:
-        p.add_argument("--j", type=_nonnegative_int, default=0,
-                       help="count the level-n truncations of level-(n+J) jets "
-                            "(default 0: all level-n jets)")
-    else:
-        p.add_argument("--j-max", type=_nonnegative_int, default=6, dest="j_max",
-                       help="maximum extra lifting depth (default 6)")
-    p.add_argument("--budget", type=_nonnegative_int, default=None,
-                   help="node-expansion budget for the whole command (default "
-                        "from MOTIVIC_JETS_BUDGET or 10^8)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: jet commands run in one thread")
+def _flag(*names: str, **options) -> Tuple[Tuple[str, ...], Dict[str, object]]:
+    """The arguments of one `add_argument` call."""
+    return names, options
+
+
+MODEL = _flag("model")
+Q = _flag("--q", type=int, required=True, help="prime field size")
+N = _flag("--n", type=_nonnegative_int, required=True, help="truncation level")
+N_MAX = _flag("--n-max", type=_nonnegative_int, required=True, dest="n_max")
+J = _flag("--j", type=_nonnegative_int, default=0,
+          help="count the level-n truncations of level-(n+J) jets "
+               "(default 0: all level-n jets)")
+J_MAX = _flag("--j-max", type=_nonnegative_int, default=6, dest="j_max",
+              help="maximum extra lifting depth (default 6)")
+BUDGET = _flag("--budget", type=_nonnegative_int, default=None,
+               help="node-expansion budget for the whole command (default "
+                    "from MOTIVIC_JETS_BUDGET or 10^8)")
+THREADS = _flag("--threads", type=int, default=1,
+                help="accepted and ignored: jet commands run in one thread")
+TABLE_FLAGS = (MODEL, Q, N_MAX, J_MAX, BUDGET, THREADS,
+               _flag("--output", default=None, help="CSV output path"))
+CLASS_OR_MODEL = _flag("model", metavar="input",
+                       help="a class expression or a model path")
+
+
+class Command(NamedTuple):
+    """One subcommand; its argument `model` names a model of `kind`, or with
+    `literal` may instead be a class literal (text naming no file)."""
+    help: str
+    kind: str
+    run: Callable[[object, argparse.Namespace], Optional[int]]
+    flags: Tuple[tuple, ...] = (MODEL,)  # `_flag` values
+    literal: bool = False
+
+
+COMMANDS: Dict[str, Command] = {
+    "volume": Command(
+        "volume of a resolution model", "resolution",
+        lambda res, args: print(format_motclass(volume_from_resolution(res)))),
+    "volume-ideal": Command(
+        "volume-ideal of a resolution model", "resolution",
+        lambda res, args: print(format_motclass(volume_with_ideal(res)))),
+    "kontsevich": Command(
+        "kontsevich of a resolution model", "resolution",
+        lambda res, args: print(format_motclass(kontsevich_invariant(res)))),
+    "volume-polyhedra": Command(
+        "volume of a polyhedron model with strata", "polyhedron", _volume_polyhedra),
+    "chi": Command(
+        "chi realization of a class literal or resolution model", "resolution",
+        _chi, (CLASS_OR_MODEL,), literal=True),
+    "hodge": Command(
+        "hodge realization of a class literal or resolution model", "resolution",
+        _hodge, (CLASS_OR_MODEL,), literal=True),
+    "zdelta": Command("zeta value of a Newton polyhedron", "polyhedron", _zdelta),
+    "genfun": Command(
+        "generating function of a Presburger model", "presburger", _genfun),
+    "series-expand": Command(
+        "expand a series model", "series", _series_expand,
+        (MODEL, _flag("--n", type=_nonnegative_int, required=True))),
+    "series-limit": Command(
+        "limit of a_n L^{-(n+1)d} for a series model", "series",
+        lambda P, args: print(format_motclass(limit_of_coefficients(P, args.d))),
+        (MODEL, _flag("--d", type=_positive_int, required=True))),
+    "series-check": Command(
+        "compare a series model against a count table", "series", _series_check,
+        (MODEL, _flag("counts", help="CSV whose last column holds the counts"),
+         _flag("--q", type=_field_size, required=True))),
+    "jets-count": Command(
+        "count level-n jets", "variety", _jets_count,
+        (MODEL, Q, N, J, BUDGET, THREADS)),
+    "jets-poincare": Command(
+        "stabilized count table", "variety", _jets_poincare, TABLE_FLAGS),
+    "jets-greenberg": Command(
+        "stabilization-level table", "variety", _jets_greenberg, TABLE_FLAGS),
+    "jets-oesterle": Command(
+        "scaled count sequence N_n / q^{(n+1)d}", "variety", _jets_oesterle,
+        TABLE_FLAGS),
+    "semialg-count": Command(
+        "three-valued counting of a condition on jets", "variety", _semialg_count,
+        (MODEL, Q, N, J_MAX, BUDGET, THREADS,
+         _flag("--params", default="", help="comma-separated parameters"))),
+}
 
 
 @functools.cache
@@ -267,64 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact motivic-volume, zeta, generating-function, and "
                     "jet-counting computations.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(fn=fn)
-        return p
-
-    for name, fn in (("volume", _cmd_volume), ("volume-ideal", _cmd_volume_ideal),
-                     ("kontsevich", _cmd_kontsevich)):
-        command(name, fn, f"{name} of a resolution model").add_argument("model")
-
-    command("volume-polyhedra", _cmd_volume_polyhedra,
-            "volume of a polyhedron model with strata").add_argument("model")
-
-    for name, fn in (("chi", _cmd_chi), ("hodge", _cmd_hodge)):
-        p = command(name, fn, f"{name} realization of a class literal "
-                              "or resolution model")
-        p.add_argument("input", help="a class expression or a model path")
-
-    command("zdelta", _cmd_zdelta,
-            "zeta value of a Newton polyhedron").add_argument("model")
-    command("genfun", _cmd_genfun,
-            "generating function of a Presburger model").add_argument("model")
-
-    p = command("series-expand", _cmd_series_expand, "expand a series model")
-    p.add_argument("model")
-    p.add_argument("--n", type=_nonnegative_int, required=True)
-
-    p = command("series-limit", _cmd_series_limit,
-                "limit of a_n L^{-(n+1)d} for a series model")
-    p.add_argument("model")
-    p.add_argument("--d", type=_positive_int, required=True)
-
-    p = command("series-check", _cmd_series_check,
-                "compare a series model against a count table")
-    p.add_argument("model")
-    p.add_argument("counts", help="CSV whose last column holds the counts")
-    p.add_argument("--q", type=_field_size, required=True)
-
-    p = command("jets-count", _cmd_jets_count, "count level-n jets")
-    p.add_argument("model")
-    _add_jet_flags(p, j=True)
-
-    for name, fn, help_text in (
-            ("jets-poincare", _cmd_jets_poincare, "stabilized count table"),
-            ("jets-greenberg", _cmd_jets_greenberg, "stabilization-level table"),
-            ("jets-oesterle", _cmd_jets_oesterle,
-             "scaled count sequence N_n / q^{(n+1)d}")):
-        p = command(name, fn, help_text)
-        p.add_argument("model")
-        _add_jet_flags(p, n_max=True)
-        p.add_argument("--output", default=None, help="CSV output path")
-
-    p = command("semialg-count", _cmd_semialg_count,
-                "three-valued counting of a condition on jets")
-    p.add_argument("model")
-    _add_jet_flags(p)
-    p.add_argument("--params", default="", help="comma-separated parameters")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for names, options in command.flags:
+            p.add_argument(*names, **options)
     return top
 
 
@@ -334,8 +286,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    command = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        if command.literal and not os.path.exists(args.model):
+            datum = parse_motclass(args.model)
+        else:
+            datum = _read_model(args.model, command.kind).datum
+        return command.run(datum, args) or EXIT_OK
     except (ParseError, ValidationError) as exc:
         error, code = exc, EXIT_PARSE
     except MotivicError as exc:

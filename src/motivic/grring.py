@@ -354,6 +354,21 @@ def mot_arith(a: MotClass, b: MotClass, op: str) -> MotClass:
     raise ValueError(f"unknown operation {op!r}")
 
 
+def _over_common_den(fractions: Iterable[Tuple[Mapping, Iterable[int]]]
+                     ) -> Tuple[Counter, List[Tuple[Dict, Counter]]]:
+    """Numerator terms added per denominator, with the multiset max of the
+    denominators and, per denominator, the (L^i - 1) factors it lacks."""
+    groups: Dict[Tuple[int, ...], Dict] = {}
+    for terms, den in fractions:
+        acc = groups.setdefault(_clean_den(den), {})
+        for k, c in terms.items():
+            acc[k] = acc.get(k, 0) + c
+    common: Counter = Counter()
+    for den in groups:
+        common |= Counter(den)
+    return common, [(acc, common - Counter(den)) for den, acc in groups.items()]
+
+
 def mot_sum(fractions: Iterable[Tuple[LaurentPoly, Iterable[int]]]) -> MotClass:
     """The class of the sum of num / prod_{i in den} (L^i - 1) over the
     (num, den) pairs, none of which need be canonical.
@@ -361,18 +376,10 @@ def mot_sum(fractions: Iterable[Tuple[LaurentPoly, Iterable[int]]]) -> MotClass:
     Numerators over equal denominators are added first; the sums are then
     put over the multiset max of the denominators and reduced once.
     """
-    groups: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    for num, den in fractions:
-        acc = groups.setdefault(_clean_den(den), {})
-        for e, c in num.terms.items():
-            acc[e] = acc.get(e, 0) + c
-    common: Counter = Counter()
-    for den in groups:
-        common |= Counter(den)
+    common, groups = _over_common_den((num.terms, den) for num, den in fractions)
     total = LaurentPoly()
-    for den, acc in groups.items():
+    for acc, missing in groups:
         num = LaurentPoly._of(acc)
-        missing = common - Counter(den)
         total = total + (num * _binoms(missing.elements()) if missing else num)
     return MotClass(total, common.elements())
 
@@ -517,7 +524,7 @@ class HodgeRational:
         return not self.num
 
     def _den_num(self) -> Dict[Tuple[int, int], int]:
-        return {(e, e): c for e, c in _binoms(self.den).terms.items()}
+        return _diagonal(_binoms(self.den))
 
     def __add__(self, other: "HodgeRational") -> "HodgeRational":
         num = _hr_mul(self.num, other._den_num())
@@ -576,7 +583,27 @@ def _hr_mul(a: Mapping[Tuple[int, int], int], b: Mapping[Tuple[int, int], int]):
     return {k: c for k, c in out.items() if c}
 
 
+def _diagonal(p: LaurentPoly) -> Dict[Tuple[int, int], int]:
+    """p(uv) as a map (p, q) -> coefficient of u^p v^q."""
+    return {(e, e): c for e, c in p.terms.items()}
+
+
 def hodge_realize(a: MotClass) -> HodgeRational:
     """Hodge realization: substitute L -> uv; a ring morphism."""
-    num = {(e, e): c for e, c in a.num.terms.items()}
-    return HodgeRational(num, a.den)
+    return HodgeRational(_diagonal(a.num), a.den)
+
+
+def hodge_sum(fractions: Iterable[Tuple[Mapping[Tuple[int, int], int], LaurentPoly,
+                                        Iterable[int]]]) -> HodgeRational:
+    """The sum of num(u, v) * w(uv) / prod_{i in den} ((uv)^i - 1) over the
+    (num, w, den) triples, grouped and put over one denominator as in
+    `mot_sum`, and reduced once."""
+    common, groups = _over_common_den((_hr_mul(num, _diagonal(w)), den)
+                                      for num, w, den in fractions)
+    total: Dict[Tuple[int, int], int] = {}
+    for acc, missing in groups:
+        if missing:
+            acc = _hr_mul(acc, _diagonal(_binoms(missing.elements())))
+        for k, c in acc.items():
+            total[k] = total.get(k, 0) + c
+    return HodgeRational(total, common.elements())

@@ -5,16 +5,20 @@ variety | series | presburger`, followed by the fields of that datum.  Lines
 are `key = value` pairs or table rows (`divisor ...`, `stratum ...`); `#`
 starts a comment.  Unknown keys are rejected, and printing then reparsing a
 model reproduces it.
+
+One reader serves every kind.  A kind declares its keys once: a parser per
+single key (the last line with a key wins), its repeated keys and row words,
+the keys it requires, and the builder that makes its datum.
 """
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
-from .grring import HodgeRational, MotClass
+from .grring import HodgeRational
 from .jets import JetVariety, SemiAlgCondition, parse_semialg
 from .motvol import Divisor, PolyhedralStratum, ResolutionData, Stratum
 from .parsing import (format_int_poly, format_motclass, format_series_num,
@@ -25,20 +29,14 @@ from .presburger import (Affine, PresburgerSet, format_condition,
                          parse_condition)
 from .series import RationalMotSeries
 
-KINDS = ("resolution", "polyhedron", "variety", "series", "presburger")
-
 
 @dataclass
 class VarietyModel:
     variety: JetVariety
     condition_text: Optional[str] = None
     param_names: Tuple[str, ...] = ()
-
-    def condition(self) -> Optional[SemiAlgCondition]:
-        if self.condition_text is None:
-            return None
-        return parse_semialg(self.condition_text, self.variety.names,
-                             self.param_names)
+    # the parsed condition_text, read once with the model
+    condition: Optional[SemiAlgCondition] = field(default=None, compare=False)
 
 
 @dataclass
@@ -79,13 +77,7 @@ def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _names(value: str, lineno: int, what: str) -> Tuple[str, ...]:
-    names = tuple(value.split())
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            _fail(lineno, f"{what} names {name!r} twice")
-    return names
-
+# -- value parsers: (text, line number, key) -> value -------------------------
 
 def _int(value: str, lineno: int, what: str) -> int:
     try:
@@ -94,118 +86,34 @@ def _int(value: str, lineno: int, what: str) -> int:
         _fail(lineno, f"{what} must be an integer, got {value!r}")
 
 
-def _lines(text: str) -> List[Tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+def _names(value: str, lineno: int, what: str) -> Tuple[str, ...]:
+    names = tuple(value.split())
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            _fail(lineno, f"{what} names {name!r} twice")
+    return names
 
 
-def parse_model(text: str) -> ModelFile:
-    lines = _lines(text)
-    if not lines:
-        raise ParseError("empty model file")
-    lineno, first = lines[0]
-    key, value = _split_kv(first, lineno)
-    if key != "kind":
-        _fail(lineno, "the first line must declare the kind")
-    if value not in KINDS:
-        _fail(lineno, f"unknown kind {value!r}; expected one of {', '.join(KINDS)}")
-    body = lines[1:]
-    if value == "resolution":
-        return ModelFile("resolution", _parse_resolution(body))
-    if value == "polyhedron":
-        return ModelFile("polyhedron", _parse_polyhedron(body))
-    if value == "variety":
-        return ModelFile("variety", _parse_variety(body))
-    if value == "series":
-        return ModelFile("series", _parse_series(body))
-    return ModelFile("presburger", _parse_presburger(body))
+def _text(value: str, lineno: int, key: str) -> str:
+    return value
 
 
-# -- resolution -------------------------------------------------------------
+def _class(value: str, lineno: int, key: str):
+    return parse_motclass(value)
 
-def _parse_fraction(value: str, lineno: int) -> Fraction:
+
+def _fraction(value: str, lineno: int, key: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         _fail(lineno, f"bad rational number {value!r}")
 
 
-def _parse_hodge_poly(value: str) -> HodgeRational:
+def _hodge_poly(value: str, lineno: int, key: str) -> HodgeRational:
     return HodgeRational(parse_int_poly(value, ("u", "v")))
 
 
-def _parse_resolution(body) -> ResolutionData:
-    dimension: Optional[int] = None
-    divisors: List[Divisor] = []
-    strata: List[Stratum] = []
-    declared: Optional[MotClass] = None
-    for lineno, line in body:
-        word = line.split(None, 1)[0]
-        if word == "divisor":
-            parts = line.split()
-            if len(parts) < 3:
-                _fail(lineno, "divisor line needs a name and nu=VALUE")
-            name = parts[1]
-            nu: Optional[int] = None
-            N: Optional[int] = None
-            for item in parts[2:]:
-                k, _, v = item.partition("=")
-                if k == "nu" and v:
-                    nu = _int(v, lineno, "nu")
-                elif k == "N" and v:
-                    N = _int(v, lineno, "N")
-                else:
-                    _fail(lineno, f"unknown divisor attribute {item!r}")
-            if nu is None:
-                _fail(lineno, "divisor line needs nu=VALUE")
-            try:
-                divisors.append(Divisor(name, nu, N))
-            except ValidationError as exc:
-                _fail(lineno, str(exc))
-        elif word == "stratum":
-            rest = line[len("stratum"):].strip()
-            if "|" not in rest:
-                _fail(lineno, "stratum line needs '|' before its fields")
-            subset_part, _, fields_part = rest.partition("|")
-            subset = frozenset(subset_part.split())
-            cls = chi = hodge = None
-            for field_text in fields_part.split("|"):
-                k, v = _split_kv(field_text.strip(), lineno)
-                if k == "class":
-                    cls = parse_motclass(v)
-                elif k == "chi":
-                    chi = _parse_fraction(v, lineno)
-                elif k == "hodge":
-                    hodge = _parse_hodge_poly(v)
-                else:
-                    _fail(lineno, f"unknown stratum field {k!r}")
-            try:
-                strata.append(Stratum(subset, cls=cls, chi=chi, hodge=hodge))
-            except ValidationError as exc:
-                _fail(lineno, str(exc))
-        else:
-            k, v = _split_kv(line, lineno)
-            if k == "dimension":
-                dimension = _int(v, lineno, "dimension")
-            elif k == "total":
-                declared = parse_motclass(v)
-            else:
-                _fail(lineno, f"unknown key {k!r} in a resolution model")
-    if dimension is None:
-        raise ParseError("resolution model needs a 'dimension' line")
-    try:
-        return ResolutionData(dimension, divisors, strata, declared_Y=declared)
-    except ValidationError as exc:
-        raise ParseError(str(exc))
-
-
-# -- polyhedron -------------------------------------------------------------
-
-def _parse_generators(value: str, lineno: int) -> List[Tuple[int, ...]]:
+def _generators(value: str, lineno: int, key: str) -> List[Tuple[int, ...]]:
     try:
         raw = ast.literal_eval(value)
     except (ValueError, SyntaxError):
@@ -217,172 +125,207 @@ def _parse_generators(value: str, lineno: int) -> List[Tuple[int, ...]]:
     return [tuple(g) for g in raw]
 
 
-def _parse_polyhedron(body) -> PolyhedronModel:
-    k: Optional[int] = None
-    gens = None
-    dimension: Optional[int] = None
-    strata: List[PolyhedralStratum] = []
-    for lineno, line in body:
-        word = line.split(None, 1)[0]
-        if word == "stratum":
-            rest = line[len("stratum"):].strip()
-            if not rest.startswith("|"):
-                _fail(lineno, "polyhedron stratum line starts with '|'")
-            cls = None
-            delta = None
-            for field_text in rest[1:].split("|"):
-                kk, v = _split_kv(field_text.strip(), lineno)
-                if kk == "class":
-                    cls = parse_motclass(v)
-                elif kk == "generators":
-                    g = _parse_generators(v, lineno)
-                    try:
-                        delta = NewtonPolyhedron(len(g[0]), g)
-                    except (ValueError, ValidationError) as exc:
-                        _fail(lineno, str(exc))
-                else:
-                    _fail(lineno, f"unknown stratum field {kk!r}")
-            if cls is None:
-                _fail(lineno, "polyhedron stratum needs a class")
-            strata.append(PolyhedralStratum(cls, delta))
-        else:
-            kk, v = _split_kv(line, lineno)
-            if kk == "k":
-                k = _int(v, lineno, "k")
-            elif kk == "generators":
-                gens = _parse_generators(v, lineno)
-            elif kk == "dimension":
-                dimension = _int(v, lineno, "dimension")
-            else:
-                _fail(lineno, f"unknown key {kk!r} in a polyhedron model")
-    delta = None
-    if gens is not None:
-        if k is None:
-            k = len(gens[0])
-        try:
-            delta = NewtonPolyhedron(k, gens)
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(str(exc))
-    if delta is None and not strata:
-        raise ParseError("polyhedron model needs generators or strata")
-    if strata and dimension is None:
-        raise ParseError("polyhedron strata need a 'dimension' line")
-    return PolyhedronModel(delta=delta, dimension=dimension, strata=tuple(strata))
-
-
-# -- variety ----------------------------------------------------------------
-
-def _parse_variety(body) -> VarietyModel:
-    names: Optional[Tuple[str, ...]] = None
-    polys: List[Dict[Tuple[int, ...], int]] = []
-    poly_lines: List[Tuple[int, str]] = []
-    dimension: Optional[int] = None
-    params: Tuple[str, ...] = ()
-    condition_text: Optional[str] = None
-    for lineno, line in body:
-        k, v = _split_kv(line, lineno)
-        if k == "vars":
-            names = _names(v, lineno, "vars")
-        elif k == "poly":
-            poly_lines.append((lineno, v))
-        elif k == "dimension":
-            dimension = _int(v, lineno, "dimension")
-        elif k == "params":
-            params = _names(v, lineno, "params")
-        elif k == "condition":
-            condition_text = v
-        else:
-            _fail(lineno, f"unknown key {k!r} in a variety model")
-    if names is None:
-        raise ParseError("variety model needs a 'vars' line")
-    if dimension is None:
-        raise ParseError("variety model needs a 'dimension' line")
-    for lineno, text in poly_lines:
-        try:
-            polys.append(parse_int_poly(text, names))
-        except ParseError as exc:
-            _fail(lineno, str(exc))
+def _polyhedron(value: str, lineno: int, key: str) -> NewtonPolyhedron:
+    gens = _generators(value, lineno, key)
     try:
-        X = JetVariety(len(names), polys, dimension, names)
-    except ValidationError as exc:
-        raise ParseError(str(exc))
-    model = VarietyModel(X, condition_text=condition_text, param_names=params)
-    if condition_text is not None:
-        model.condition()  # validate eagerly
-    return model
+        return NewtonPolyhedron(len(gens[0]), gens)
+    except (ValueError, ValidationError) as exc:
+        _fail(lineno, str(exc))
 
 
-# -- series -----------------------------------------------------------------
-
-def _parse_den_factors(value: str, lineno: int) -> List[Tuple[int, int]]:
+def _den_factors(value: str, lineno: int, key: str) -> List[Tuple[int, int]]:
     out = []
     for chunk in value.replace("(", " (").split():
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            _fail(lineno, f"bad denominator factor {chunk!r}; expected (a,b)")
         nums = chunk[1:-1].split(",")
-        if len(nums) != 2:
+        if not (chunk.startswith("(") and chunk.endswith(")")) or len(nums) != 2:
             _fail(lineno, f"bad denominator factor {chunk!r}; expected (a,b)")
         out.append((_int(nums[0].strip(), lineno, "a"),
                     _int(nums[1].strip(), lineno, "b")))
     return out
 
 
-def _parse_series(body) -> RationalMotSeries:
-    num = None
-    den: List[Tuple[int, int]] = []
-    for lineno, line in body:
-        k, v = _split_kv(line, lineno)
-        if k == "num":
-            num = parse_series_num(v)
-        elif k == "den":
-            den = _parse_den_factors(v, lineno)
-        else:
-            _fail(lineno, f"unknown key {k!r} in a series model")
-    if num is None:
-        raise ParseError("series model needs a 'num' line")
+# -- row parsers: (line, line number) -> row ----------------------------------
+
+def _row_fields(texts: Sequence[str], lineno: int,
+                parsers: Dict[str, Callable]) -> Dict[str, object]:
+    """The `key = value` fields of a stratum row, each read by its parser."""
+    out = {}
+    for text in texts:
+        key, value = _split_kv(text.strip(), lineno)
+        if key not in parsers:
+            _fail(lineno, f"unknown stratum field {key!r}")
+        out[key] = parsers[key](value, lineno, key)
+    return out
+
+
+def _divisor(line: str, lineno: int) -> Divisor:
+    parts = line.split()
+    if len(parts) < 3:
+        _fail(lineno, "divisor line needs a name and nu=VALUE")
+    attrs: Dict[str, int] = {}
+    for item in parts[2:]:
+        k, _, v = item.partition("=")
+        if k not in ("nu", "N") or not v:
+            _fail(lineno, f"unknown divisor attribute {item!r}")
+        attrs[k] = _int(v, lineno, k)
+    if "nu" not in attrs:
+        _fail(lineno, "divisor line needs nu=VALUE")
     try:
-        return RationalMotSeries(num, den)
+        return Divisor(parts[1], attrs["nu"], attrs.get("N"))
+    except ValidationError as exc:
+        _fail(lineno, str(exc))
+
+
+def _resolution_stratum(line: str, lineno: int) -> Stratum:
+    rest = line[len("stratum"):].strip()
+    if "|" not in rest:
+        _fail(lineno, "stratum line needs '|' before its fields")
+    subset, _, fields = rest.partition("|")
+    f = _row_fields(fields.split("|"), lineno,
+                    {"class": _class, "chi": _fraction, "hodge": _hodge_poly})
+    try:
+        return Stratum(frozenset(subset.split()), cls=f.get("class"),
+                       chi=f.get("chi"), hodge=f.get("hodge"))
+    except ValidationError as exc:
+        _fail(lineno, str(exc))
+
+
+def _polyhedron_stratum(line: str, lineno: int) -> PolyhedralStratum:
+    rest = line[len("stratum"):].strip()
+    if not rest.startswith("|"):
+        _fail(lineno, "polyhedron stratum line starts with '|'")
+    f = _row_fields(rest[1:].split("|"), lineno,
+                    {"class": _class, "generators": _polyhedron})
+    if "class" not in f:
+        _fail(lineno, "polyhedron stratum needs a class")
+    return PolyhedralStratum(f["class"], f.get("generators"))
+
+
+# -- builders: what was read -> datum -----------------------------------------
+# `f` maps each single key that was given to its value, and each repeated key
+# and row word to its list.
+
+def _build_resolution(f) -> ResolutionData:
+    try:
+        return ResolutionData(f["dimension"], f["divisor"], f["stratum"],
+                              declared_Y=f.get("total"))
+    except ValidationError as exc:
+        raise ParseError(str(exc))
+
+
+def _build_polyhedron(f) -> PolyhedronModel:
+    delta = None
+    if "generators" in f:
+        gens = f["generators"]
+        try:
+            delta = NewtonPolyhedron(f.get("k", len(gens[0])), gens)
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(str(exc))
+    strata = f["stratum"]
+    if delta is None and not strata:
+        raise ParseError("polyhedron model needs generators or strata")
+    if strata and "dimension" not in f:
+        raise ParseError("polyhedron strata need a 'dimension' line")
+    return PolyhedronModel(delta=delta, dimension=f.get("dimension"),
+                           strata=tuple(strata))
+
+
+def _build_variety(f) -> VarietyModel:
+    names, params = f["vars"], f.get("params", ())
+    polys = []
+    for lineno, text in f["poly"]:
+        try:
+            polys.append(parse_int_poly(text, names))
+        except ParseError as exc:
+            _fail(lineno, str(exc))
+    try:
+        X = JetVariety(len(names), polys, f["dimension"], names)
+    except ValidationError as exc:
+        raise ParseError(str(exc))
+    text = f.get("condition")
+    condition = None if text is None else parse_semialg(text, names, params)
+    return VarietyModel(X, text, params, condition)
+
+
+def _build_series(f) -> RationalMotSeries:
+    try:
+        return RationalMotSeries(f["num"], f.get("den", []))
     except ValueError as exc:
         raise ParseError(str(exc))
 
 
-# -- presburger -------------------------------------------------------------
+def _build_presburger(f) -> PresburgerModel:
+    names = f["vars"]
+    condition = parse_condition(f["condition"], names)
+    maps = []
+    for lineno, text in f["map"]:
+        coeffs, const = split_affine(parse_int_poly(text, names), len(names),
+                                     f"line {lineno}: map {text!r} is not affine")
+        if const < 0 or any(c < 0 for c in coeffs):
+            _fail(lineno, f"map {text!r} has a negative coefficient; image maps "
+                          "must have nonnegative coefficients")
+        maps.append(Affine(coeffs, const))
+    return PresburgerModel(PresburgerSet(len(names), condition), names, tuple(maps))
 
-def _parse_affine_map(value: str, names: Sequence[str], lineno: int) -> Affine:
-    coeffs, const = split_affine(parse_int_poly(value, names), len(names),
-                                 f"line {lineno}: map {value!r} is not affine")
-    if const < 0 or any(c < 0 for c in coeffs):
-        _fail(lineno, f"map {value!r} has a negative coefficient; image maps "
-                      "must have nonnegative coefficients")
-    return Affine(coeffs, const)
+
+@dataclass(frozen=True)
+class _Kind:
+    keys: Dict[str, Callable[[str, int, str], object]]
+    build: Callable[[Dict[str, object]], object]
+    required: Tuple[str, ...] = ()
+    repeated: Tuple[str, ...] = ()
+    rows: Dict[str, Callable[[str, int], object]] = field(default_factory=dict)
 
 
-def _parse_presburger(body) -> PresburgerModel:
-    names: Optional[Tuple[str, ...]] = None
-    condition = None
-    maps: List[Affine] = []
-    map_lines: List[Tuple[int, str]] = []
-    for lineno, line in body:
-        k, v = _split_kv(line, lineno)
-        if k == "vars":
-            names = _names(v, lineno, "vars")
-        elif k == "condition":
-            condition = (lineno, v)
-        elif k == "map":
-            map_lines.append((lineno, v))
+_KINDS: Dict[str, _Kind] = {
+    "resolution": _Kind({"dimension": _int, "total": _class}, _build_resolution,
+                        required=("dimension",),
+                        rows={"divisor": _divisor, "stratum": _resolution_stratum}),
+    "polyhedron": _Kind({"k": _int, "generators": _generators, "dimension": _int},
+                        _build_polyhedron, rows={"stratum": _polyhedron_stratum}),
+    "variety": _Kind({"vars": _names, "dimension": _int, "params": _names,
+                      "condition": _text}, _build_variety,
+                     required=("vars", "dimension"), repeated=("poly",)),
+    "series": _Kind({"num": lambda value, lineno, key: parse_series_num(value),
+                     "den": _den_factors}, _build_series, required=("num",)),
+    "presburger": _Kind({"vars": _names, "condition": _text}, _build_presburger,
+                        required=("vars", "condition"), repeated=("map",)),
+}
+
+
+def parse_model(text: str) -> ModelFile:
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    if not lines:
+        raise ParseError("empty model file")
+    lineno, first = lines[0]
+    key, kind = _split_kv(first, lineno)
+    if key != "kind":
+        _fail(lineno, "the first line must declare the kind")
+    if kind not in _KINDS:
+        _fail(lineno, f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+    spec = _KINDS[kind]
+    fields: Dict[str, object] = {name: [] for name in (*spec.repeated, *spec.rows)}
+    for lineno, line in lines[1:]:
+        if spec.rows:
+            word = line.split(None, 1)[0]
+            if word in spec.rows:
+                fields[word].append(spec.rows[word](line, lineno))
+                continue
+        key, value = _split_kv(line, lineno)
+        if key in spec.keys:
+            fields[key] = spec.keys[key](value, lineno, key)
+        elif key in spec.repeated:
+            fields[key].append((lineno, value))
         else:
-            _fail(lineno, f"unknown key {k!r} in a presburger model")
-    if names is None:
-        raise ParseError("presburger model needs a 'vars' line")
-    if condition is None:
-        raise ParseError("presburger model needs a 'condition' line")
-    cond = parse_condition(condition[1], names)
-    for lineno, text in map_lines:
-        maps.append(_parse_affine_map(text, names, lineno))
-    return PresburgerModel(PresburgerSet(len(names), cond), names, tuple(maps))
+            _fail(lineno, f"unknown key {key!r} in a {kind} model")
+    for key in spec.required:
+        if key not in fields:
+            raise ParseError(f"{kind} model needs a {key!r} line")
+    return ModelFile(kind, spec.build(fields))
 
 
 # -- printing ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from .errors import (MissingN, RealizationOnlyStrata, StrataNotPartition,
                      ValidationError)
 from .grring import (HodgeRational, LaurentPoly, MotClass, chi_realize,
-                     hodge_realize, mot_sum)
+                     hodge_sum, mot_sum)
 from .polyhedra import NewtonPolyhedron, z_of_delta
 
 
@@ -167,11 +167,14 @@ def realize_volume(res: ResolutionData, target: str):
             total += value
         # chi(L^{-d}) = 1
         return total
-    total_h = HodgeRational({})
+    # (uv)^{-d} sum_I [stratum_I] prod_{i in I} (uv - 1)/((uv)^{nu_i} - 1), a
+    # class stratum entering as its numerator and denominator on the diagonal
+    terms = []
     for s in res.strata:
-        value = s.hodge if s.cls is None else hodge_realize(s.cls)
-        for name in s.I:
-            # (uv - 1)/((uv)^nu - 1)
-            value = value * HodgeRational({(1, 1): 1, (0, 0): -1}, (nu_map[name],))
-        total_h = total_h + value
-    return total_h * HodgeRational.w(-res.d)
+        w = (LaurentPoly.binom(1) ** len(s.I)).shift(-res.d)
+        nus = tuple(nu_map[name] for name in s.I)
+        if s.cls is None:
+            terms.append((s.hodge.num, w, s.hodge.den + nus))
+        else:
+            terms.append(({(0, 0): 1}, s.cls.num * w, s.cls.den + nus))
+    return hodge_sum(terms)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from motivic.errors import ChiUndefined
 from motivic.grring import (CompletionExpansion, HodgeRational, LaurentPoly,
                             MotClass, chi_realize, expand_completion,
-                            filtration_degree, hodge_realize, mot_arith,
-                            mot_eq, mot_sum)
+                            filtration_degree, hodge_realize, hodge_sum,
+                            mot_arith, mot_eq, mot_sum)
 from motivic.parsing import format_motclass
 from motivic.series import RationalMotSeries
 
@@ -169,6 +169,17 @@ class TestFastPaths:
         rng.shuffle(terms)
         zero = mot_sum((a.num, a.den) for a in terms)
         assert zero.is_zero and zero.den == ()
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3),
+        max_size=3), laurent_st, shared_den_st), max_size=4))
+    def test_one_shot_hodge_sum_is_a_left_fold(self, triples):
+        # num(u, v) * w(uv) / prod ((uv)^i - 1), added one HodgeRational at a time
+        want = functools.reduce(operator.add, (
+            HodgeRational(num) * hodge_realize(MotClass(w)) * HodgeRational({(0, 0): 1}, den)
+            for num, w, den in triples), HodgeRational({}))
+        assert hodge_sum(triples) == want
 
     def test_one_shot_sum_of_unreduced_fractions(self):
         # (L+1)/(L^2-1) + (L^2+L+1)/(L^3-1) = 2/(L-1)

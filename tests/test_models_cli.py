@@ -1,11 +1,12 @@
 """Model files and the command-line interface."""
 import os
 import pathlib
+import re
 import sys
 
 import pytest
 
-from motivic.cli import main
+from motivic.cli import COMMANDS, main
 from motivic.errors import ParseError
 from motivic.models import parse_model, print_model
 from motivic.parsing import parse_int_poly
@@ -40,6 +41,10 @@ class TestModelFiles:
         with pytest.raises(ParseError):
             parse_model("kind = variety\nvars = x\ndimension = 1\ncolor = red\n")
 
+    def test_last_line_of_a_key_wins(self):
+        model = parse_model("kind = variety\nvars = x y\ndimension = 0\ndimension = 1\n")
+        assert model.datum.variety.d == 1
+
     def test_nu_zero_rejected(self):
         with pytest.raises(ParseError, match="nu"):
             parse_model("kind = resolution\ndimension = 2\n"
@@ -64,6 +69,116 @@ class TestModelFiles:
         with pytest.raises(ParseError, match="integer lists"):
             parse_model("kind = polyhedron\ndimension = 1\n"
                         f"stratum | class = 1 | generators = {gens}\n")
+
+
+RES = "kind = resolution\ndimension = 2\n"
+POLY = "kind = polyhedron\n"
+VAR = "kind = variety\nvars = x\n"
+SER = "kind = series\n"
+PRES = "kind = presburger\nvars = i\n"
+
+# One single-fault model file per diagnostic of the model reader, with the
+# whole error line it prints.
+DIAGNOSTICS = [
+    ("", "empty model file"),
+    ("# only a comment\n", "empty model file"),
+    ("what\n", "line 1: expected 'key = value', got 'what'"),
+    ("dimension = 2\n", "line 1: the first line must declare the kind"),
+    ("kind = banana\n", "line 1: unknown kind 'banana'; expected one of resolution, "
+                        "polyhedron, variety, series, presburger"),
+    (RES + "divisor E\n", "line 3: divisor line needs a name and nu=VALUE"),
+    (RES + "divisor E nu=x\n", "line 3: nu must be an integer, got 'x'"),
+    (RES + "divisor E nu=1 N=x\n", "line 3: N must be an integer, got 'x'"),
+    (RES + "divisor E nu=1 mu=1\n", "line 3: unknown divisor attribute 'mu=1'"),
+    (RES + "divisor E N=1\n", "line 3: divisor line needs nu=VALUE"),
+    (RES + "divisor E nu=0\n", "line 3: divisor 'E': nu must be >= 1, got 0"),
+    (RES + "divisor E nu=1 N=-1\n", "line 3: divisor 'E': N must be >= 0, got -1"),
+    (RES + "stratum E class = 1\n", "line 3: stratum line needs '|' before its fields"),
+    (RES + "stratum | class\n", "line 3: expected 'key = value', got 'class'"),
+    (RES + "stratum | class = L +\n", "unexpected end of expression in 'L +'"),
+    (RES + "stratum | chi = x | hodge = 1\n", "line 3: bad rational number 'x'"),
+    (RES + "stratum | chi = 1 | hodge = u +\n", "unexpected end of expression in 'u +'"),
+    (RES + "stratum | color = red\n", "line 3: unknown stratum field 'color'"),
+    (RES + "stratum | chi = 1\n",
+     "line 3: stratum []: needs an exact class or both chi and hodge"),
+    ("kind = resolution\ndimension = x\n", "line 2: dimension must be an integer, got 'x'"),
+    (RES + "total = L +\n", "unexpected end of expression in 'L +'"),
+    (RES + "color = red\n", "line 3: unknown key 'color' in a resolution model"),
+    ("kind = resolution\nstratum | class = 1\n", "resolution model needs a 'dimension' line"),
+    ("kind = resolution\ndimension = 0\n", "dimension must be positive, got 0"),
+    (RES + "divisor E nu=1\ndivisor E nu=2\n", "duplicate divisor names"),
+    (RES + "stratum F | class = 1\n", "stratum ['F'] references unknown divisors"),
+    (RES + "stratum | class = 1\nstratum | class = L\n", "duplicate stratum for subset []"),
+    (POLY + "generators = [[1,\n", "line 2: bad generator list '[[1,'"),
+    (POLY + "generators = []\n", "line 2: generators must be a list of integer lists"),
+    (POLY + "dimension = 1\nstratum class = 1\n",
+     "line 3: polyhedron stratum line starts with '|'"),
+    (POLY + "dimension = 1\nstratum | class\n", "line 3: expected 'key = value', got 'class'"),
+    (POLY + "dimension = 1\nstratum | class = 1 | generators = [[0]]\n",
+     "line 3: generator (0,) has an entry < 1"),
+    (POLY + "dimension = 1\nstratum | color = red\n", "line 3: unknown stratum field 'color'"),
+    (POLY + "dimension = 1\nstratum | generators = [[1]]\n",
+     "line 3: polyhedron stratum needs a class"),
+    (POLY + "k = x\ngenerators = [[1]]\n", "line 2: k must be an integer, got 'x'"),
+    (POLY + "dimension = x\n", "line 2: dimension must be an integer, got 'x'"),
+    (POLY + "color = red\n", "line 2: unknown key 'color' in a polyhedron model"),
+    (POLY + "k = 3\ngenerators = [[1, 2]]\n",
+     "generator (1, 2) has wrong dimension (expected 3)"),
+    (POLY + "k = 0\ngenerators = [[1, 2]]\n", "ambient dimension must be positive"),
+    (POLY, "polyhedron model needs generators or strata"),
+    (POLY + "stratum | class = 1\n", "polyhedron strata need a 'dimension' line"),
+    ("kind = variety\nvars = x x\ndimension = 1\n", "line 2: vars names 'x' twice"),
+    (VAR + "params = a a\ndimension = 1\n", "line 3: params names 'a' twice"),
+    (VAR + "dimension = x\n", "line 3: dimension must be an integer, got 'x'"),
+    (VAR + "dimension = 1\ncolor = red\n", "line 4: unknown key 'color' in a variety model"),
+    ("kind = variety\ndimension = 1\n", "variety model needs a 'vars' line"),
+    (VAR, "variety model needs a 'dimension' line"),
+    (VAR + "dimension = 1\npoly = x +\n", "line 4: unexpected end of expression in 'x +'"),
+    (VAR + "dimension = 2\n", "declared dimension 2 outside [0, 1]"),
+    (VAR + "dimension = 1\ncondition = (ordmod {x} 2)\n",
+     "'ordmod' needs (ordmod f modulus residue)"),
+    (SER + "num = 1\nden = 1,1\n", "line 3: bad denominator factor '1,1'; expected (a,b)"),
+    (SER + "num = 1\nden = (1,1,1)\n",
+     "line 3: bad denominator factor '(1,1,1)'; expected (a,b)"),
+    (SER + "num = 1\nden = (x,1)\n", "line 3: a must be an integer, got 'x'"),
+    (SER + "num = 1\nden = (1,x)\n", "line 3: b must be an integer, got 'x'"),
+    (SER + "num = (L\n", "unexpected end of expression in '(L'"),
+    (SER + "num = 1\ncolor = red\n", "line 3: unknown key 'color' in a series model"),
+    (SER + "den = (1,1)\n", "series model needs a 'num' line"),
+    (SER + "num = 1\nden = (1,0)\n", "denominator factor (1 - L^1 T^0) needs b >= 1"),
+    ("kind = presburger\nvars = i i\ncondition = true\n", "line 2: vars names 'i' twice"),
+    (PRES + "condition = true\ncolor = red\n",
+     "line 4: unknown key 'color' in a presburger model"),
+    ("kind = presburger\ncondition = true\n", "presburger model needs a 'vars' line"),
+    (PRES, "presburger model needs a 'condition' line"),
+    (PRES + "condition = true\nmap = i*i\n", "line 4: map 'i*i' is not affine"),
+    (PRES + "condition = true\nmap = i - 1\n",
+     "line 4: map 'i - 1' has a negative coefficient; image maps must have "
+     "nonnegative coefficients"),
+    (PRES + "condition = (>= i\n", "unbalanced parentheses in condition"),
+]
+
+# a subcommand that reads each kind of model
+READER = {"resolution": ["volume"], "polyhedron": ["zdelta"],
+          "variety": ["jets-count", "--q", "2", "--n", "1"],
+          "series": ["series-limit", "--d", "1"], "presburger": ["genfun"]}
+
+
+class TestModelDiagnostics:
+    @pytest.mark.parametrize("body, message", DIAGNOSTICS)
+    def test_one_fault_one_line(self, body, message, tmp_path, capsys):
+        path = tmp_path / "fault.model"
+        path.write_text(body)
+        kind = body.partition("\n")[0].partition("= ")[2]
+        argv = READER.get(kind, READER["resolution"])
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        assert capsys.readouterr() == ("", f"error[ParseError]: {message}\n")
+
+    def test_wrong_kind(self, capsys):
+        assert main(["zdelta", fx("node.model")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error[ParseError]: {fx('node.model')}: expected a polyhedron model, "
+                "found variety\n")
 
 
 class TestCliExitCodes:
@@ -260,6 +375,14 @@ class TestCliOutputs:
                      "--q", "2"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
+    @pytest.mark.parametrize("text", ["3\n7\n", "n,N_n\n0,3\n1,7\n"])
+    def test_series_check_header_is_optional(self, text, tmp_path, capsys):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text(text)
+        assert main(["series-check", fx("node.series"), str(csv_path), "--q", "2"]) == 0
+        assert capsys.readouterr() == (
+            "n=0 expected=3 actual=3 ok\nn=1 expected=7 actual=7 ok\nPASS\n", "")
+
     def test_jets_count(self, capsys):
         assert main(["jets-count", fx("node.model"), "--q", "2", "--n", "1"]) == 0
         assert capsys.readouterr().out.strip() == "8"
@@ -361,3 +484,13 @@ class TestBudgetEnvVar:
                      "--budget", "100000"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "8"
+
+
+class TestReadme:
+    def test_cli_table_is_the_command_table(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.partition("## Command-line usage")[2].partition("\n## ")[0]
+        rows = re.findall(r"^\| `([a-z-]+)[^`]*` \| ([^|]+) \|", section, re.M)
+        assert [name for name, _ in rows] == list(COMMANDS)
+        for name, given in rows:
+            assert f"{COMMANDS[name].kind} model" in given, name

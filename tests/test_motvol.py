@@ -190,6 +190,25 @@ class TestRealize:
                 continue  # chi undefined for a random stratum class
             assert via_strata == direct
 
+    def test_hodge_volume_is_the_stratum_by_stratum_sum(self):
+        # the volume reduced once equals the sum built and reduced one
+        # stratum and one divisor at a time, realization-only strata included
+        rng = random.Random(23)
+        for _ in range(20):
+            res, _ = random_resolution(rng)
+            strata = [s if rng.random() < 0.5 else Stratum(s.I, chi=Fraction(1), hodge=(
+                HodgeRational({(1, 0): rng.randint(-2, 2), (0, 1): 1}, (2,))))
+                for s in res.strata]
+            res = ResolutionData(res.d, res.divisors, strata)
+            nu = {div.name: div.nu for div in res.divisors}
+            want = HodgeRational({})
+            for s in res.strata:
+                value = s.hodge if s.cls is None else hodge_realize(s.cls)
+                for name in s.I:
+                    value = value * HodgeRational({(1, 1): 1, (0, 0): -1}, (nu[name],))
+                want = want + value
+            assert realize_volume(res, "hodge") == want * HodgeRational.w(-res.d)
+
     def test_crepant_euler_characteristic(self):
         e = -7
         res = ResolutionData(2, [], [Stratum(
