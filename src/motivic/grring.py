@@ -21,8 +21,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import add, index
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ChiUndefined
 
@@ -354,19 +354,49 @@ def mot_arith(a: MotClass, b: MotClass, op: str) -> MotClass:
     raise ValueError(f"unknown operation {op!r}")
 
 
-def _over_common_den(fractions: Iterable[Tuple[Mapping, Iterable[int]]]
+def poly_mul(a: Mapping, b: Mapping, zero=0) -> Dict:
+    """Product of two polynomials given as {exponents: coefficient}."""
+    out: Dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            c = c1 * c2
+            out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c != zero}
+
+
+def _over_common_den(fractions: Iterable[Tuple[Mapping, Iterable]]
                      ) -> Tuple[Counter, List[Tuple[Dict, Counter]]]:
     """Numerator terms added per denominator, with the multiset max of the
-    denominators and, per denominator, the (L^i - 1) factors it lacks."""
-    groups: Dict[Tuple[int, ...], Dict] = {}
+    denominators and, per denominator, the factors it lacks."""
+    groups: Dict[Tuple, Dict] = {}
     for terms, den in fractions:
-        acc = groups.setdefault(_clean_den(den), {})
+        acc = groups.setdefault(tuple(sorted(den)), {})
         for k, c in terms.items():
-            acc[k] = acc.get(k, 0) + c
+            acc[k] = acc[k] + c if k in acc else c
     common: Counter = Counter()
     for den in groups:
         common |= Counter(den)
     return common, [(acc, common - Counter(den)) for den, acc in groups.items()]
+
+
+def fraction_sum(fractions: Iterable[Tuple[Mapping, Iterable]],
+                 factor: Callable[[object], Mapping], zero=0) -> Tuple[Dict, Tuple]:
+    """The sum of num / prod_{f in den} factor(f) over the (num, den) pairs,
+    numerators given as {exponents: coefficient}, as an unreduced (num, den).
+
+    Numerators over equal denominators are added first; each sum is then
+    multiplied by the factors its denominator lacks from the multiset max of
+    the denominators, which is the denominator of the result.
+    """
+    common, groups = _over_common_den(fractions)
+    total: Dict = {}
+    for acc, missing in groups:
+        for f in missing.elements():
+            acc = poly_mul(acc, factor(f), zero)
+        for k, c in acc.items():
+            total[k] = total[k] + c if k in total else c
+    return {k: c for k, c in total.items() if c != zero}, tuple(common.elements())
 
 
 def mot_sum(fractions: Iterable[Tuple[LaurentPoly, Iterable[int]]]) -> MotClass:
@@ -527,8 +557,8 @@ class HodgeRational:
         return _diagonal(_binoms(self.den))
 
     def __add__(self, other: "HodgeRational") -> "HodgeRational":
-        num = _hr_mul(self.num, other._den_num())
-        for k, c in _hr_mul(other.num, self._den_num()).items():
+        num = poly_mul(self.num, other._den_num())
+        for k, c in poly_mul(other.num, self._den_num()).items():
             num[k] = num.get(k, 0) + c
         return HodgeRational(num, self.den + other.den)
 
@@ -539,7 +569,7 @@ class HodgeRational:
         return self + (-other)
 
     def __mul__(self, other: "HodgeRational") -> "HodgeRational":
-        return HodgeRational(_hr_mul(self.num, other.num), self.den + other.den)
+        return HodgeRational(poly_mul(self.num, other.num), self.den + other.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HodgeRational):
@@ -574,15 +604,6 @@ class HodgeRational:
         return f"HodgeRational({format_hodge(self)})"
 
 
-def _hr_mul(a: Mapping[Tuple[int, int], int], b: Mapping[Tuple[int, int], int]):
-    out: Dict[Tuple[int, int], int] = {}
-    for (p1, q1), c1 in a.items():
-        for (p2, q2), c2 in b.items():
-            k = (p1 + p2, q1 + q2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
 def _diagonal(p: LaurentPoly) -> Dict[Tuple[int, int], int]:
     """p(uv) as a map (p, q) -> coefficient of u^p v^q."""
     return {(e, e): c for e, c in p.terms.items()}
@@ -596,14 +617,8 @@ def hodge_realize(a: MotClass) -> HodgeRational:
 def hodge_sum(fractions: Iterable[Tuple[Mapping[Tuple[int, int], int], LaurentPoly,
                                         Iterable[int]]]) -> HodgeRational:
     """The sum of num(u, v) * w(uv) / prod_{i in den} ((uv)^i - 1) over the
-    (num, w, den) triples, grouped and put over one denominator as in
-    `mot_sum`, and reduced once."""
-    common, groups = _over_common_den((_hr_mul(num, _diagonal(w)), den)
-                                      for num, w, den in fractions)
-    total: Dict[Tuple[int, int], int] = {}
-    for acc, missing in groups:
-        if missing:
-            acc = _hr_mul(acc, _diagonal(_binoms(missing.elements())))
-        for k, c in acc.items():
-            total[k] = total.get(k, 0) + c
-    return HodgeRational(total, common.elements())
+    (num, w, den) triples, put over one denominator by `fraction_sum` and
+    reduced once."""
+    return HodgeRational(*fraction_sum(
+        ((poly_mul(num, _diagonal(w)), den) for num, w, den in fractions),
+        lambda i: {(i, i): 1, (0, 0): -1}))

@@ -66,144 +66,137 @@ class ModelFile:
         return print_model(self) == print_model(other)
 
 
-def _fail(lineno: int, msg: str) -> None:
-    raise ParseError(f"line {lineno}: {msg}")
+def _at(lineno: int, read: Callable, *args):
+    """read(*args), with `line N: ` put before a diagnostic it raises; the
+    builders read their deferred lines through it."""
+    try:
+        return read(*args)
+    except (ParseError, ValidationError) as exc:
+        raise ParseError(f"line {lineno}: {exc}")
 
 
-def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
+def _split_kv(line: str) -> Tuple[str, str]:
     if "=" not in line:
-        _fail(lineno, f"expected 'key = value', got {line!r}")
+        raise ParseError(f"expected 'key = value', got {line!r}")
     key, _, value = line.partition("=")
     return key.strip(), value.strip()
 
 
-# -- value parsers: (text, line number, key) -> value -------------------------
+# -- value parsers: (text, key) -> value --------------------------------------
 
-def _int(value: str, lineno: int, what: str) -> int:
+def _int(value: str, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        _fail(lineno, f"{what} must be an integer, got {value!r}")
+        raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
-def _names(value: str, lineno: int, what: str) -> Tuple[str, ...]:
+def _names(value: str, what: str) -> Tuple[str, ...]:
     names = tuple(value.split())
     for i, name in enumerate(names):
         if name in names[:i]:
-            _fail(lineno, f"{what} names {name!r} twice")
+            raise ParseError(f"{what} names {name!r} twice")
     return names
 
 
-def _text(value: str, lineno: int, key: str) -> str:
-    return value
-
-
-def _class(value: str, lineno: int, key: str):
+def _class(value: str, key: str):
     return parse_motclass(value)
 
 
-def _fraction(value: str, lineno: int, key: str) -> Fraction:
+def _fraction(value: str, key: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        _fail(lineno, f"bad rational number {value!r}")
+        raise ParseError(f"bad rational number {value!r}")
 
 
-def _hodge_poly(value: str, lineno: int, key: str) -> HodgeRational:
+def _hodge_poly(value: str, key: str) -> HodgeRational:
     return HodgeRational(parse_int_poly(value, ("u", "v")))
 
 
-def _generators(value: str, lineno: int, key: str) -> List[Tuple[int, ...]]:
+def _generators(value: str, key: str) -> List[Tuple[int, ...]]:
     try:
         raw = ast.literal_eval(value)
     except (ValueError, SyntaxError):
-        _fail(lineno, f"bad generator list {value!r}")
+        raise ParseError(f"bad generator list {value!r}")
     if (not isinstance(raw, list) or not raw
             or not all(isinstance(g, list) and all(type(e) is int for e in g)
                        for g in raw)):
-        _fail(lineno, "generators must be a list of integer lists")
+        raise ParseError("generators must be a list of integer lists")
     return [tuple(g) for g in raw]
 
 
-def _polyhedron(value: str, lineno: int, key: str) -> NewtonPolyhedron:
-    gens = _generators(value, lineno, key)
+def _polyhedron(value: str, key: str) -> NewtonPolyhedron:
+    gens = _generators(value, key)
     try:
         return NewtonPolyhedron(len(gens[0]), gens)
-    except (ValueError, ValidationError) as exc:
-        _fail(lineno, str(exc))
+    except ValueError as exc:
+        raise ParseError(str(exc))
 
 
-def _den_factors(value: str, lineno: int, key: str) -> List[Tuple[int, int]]:
+def _den_factors(value: str, key: str) -> List[Tuple[int, int]]:
     out = []
     for chunk in value.replace("(", " (").split():
         nums = chunk[1:-1].split(",")
         if not (chunk.startswith("(") and chunk.endswith(")")) or len(nums) != 2:
-            _fail(lineno, f"bad denominator factor {chunk!r}; expected (a,b)")
-        out.append((_int(nums[0].strip(), lineno, "a"),
-                    _int(nums[1].strip(), lineno, "b")))
+            raise ParseError(f"bad denominator factor {chunk!r}; expected (a,b)")
+        out.append((_int(nums[0].strip(), "a"), _int(nums[1].strip(), "b")))
     return out
 
 
-# -- row parsers: (line, line number) -> row ----------------------------------
+# -- row parsers: line -> row -------------------------------------------------
 
-def _row_fields(texts: Sequence[str], lineno: int,
-                parsers: Dict[str, Callable]) -> Dict[str, object]:
+def _row_fields(texts: Sequence[str], parsers: Dict[str, Callable]) -> Dict[str, object]:
     """The `key = value` fields of a stratum row, each read by its parser."""
     out = {}
     for text in texts:
-        key, value = _split_kv(text.strip(), lineno)
+        key, value = _split_kv(text.strip())
         if key not in parsers:
-            _fail(lineno, f"unknown stratum field {key!r}")
-        out[key] = parsers[key](value, lineno, key)
+            raise ParseError(f"unknown stratum field {key!r}")
+        out[key] = parsers[key](value, key)
     return out
 
 
-def _divisor(line: str, lineno: int) -> Divisor:
+def _divisor(line: str) -> Divisor:
     parts = line.split()
     if len(parts) < 3:
-        _fail(lineno, "divisor line needs a name and nu=VALUE")
+        raise ParseError("divisor line needs a name and nu=VALUE")
     attrs: Dict[str, int] = {}
     for item in parts[2:]:
         k, _, v = item.partition("=")
         if k not in ("nu", "N") or not v:
-            _fail(lineno, f"unknown divisor attribute {item!r}")
-        attrs[k] = _int(v, lineno, k)
+            raise ParseError(f"unknown divisor attribute {item!r}")
+        attrs[k] = _int(v, k)
     if "nu" not in attrs:
-        _fail(lineno, "divisor line needs nu=VALUE")
-    try:
-        return Divisor(parts[1], attrs["nu"], attrs.get("N"))
-    except ValidationError as exc:
-        _fail(lineno, str(exc))
+        raise ParseError("divisor line needs nu=VALUE")
+    return Divisor(parts[1], attrs["nu"], attrs.get("N"))
 
 
-def _resolution_stratum(line: str, lineno: int) -> Stratum:
+def _resolution_stratum(line: str) -> Stratum:
     rest = line[len("stratum"):].strip()
     if "|" not in rest:
-        _fail(lineno, "stratum line needs '|' before its fields")
+        raise ParseError("stratum line needs '|' before its fields")
     subset, _, fields = rest.partition("|")
-    f = _row_fields(fields.split("|"), lineno,
+    f = _row_fields(fields.split("|"),
                     {"class": _class, "chi": _fraction, "hodge": _hodge_poly})
-    try:
-        return Stratum(frozenset(subset.split()), cls=f.get("class"),
-                       chi=f.get("chi"), hodge=f.get("hodge"))
-    except ValidationError as exc:
-        _fail(lineno, str(exc))
+    return Stratum(frozenset(subset.split()), cls=f.get("class"),
+                   chi=f.get("chi"), hodge=f.get("hodge"))
 
 
-def _polyhedron_stratum(line: str, lineno: int) -> PolyhedralStratum:
+def _polyhedron_stratum(line: str) -> PolyhedralStratum:
     rest = line[len("stratum"):].strip()
     if not rest.startswith("|"):
-        _fail(lineno, "polyhedron stratum line starts with '|'")
-    f = _row_fields(rest[1:].split("|"), lineno,
-                    {"class": _class, "generators": _polyhedron})
+        raise ParseError("polyhedron stratum line starts with '|'")
+    f = _row_fields(rest[1:].split("|"), {"class": _class, "generators": _polyhedron})
     if "class" not in f:
-        _fail(lineno, "polyhedron stratum needs a class")
+        raise ParseError("polyhedron stratum needs a class")
     return PolyhedralStratum(f["class"], f.get("generators"))
 
 
 # -- builders: what was read -> datum -----------------------------------------
-# `f` maps each single key that was given to its value, and each repeated key
-# and row word to its list.
+# `f` maps each single key that was given to its value (a key without a
+# parser to its (line number, text)), and each repeated key and row word to
+# its list.
 
 def _build_resolution(f) -> ResolutionData:
     try:
@@ -232,19 +225,15 @@ def _build_polyhedron(f) -> PolyhedronModel:
 
 def _build_variety(f) -> VarietyModel:
     names, params = f["vars"], f.get("params", ())
-    polys = []
-    for lineno, text in f["poly"]:
-        try:
-            polys.append(parse_int_poly(text, names))
-        except ParseError as exc:
-            _fail(lineno, str(exc))
+    polys = [_at(lineno, parse_int_poly, text, names) for lineno, text in f["poly"]]
     try:
         X = JetVariety(len(names), polys, f["dimension"], names)
     except ValidationError as exc:
         raise ParseError(str(exc))
-    text = f.get("condition")
-    condition = None if text is None else parse_semialg(text, names, params)
-    return VarietyModel(X, text, params, condition)
+    if "condition" not in f:
+        return VarietyModel(X, None, params)
+    lineno, text = f["condition"]
+    return VarietyModel(X, text, params, _at(lineno, parse_semialg, text, names, params))
 
 
 def _build_series(f) -> RationalMotSeries:
@@ -254,27 +243,30 @@ def _build_series(f) -> RationalMotSeries:
         raise ParseError(str(exc))
 
 
+def _map(text: str, names: Sequence[str]) -> Affine:
+    coeffs, const = split_affine(parse_int_poly(text, names), len(names),
+                                 f"map {text!r} is not affine")
+    if const < 0 or any(c < 0 for c in coeffs):
+        raise ParseError(f"map {text!r} has a negative coefficient; image maps "
+                         "must have nonnegative coefficients")
+    return Affine(coeffs, const)
+
+
 def _build_presburger(f) -> PresburgerModel:
     names = f["vars"]
-    condition = parse_condition(f["condition"], names)
-    maps = []
-    for lineno, text in f["map"]:
-        coeffs, const = split_affine(parse_int_poly(text, names), len(names),
-                                     f"line {lineno}: map {text!r} is not affine")
-        if const < 0 or any(c < 0 for c in coeffs):
-            _fail(lineno, f"map {text!r} has a negative coefficient; image maps "
-                          "must have nonnegative coefficients")
-        maps.append(Affine(coeffs, const))
-    return PresburgerModel(PresburgerSet(len(names), condition), names, tuple(maps))
+    lineno, text = f["condition"]
+    condition = _at(lineno, parse_condition, text, names)
+    maps = tuple(_at(lineno, _map, text, names) for lineno, text in f["map"])
+    return PresburgerModel(PresburgerSet(len(names), condition), names, maps)
 
 
 @dataclass(frozen=True)
 class _Kind:
-    keys: Dict[str, Callable[[str, int, str], object]]
+    keys: Dict[str, Optional[Callable[[str, str], object]]]
     build: Callable[[Dict[str, object]], object]
     required: Tuple[str, ...] = ()
     repeated: Tuple[str, ...] = ()
-    rows: Dict[str, Callable[[str, int], object]] = field(default_factory=dict)
+    rows: Dict[str, Callable[[str], object]] = field(default_factory=dict)
 
 
 _KINDS: Dict[str, _Kind] = {
@@ -284,11 +276,11 @@ _KINDS: Dict[str, _Kind] = {
     "polyhedron": _Kind({"k": _int, "generators": _generators, "dimension": _int},
                         _build_polyhedron, rows={"stratum": _polyhedron_stratum}),
     "variety": _Kind({"vars": _names, "dimension": _int, "params": _names,
-                      "condition": _text}, _build_variety,
+                      "condition": None}, _build_variety,
                      required=("vars", "dimension"), repeated=("poly",)),
-    "series": _Kind({"num": lambda value, lineno, key: parse_series_num(value),
+    "series": _Kind({"num": lambda value, key: parse_series_num(value),
                      "den": _den_factors}, _build_series, required=("num",)),
-    "presburger": _Kind({"vars": _names, "condition": _text}, _build_presburger,
+    "presburger": _Kind({"vars": _names, "condition": None}, _build_presburger,
                         required=("vars", "condition"), repeated=("map",)),
 }
 
@@ -302,26 +294,31 @@ def parse_model(text: str) -> ModelFile:
     if not lines:
         raise ParseError("empty model file")
     lineno, first = lines[0]
-    key, kind = _split_kv(first, lineno)
-    if key != "kind":
-        _fail(lineno, "the first line must declare the kind")
-    if kind not in _KINDS:
-        _fail(lineno, f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
-    spec = _KINDS[kind]
-    fields: Dict[str, object] = {name: [] for name in (*spec.repeated, *spec.rows)}
-    for lineno, line in lines[1:]:
-        if spec.rows:
+    # a diagnostic raised while a line is read names that line
+    try:
+        key, kind = _split_kv(first)
+        if key != "kind":
+            raise ParseError("the first line must declare the kind")
+        if kind not in _KINDS:
+            raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+        spec = _KINDS[kind]
+        fields: Dict[str, object] = {name: [] for name in (*spec.repeated, *spec.rows)}
+        for lineno, line in lines[1:]:
             word = line.split(None, 1)[0]
             if word in spec.rows:
-                fields[word].append(spec.rows[word](line, lineno))
+                fields[word].append(spec.rows[word](line))
                 continue
-        key, value = _split_kv(line, lineno)
-        if key in spec.keys:
-            fields[key] = spec.keys[key](value, lineno, key)
-        elif key in spec.repeated:
-            fields[key].append((lineno, value))
-        else:
-            _fail(lineno, f"unknown key {key!r} in a {kind} model")
+            key, value = _split_kv(line)
+            if key in spec.repeated:
+                fields[key].append((lineno, value))
+            elif key not in spec.keys:
+                raise ParseError(f"unknown key {key!r} in a {kind} model")
+            elif spec.keys[key] is None:
+                fields[key] = (lineno, value)
+            else:
+                fields[key] = spec.keys[key](value, key)
+    except (ParseError, ValidationError) as exc:
+        raise ParseError(f"line {lineno}: {exc}")
     for key in spec.required:
         if key not in fields:
             raise ParseError(f"{kind} model needs a {key!r} line")

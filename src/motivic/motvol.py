@@ -10,9 +10,9 @@ exactly in the localized ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence
 
 from .errors import (MissingN, RealizationOnlyStrata, StrataNotPartition,
                      ValidationError)

@@ -4,7 +4,8 @@ Class literals, series numerators and integer polynomials are infix
 expressions over `^`, `*`, `+`, `-` and parentheses, parsed into one tuple
 AST that one evaluator maps to its target: classes over `L` with divisors
 written `/(L^i-1)` (repeatable), polynomials in T with class coefficients,
-or integer polynomials in named variables.  Conditions are s-expressions
+or integer polynomials in named variables (`presburger` builds the same AST
+from its s-expression affine forms).  Conditions are s-expressions
 whose `and`/`or`/`not` skeleton one reader parses, leaving the atoms to the
 caller; one walker, `fold`, evaluates such a tree, substitutes into it or
 evaluates it three-valued, and `atoms` lists its leaves.  The printers
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ParseError
-from .grring import HodgeRational, LaurentPoly, MotClass
+from .grring import HodgeRational, LaurentPoly, MotClass, poly_mul
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -280,17 +280,6 @@ _CLASS = _Target((), True, "in ring expression")
 _SERIES = _Target(("T",), True, "in series expression")
 
 
-def poly_mul(a: Poly, b: Poly, zero=0) -> Poly:
-    """Product of two polynomials given as {exponents: coefficient}."""
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            c = c1 * c2
-            out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if c != zero}
-
-
 def _evaluate(node, target: _Target) -> Poly:
     """The polynomial that a parsed expression denotes in target, without
     zero coefficients."""
@@ -364,9 +353,13 @@ def parse_series_num(text: str) -> Dict[int, MotClass]:
 
 
 def parse_int_poly(text: str, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
+    return eval_int_poly(parse_expr(text), names)
+
+
+def eval_int_poly(node, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
+    """The integer polynomial in names that a parsed expression denotes."""
     names = tuple(names)
-    return _evaluate(parse_expr(text),
-                     _Target(names, False, f"(declared: {', '.join(names)})"))
+    return _evaluate(node, _Target(names, False, f"(declared: {', '.join(names)})"))
 
 
 def split_affine(poly: Dict[Tuple[int, ...], int], n: int,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -19,8 +18,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, DimensionUnsupported, InfiniteFibers, ParseError
 from .jets import default_budget
-from .parsing import (And, Not, Or, atoms, fold, format_fraction, format_monomial,
-                      poly_mul, read_condition)
+from .grring import fraction_sum, poly_mul
+from .parsing import (And, Not, Or, atoms, eval_int_poly, fold, format_fraction,
+                      format_monomial, read_condition, split_affine)
 
 Expo = Tuple[int, ...]
 
@@ -182,18 +182,9 @@ class RatFunc:
 
 def _sum(nvars: int, parts: Sequence[RatFunc]) -> RatFunc:
     """Sum over the least common multiple of the denominators."""
-    common: Counter = Counter()
-    for f in parts:
-        common |= Counter(f.den)
     one = (0,) * nvars
-    num: Dict[Expo, int] = {}
-    for f in parts:
-        p = f.num
-        for c in (common - Counter(f.den)).elements():
-            p = poly_mul(p, {one: 1, c: -1})
-        for m, c in p.items():
-            num[m] = num.get(m, 0) + c
-    return RatFunc(nvars, num, tuple(common.elements()))
+    return RatFunc(nvars, *fraction_sum(((f.num, f.den) for f in parts),
+                                        lambda c: {one: 1, c: -1}))
 
 
 # ---------------------------------------------------------------------------
@@ -394,43 +385,32 @@ def _sweep(cond: Condition, maps: List[Affine],
 # s-expression syntax for conditions
 # ---------------------------------------------------------------------------
 
-def _parse_affine(node, names: Sequence[str]) -> Affine:
-    m = len(names)
+def _expr_tree(node):
+    """The `parsing` expression tree of an affine s-expression."""
     if isinstance(node, str):
-        if re.fullmatch(r"-?\d+", node):
-            return Affine((0,) * m, int(node))
-        if node in names:
-            coeffs = [0] * m
-            coeffs[list(names).index(node)] = 1
-            return Affine(tuple(coeffs), 0)
-        raise ParseError(f"unknown variable {node!r} (declared: {', '.join(names)})")
+        return ("num", int(node)) if re.fullmatch(r"-?\d+", node) else ("var", node)
     if not node:
         raise ParseError("empty affine expression")
     head = node[0]
-    args = [_parse_affine(a, names) for a in node[1:]]
+    args = [_expr_tree(a) for a in node[1:]]
     if head == "+":
-        coeffs = tuple(sum(a.coeffs[v] for a in args) for v in range(m))
-        return Affine(coeffs, sum(a.const for a in args))
+        return ("add", tuple((1, a) for a in args))
     if head == "-":
         if not args:
             raise ParseError("'-' needs at least one argument")
-        first, rest = args[0], args[1:]
-        if not rest:
-            return Affine(tuple(-c for c in first.coeffs), -first.const)
-        coeffs = tuple(first.coeffs[v] - sum(a.coeffs[v] for a in rest)
-                       for v in range(m))
-        return Affine(coeffs, first.const - sum(a.const for a in rest))
+        if len(args) == 1:
+            return ("neg", args[0])
+        return ("add", ((1, args[0]),) + tuple((-1, a) for a in args[1:]))
     if head == "*":
         if len(args) != 2:
             raise ParseError("'*' needs exactly two arguments")
-        a, b = args
-        if any(a.coeffs) and any(b.coeffs):
-            raise ParseError("nonlinear product in affine expression")
-        if any(b.coeffs):
-            a, b = b, a
-        c = b.const
-        return Affine(tuple(x * c for x in a.coeffs), a.const * c)
+        return ("mul", tuple(("*", a) for a in args))
     raise ParseError(f"unknown affine operator {head!r}")
+
+
+def _parse_affine(node, names: Sequence[str]) -> Affine:
+    return Affine(*split_affine(eval_int_poly(_expr_tree(node), names), len(names),
+                                "nonlinear product in affine expression"))
 
 
 def _parse_atom(node, names: Sequence[str]) -> Optional[Condition]:
@@ -438,15 +418,9 @@ def _parse_atom(node, names: Sequence[str]) -> Optional[Condition]:
     if head in (">=", "<=", "="):
         if len(node) != 3:
             raise ParseError(f"{head!r} needs exactly two arguments")
-        a = _parse_affine(node[1], names)
-        b = _parse_affine(node[2], names)
-        diff = Affine(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
-                      a.const - b.const)
-        if head == ">=":
-            return Ge(diff)
-        if head == "<=":
-            return Ge(Affine(tuple(-c for c in diff.coeffs), -diff.const))
-        return And((Ge(diff), Ge(Affine(tuple(-c for c in diff.coeffs), -diff.const))))
+        a, b = (node[2], node[1]) if head == "<=" else (node[1], node[2])
+        ge = Ge(_parse_affine(["-", a, b], names))
+        return ge if head != "=" else And((ge, Ge(_parse_affine(["-", b, a], names))))
     if head == "mod":
         if len(node) != 4:
             raise ParseError("'mod' needs (mod expr modulus residue)")

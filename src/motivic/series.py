@@ -5,14 +5,13 @@ arc-space Poincare series and of its coefficient limits.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import NoLimit
-from .grring import MotClass, mot_sum
+from .grring import MotClass, fraction_sum, mot_sum
 from .parsing import format_series_num
 
 
@@ -41,27 +40,11 @@ class RationalMotSeries:
         return cls({0: c}, [(a, b)])
 
     def __add__(self, other: "RationalMotSeries") -> "RationalMotSeries":
-        ca, cb = Counter(self.den), Counter(other.den)
-        common = ca | cb
-        num: Dict[int, MotClass] = {}
-
-        def accumulate(src: Dict[int, MotClass], missing: Counter):
-            poly = dict(src)
-            for (a, b), mult in sorted(missing.items()):
-                for _ in range(mult):
-                    # multiply by (1 - L^a T^b)
-                    nxt: Dict[int, MotClass] = {}
-                    for e, c in poly.items():
-                        nxt[e] = nxt.get(e, MotClass.zero()) + c
-                        shifted = c.shift(a)
-                        nxt[e + b] = nxt.get(e + b, MotClass.zero()) - shifted
-                    poly = nxt
-            for e, c in poly.items():
-                num[e] = num.get(e, MotClass.zero()) + c
-
-        accumulate(self.num, common - ca)
-        accumulate(other.num, common - cb)
-        return RationalMotSeries(num, tuple(common.elements()))
+        num, den = fraction_sum(
+            (({(e,): c for e, c in f.num.items()}, f.den) for f in (self, other)),
+            lambda ab: {(0,): MotClass.one(), (ab[1],): -MotClass.L(ab[0])},
+            MotClass.zero())
+        return RationalMotSeries({e: c for (e,), c in num.items()}, den)
 
     def __neg__(self) -> "RationalMotSeries":
         return RationalMotSeries({e: -c for e, c in self.num.items()}, self.den)

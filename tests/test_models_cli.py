@@ -95,14 +95,14 @@ DIAGNOSTICS = [
     (RES + "divisor E nu=1 N=-1\n", "line 3: divisor 'E': N must be >= 0, got -1"),
     (RES + "stratum E class = 1\n", "line 3: stratum line needs '|' before its fields"),
     (RES + "stratum | class\n", "line 3: expected 'key = value', got 'class'"),
-    (RES + "stratum | class = L +\n", "unexpected end of expression in 'L +'"),
+    (RES + "stratum | class = L +\n", "line 3: unexpected end of expression in 'L +'"),
     (RES + "stratum | chi = x | hodge = 1\n", "line 3: bad rational number 'x'"),
-    (RES + "stratum | chi = 1 | hodge = u +\n", "unexpected end of expression in 'u +'"),
+    (RES + "stratum | chi = 1 | hodge = u +\n", "line 3: unexpected end of expression in 'u +'"),
     (RES + "stratum | color = red\n", "line 3: unknown stratum field 'color'"),
     (RES + "stratum | chi = 1\n",
      "line 3: stratum []: needs an exact class or both chi and hodge"),
     ("kind = resolution\ndimension = x\n", "line 2: dimension must be an integer, got 'x'"),
-    (RES + "total = L +\n", "unexpected end of expression in 'L +'"),
+    (RES + "total = L +\n", "line 3: unexpected end of expression in 'L +'"),
     (RES + "color = red\n", "line 3: unknown key 'color' in a resolution model"),
     ("kind = resolution\nstratum | class = 1\n", "resolution model needs a 'dimension' line"),
     ("kind = resolution\ndimension = 0\n", "dimension must be positive, got 0"),
@@ -136,13 +136,13 @@ DIAGNOSTICS = [
     (VAR + "dimension = 1\npoly = x +\n", "line 4: unexpected end of expression in 'x +'"),
     (VAR + "dimension = 2\n", "declared dimension 2 outside [0, 1]"),
     (VAR + "dimension = 1\ncondition = (ordmod {x} 2)\n",
-     "'ordmod' needs (ordmod f modulus residue)"),
+     "line 4: 'ordmod' needs (ordmod f modulus residue)"),
     (SER + "num = 1\nden = 1,1\n", "line 3: bad denominator factor '1,1'; expected (a,b)"),
     (SER + "num = 1\nden = (1,1,1)\n",
      "line 3: bad denominator factor '(1,1,1)'; expected (a,b)"),
     (SER + "num = 1\nden = (x,1)\n", "line 3: a must be an integer, got 'x'"),
     (SER + "num = 1\nden = (1,x)\n", "line 3: b must be an integer, got 'x'"),
-    (SER + "num = (L\n", "unexpected end of expression in '(L'"),
+    (SER + "num = (L\n", "line 2: unexpected end of expression in '(L'"),
     (SER + "num = 1\ncolor = red\n", "line 3: unknown key 'color' in a series model"),
     (SER + "den = (1,1)\n", "series model needs a 'num' line"),
     (SER + "num = 1\nden = (1,0)\n", "denominator factor (1 - L^1 T^0) needs b >= 1"),
@@ -155,7 +155,7 @@ DIAGNOSTICS = [
     (PRES + "condition = true\nmap = i - 1\n",
      "line 4: map 'i - 1' has a negative coefficient; image maps must have "
      "nonnegative coefficients"),
-    (PRES + "condition = (>= i\n", "unbalanced parentheses in condition"),
+    (PRES + "condition = (>= i\n", "line 3: unbalanced parentheses in condition"),
 ]
 
 # a subcommand that reads each kind of model

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motivic.errors import (DimensionUnsupported, InfiniteFibers, ParseError)
@@ -170,7 +170,28 @@ class TestInclusionExclusion:
         assert f == everything
 
 
+@st.composite
+def ratfunc_pairs(draw, nvars):
+    """Two rational functions whose denominators share some factors, and
+    repeat or differ in others."""
+    expo = st.tuples(*[st.integers(0, 2)] * nvars)
+    factors = st.lists(expo.filter(any), max_size=2)
+    nums = st.dictionaries(expo, st.integers(-3, 3), max_size=3)
+    shared = draw(factors)
+    return [RatFunc(nvars, draw(nums), shared + draw(factors)) for _ in range(2)]
+
+
 class TestRatFunc:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(ratfunc_pairs(1), ratfunc_pairs(2)))
+    @example([RatFunc(1, {(0,): 1}, [(1,)]), RatFunc(1, {(0,): 1}, [(2,)])])
+    def test_sum_expands_coefficientwise(self, pair):
+        f, g = pair
+        want = f.expand(8)
+        for m, c in g.expand(8).items():
+            want[m] = want.get(m, 0) + c
+        assert (f + g).expand(8) == {m: c for m, c in want.items() if c}
+
     def test_equality_by_cross_multiplication(self):
         # X/(1-X)^2 written two ways
         a = RatFunc(1, {(1,): 1}, [(1,), (1,)])

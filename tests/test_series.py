@@ -100,13 +100,19 @@ class TestCompareCounts:
         assert report.lines()[-1] == "FAIL"
 
 
+# a denominator factor (1 - L^a T^b)
+FACTOR = st.tuples(st.integers(0, 2), st.integers(1, 2))
+
+
 class TestAlgebra:
     @settings(max_examples=40)
-    @given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2),
-           st.integers(0, 2), st.integers(1, 2))
-    def test_sum_expansion_is_additive(self, a1, a2, b2, a3, b3):
-        P = RationalMotSeries({0: MotClass.L(a1)})
-        Q = RationalMotSeries({1: MotClass.one()}, [(a2, b2), (a3, b3)])
+    @given(st.integers(0, 2), st.lists(FACTOR, max_size=2),
+           st.lists(FACTOR, max_size=2), st.lists(FACTOR, max_size=2))
+    def test_sum_expansion_is_additive(self, a1, shared, own_p, own_q):
+        # the summands share some factors, and repeat or differ in others
+        P = RationalMotSeries(
+            {0: MotClass.L(a1), 2: MotClass(LaurentPoly({1: -1}), (2,))}, shared + own_p)
+        Q = RationalMotSeries({1: MotClass.one()}, shared + own_q)
         for n, (cs, cp, cq) in enumerate(zip(
                 expand(P + Q, 8), expand(P, 8), expand(Q, 8))):
             assert mot_eq(cs, cp + cq)
