@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, ChiUndefined, DimensionUnsupported,
                      Unstable, ValidationError)
 from .grring import (CompletionExpansion, HodgeRational, LaurentPoly,
                      MotClass, chi_realize, expand_completion,
-                     filtration_degree, hodge_realize, mot_arith, mot_eq)
+                     filtration_degree, hodge_realize, mot_eq)
 from .series import RationalMotSeries, compare_counts, expand, \
     limit_of_coefficients, specialize_at_q
 from .polyhedra import (HalfOpenCone, NewtonPolyhedron, linearity_partition,

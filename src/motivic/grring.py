@@ -20,11 +20,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, index
+from functools import lru_cache, reduce
+from operator import add, index, mul
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import ChiUndefined
+from .errors import BudgetExceeded, ChiUndefined
+
+# Exact division runs over a dense list of the dividend's exponents; one that
+# spans more exponents than this raises BudgetExceeded.
+MAX_SPAN = 2 * 10 ** 6
 
 
 class LaurentPoly:
@@ -117,16 +121,10 @@ class LaurentPoly:
         return LaurentPoly._of(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """A repeated product: the exponents used are small."""
         if n < 0:
             raise ValueError("negative power of a general Laurent polynomial")
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return reduce(mul, [self] * n, LaurentPoly.const(1))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by L^k."""
@@ -144,8 +142,11 @@ class LaurentPoly:
         if self.is_zero:
             return self
         # normalize both to ordinary polynomials
-        slow, olow = self.low, other.low
-        rem = [self.terms.get(e, 0) for e in range(slow, self.degree + 1)]
+        slow, shigh, olow = self.low, self.degree, other.low
+        if shigh - slow >= MAX_SPAN:
+            raise BudgetExceeded(f"exact division over {shigh - slow + 1} exponents, "
+                                 f"more than the bound of {MAX_SPAN}")
+        rem = [self.terms.get(e, 0) for e in range(slow, shigh + 1)]
         den = [(e - olow, c) for e, c in other.terms.items()]
         dd = other.degree - olow
         lead = other.terms[other.degree]
@@ -185,15 +186,20 @@ def _clean_den(den: Iterable[int]) -> Tuple[int, ...]:
 
 def _binoms(den: Iterable[int]) -> LaurentPoly:
     """prod_{i in den} (L^i - 1)."""
-    p = LaurentPoly.const(1)
-    for i in den:
-        p = p * LaurentPoly.binom(i)
-    return p
+    return reduce(mul, map(LaurentPoly.binom, den), LaurentPoly.const(1))
 
 
 @lru_cache(maxsize=None)
 def _divisors(i: int) -> Tuple[int, ...]:
-    return tuple(d for d in range(1, i + 1) if i % d == 0)
+    """The divisors of i in increasing order, found in pairs d, i // d."""
+    small = [d for d in range(1, math.isqrt(i) + 1) if i % d == 0]
+    return tuple(sorted(set(small + [i // d for d in small])))
+
+
+@lru_cache(maxsize=None)
+def _totient(k: int) -> int:
+    """Euler's phi(k) = deg Phi_k; the degrees of Phi_d, d | k, add up to k."""
+    return k - sum(map(_totient, _divisors(k)[:-1]))
 
 
 @lru_cache(maxsize=None)
@@ -206,11 +212,15 @@ def _cyclotomic(k: int) -> LaurentPoly:
 
 
 def _phi_divides(k: int, p: LaurentPoly) -> bool:
-    """Phi_k | p, tested on p folded mod L^k - 1 (which Phi_k divides)."""
+    """Phi_k | p, tested on p folded mod L^k - 1 (which Phi_k divides); a nonzero
+    folded p spanning less than deg Phi_k = phi(k) fails before Phi_k is built."""
     folded: Dict[int, int] = {}
     for e, c in p.terms.items():
         folded[e % k] = folded.get(e % k, 0) + c
-    return LaurentPoly._of(folded).divexact(_cyclotomic(k)) is not None
+    folded = LaurentPoly._of(folded)
+    if folded and folded.degree - folded.low < _totient(k):
+        return False
+    return folded.divexact(_cyclotomic(k)) is not None
 
 
 def _reduce(nums: List[LaurentPoly], den: Tuple[int, ...]
@@ -343,17 +353,6 @@ class MotClass:
         return f"MotClass({format_motclass(self)})"
 
 
-def mot_arith(a: MotClass, b: MotClass, op: str) -> MotClass:
-    """Named entry point for ring arithmetic (add / sub / mul)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def poly_mul(a: Mapping, b: Mapping, zero=0) -> Dict:
     """Product of two polynomials given as {exponents: coefficient}."""
     out: Dict = {}
@@ -460,18 +459,6 @@ class CompletionExpansion:
         return f"CompletionExpansion({body}; order {self.order})"
 
 
-def _series_mul_geom(series: Dict[int, int], i: int, order: int) -> Dict[int, int]:
-    """Multiply a series in u = L^-1 by sum_{k>=1} u^{ik}, truncating at order."""
-    out: Dict[int, int] = {}
-    for n, c in series.items():
-        k = 1
-        while n + i * k <= order:
-            e = n + i * k
-            out[e] = out.get(e, 0) + c
-            k += 1
-    return out
-
-
 def expand_completion(a: MotClass, m: int) -> CompletionExpansion:
     """Laurent expansion of a in powers of L^-1 through order m.
 
@@ -479,14 +466,17 @@ def expand_completion(a: MotClass, m: int) -> CompletionExpansion:
     """
     if a.is_zero:
         return CompletionExpansion({}, m)
-    if m < -a.virtual_dim():
-        raise ValueError(
-            f"order {m} truncates the entire expansion (needs >= {-a.virtual_dim()})")
-    series: Dict[int, int] = {-e: c for e, c in a.num.terms.items()}
+    top, vd = a.num.degree, a.virtual_dim()
+    if m < -vd:
+        raise ValueError(f"order {m} truncates the entire expansion (needs >= {-vd})")
+    # 1/(L^i - 1) = u^i / (1 - u^i) with u = L^-1, so a is num u^sum(den)
+    # divided by each 1 - u^i; coeffs[n] is the coefficient of u^(n - vd)
+    coeffs = [a.num.coeff(top - n) for n in range(m + vd + 1)]
     for i in a.den:
-        # 1/(L^i - 1) = sum_{k>=1} L^{-ik}
-        series = _series_mul_geom(series, i, m)
-    return CompletionExpansion(series, m)
+        # divide by 1 - u^i: c_n += c_{n-i}, with c_{n-i} already divided
+        for n in range(i, len(coeffs)):
+            coeffs[n] += coeffs[n - i]
+    return CompletionExpansion({n - vd: c for n, c in enumerate(coeffs)}, m)
 
 
 def chi_realize(a: MotClass) -> Fraction:
@@ -495,22 +485,23 @@ def chi_realize(a: MotClass) -> Fraction:
     Defined iff (L-1)^m divides the numerator, m the number of denominator
     factors; the value is then (num/(L-1)^m)(1) / prod(i).
     """
-    if a.is_zero:
-        return Fraction(0)
-    num = a.num
-    for _ in a.den:
-        q = num.divexact(LaurentPoly.binom(1))
-        if q is None:
-            from .parsing import format_motclass
+    value = _at_one(a.num, a.den)
+    if value is None:
+        from .parsing import format_motclass
 
-            raise ChiUndefined(
-                f"chi undefined for {format_motclass(a)}: "
-                f"(L-1)^{len(a.den)} does not divide the numerator")
-        num = q
-    value = Fraction(sum(num.terms.values()))
-    for i in a.den:
-        value /= i
+        raise ChiUndefined(f"chi undefined for {format_motclass(a)}: "
+                           f"(L-1)^{len(a.den)} does not divide the numerator")
     return value
+
+
+def _at_one(num: LaurentPoly, den: Tuple[int, ...]) -> Optional[Fraction]:
+    """num / prod_{i in den} (L^i - 1) at L = 1: (num / (L-1)^m)(1) / prod(den)
+    with m = len(den), or None if (L-1)^m does not divide num."""
+    for _ in den:
+        num = num.divexact(LaurentPoly.binom(1))
+        if num is None:
+            return None
+    return Fraction(sum(num.terms.values()), math.prod(den))
 
 
 class HodgeRational:
@@ -553,12 +544,9 @@ class HodgeRational:
     def is_zero(self) -> bool:
         return not self.num
 
-    def _den_num(self) -> Dict[Tuple[int, int], int]:
-        return _diagonal(_binoms(self.den))
-
     def __add__(self, other: "HodgeRational") -> "HodgeRational":
-        num = poly_mul(self.num, other._den_num())
-        for k, c in poly_mul(other.num, self._den_num()).items():
+        num = poly_mul(self.num, _diagonal(_binoms(other.den)))
+        for k, c in poly_mul(other.num, _diagonal(_binoms(self.den))).items():
             num[k] = num.get(k, 0) + c
         return HodgeRational(num, self.den + other.den)
 
@@ -581,21 +569,13 @@ class HodgeRational:
 
     def at_uv_one(self) -> Fraction:
         """Value at u = v = 1 (the Euler specialization), when defined."""
-        # substitute u = v = s and take the limit s -> 1 after cancelling
-        # the (s^{2i} - 1) denominator factors against the numerator
+        # substitute u = v = s: the factors become s^(2i) - 1
         diag: Dict[int, int] = {}
         for (p, q), c in self.num.items():
-            e = p + q
-            diag[e] = diag.get(e, 0) + c
-        poly = LaurentPoly._of(diag)
-        for i in self.den:
-            qt = poly.divexact(LaurentPoly.binom(1))
-            if qt is None:
-                raise ChiUndefined("value at u = v = 1 undefined")
-            poly = qt
-        value = Fraction(sum(poly.terms.values()))
-        for i in self.den:
-            value /= 2 * i
+            diag[p + q] = diag.get(p + q, 0) + c
+        value = _at_one(LaurentPoly._of(diag), tuple(2 * i for i in self.den))
+        if value is None:
+            raise ChiUndefined("value at u = v = 1 undefined")
         return value
 
     def __repr__(self) -> str:

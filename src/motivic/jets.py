@@ -714,23 +714,8 @@ def _is_affine_space(X: JetVariety, q: int) -> bool:
 
 def enumerate_jets(X: JetVariety, n: int, q: int,
                    budget: Optional[int] = None) -> int:
-    """|L_n(X)(F_q)|: the number of level-n jets, searched over the open
-    jets to level n // 2 and counted in closed form over the closed ones."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_q(q)
-    if _is_affine_space(X, q):
-        return q ** (X.N * (n + 1))
-    lifter = _Lifter(X, q, budget)
-    total = 0
-    for root in lifter.level0():
-        for node, info in lifter.walk(root, n // 2):
-            if info is not None:
-                total += lifter.closed_count(info, n, 0)
-            else:
-                reach, dim = lifter.lift(node, n)
-                total += q ** dim if reach == n else 0
-    return total
+    """|L_n(X)(F_q)|: the number of level-n jets, `image_count` at j = 0."""
+    return image_count(X, n, 0, q, budget)
 
 
 def enumerate_jet_points(X: JetVariety, n: int, q: int,
@@ -746,7 +731,9 @@ def enumerate_jet_points(X: JetVariety, n: int, q: int,
 
 def image_count(X: JetVariety, n: int, j: int, q: int,
                 budget: Optional[int] = None) -> int:
-    """Number of distinct level-n truncations of level-(n+j) jets."""
+    """Number of distinct level-n truncations of level-(n+j) jets, closed
+    jets counted in closed form.  At j = 0 `lift` counts the level-n extensions
+    of the open level-(n // 2) jets; else each open level-n jet is searched."""
     if n < 0 or j < 0:
         raise ValueError("n and j must be nonnegative")
     _check_q(q)
@@ -755,11 +742,14 @@ def image_count(X: JetVariety, n: int, j: int, q: int,
     lifter = _Lifter(X, q, budget)
     total = 0
     for root in lifter.level0():
-        for node, info in lifter.walk(root, n):
+        for node, info in lifter.walk(root, n if j else n // 2):
             if info is not None:
                 total += lifter.closed_count(info, n, j)
-            elif lifter.can_extend(node, n + j) is not None:
-                total += 1
+            elif j:
+                total += lifter.can_extend(node, n + j) is not None
+            else:
+                reach, dim = lifter.lift(node, n)
+                total += q ** dim if reach == n else 0
     return total
 
 

@@ -49,7 +49,6 @@ class Stratum:
     cls: Optional[MotClass] = None
     chi: Optional[Fraction] = None
     hodge: Optional[HodgeRational] = None
-    restricted: bool = False
 
     def __post_init__(self):
         if self.cls is None and (self.chi is None or self.hodge is None):

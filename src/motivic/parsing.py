@@ -27,6 +27,11 @@ _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 # recursion limit.
 MAX_DEPTH = 100
 
+# The products of one expression may pair at most this many terms, a class
+# coefficient counting its numerator terms and denominator factors, since
+# `(L+1)^e` grows inside one coefficient; past it the expression is refused.
+MAX_TERMS = 2 * 10 ** 6
+
 
 def tokenize(text: str) -> List[Tuple[str, int]]:
     """Token stream as (token, position) pairs; raises ParseError on junk."""
@@ -268,16 +273,23 @@ class _Target:
     """What `_evaluate` computes: polynomials in `names` with class
     coefficients (then `L`, negative powers of L and divisors that are
     products of (L^i - 1) factors are allowed) or integer ones; an unknown
-    symbol is reported with `where` after it."""
+    symbol is reported with `where` after it.  One target serves one
+    expression, and `spent` counts the pairs of terms its products form."""
 
     def __init__(self, names: Tuple[str, ...], classes: bool, where: str):
         self.names, self.classes, self.where = names, classes, where
         self.unit = (0,) * len(names)
         self.one, self.zero = (MotClass.one(), MotClass.zero()) if classes else (1, 0)
+        self.spent = 0
 
-
-_CLASS = _Target((), True, "in ring expression")
-_SERIES = _Target(("T",), True, "in series expression")
+    def product(self, a: Poly, b: Poly) -> Poly:
+        """a * b, charged to `spent` first."""
+        sizes = [sum(len(c.num.terms) + len(c.den) for c in p.values()) if self.classes
+                 else len(p) for p in (a, b)]
+        self.spent += sizes[0] * sizes[1]
+        if self.spent > MAX_TERMS:
+            raise ParseError(f"expression multiplies more than {MAX_TERMS} pairs of terms")
+        return poly_mul(a, b, self.zero)
 
 
 def _evaluate(node, target: _Target) -> Poly:
@@ -311,7 +323,7 @@ def _evaluate(node, target: _Target) -> Poly:
         out = {unit: one}
         for op, child in node[1]:
             if op == "*":
-                out = poly_mul(out, _evaluate(child, target), zero)
+                out = target.product(out, _evaluate(child, target))
                 continue
             # the divisor must be a product of factors L^i - 1, i >= 1
             den, todo = [], [child]
@@ -329,7 +341,7 @@ def _evaluate(node, target: _Target) -> Poly:
                         continue
                 raise ParseError("denominators must be products of (L^i-1) factors")
             inverse = MotClass(LaurentPoly.const(1), den)
-            out = {m: c * inverse for m, c in out.items()}
+            out = target.product(out, {unit: inverse})
         return out
     base, e = node[1], node[2]  # kind == "pow"
     if classes and base == ("var", "L"):
@@ -339,17 +351,19 @@ def _evaluate(node, target: _Target) -> Poly:
                          else "negative powers are not allowed in polynomials")
     value, out = _evaluate(base, target), {unit: one}
     for _ in range(e):
-        out = poly_mul(out, value, zero)
+        out = target.product(out, value)
     return out
 
 
 def parse_motclass(text: str) -> MotClass:
-    return _evaluate(parse_expr(text), _CLASS).get((), MotClass.zero())
+    target = _Target((), True, "in ring expression")
+    return _evaluate(parse_expr(text), target).get((), target.zero)
 
 
 def parse_series_num(text: str) -> Dict[int, MotClass]:
     """A polynomial in T with class coefficients, as {exponent: class}."""
-    return {m[0]: c for m, c in _evaluate(parse_expr(text), _SERIES).items()}
+    target = _Target(("T",), True, "in series expression")
+    return {m[0]: c for m, c in _evaluate(parse_expr(text), target).items()}
 
 
 def parse_int_poly(text: str, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:

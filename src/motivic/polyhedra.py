@@ -250,12 +250,6 @@ def z_truncated(delta: NewtonPolyhedron, m: int) -> CompletionExpansion:
         val = support_eval(delta, xi)
         if val <= bound:
             raw[val] = raw.get(val, 0) + 1
-    # multiply sum_l raw[l] L^{-l} by (L-1)^k and truncate at order m
-    factor = LaurentPoly.binom(1) ** k
-    coeffs: Dict[int, int] = {}
-    for e, c in factor.terms.items():
-        for l, cnt in raw.items():
-            n = l - e
-            if n <= m:
-                coeffs[n] = coeffs.get(n, 0) + c * cnt
-    return CompletionExpansion(coeffs, m)
+    # sum_l raw[l] L^{-l} times (L-1)^k; the expansion drops orders above m
+    value = LaurentPoly({-l: cnt for l, cnt in raw.items()}) * LaurentPoly.binom(1) ** k
+    return CompletionExpansion({-e: c for e, c in value.terms.items()}, m)

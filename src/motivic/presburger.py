@@ -12,6 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -124,19 +125,13 @@ class RatFunc:
     def zero(cls, nvars: int) -> "RatFunc":
         return cls(nvars, {})
 
-    @classmethod
-    def monomial(cls, nvars: int, expo: Expo, coeff: int = 1) -> "RatFunc":
-        return cls(nvars, {tuple(expo): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.num
 
     def den_poly(self) -> Dict[Expo, int]:
-        p: Dict[Expo, int] = {(0,) * self.nvars: 1}
-        for c in self.den:
-            p = poly_mul(p, {(0,) * self.nvars: 1, c: -1})
-        return p
+        one = (0,) * self.nvars
+        return reduce(poly_mul, ({one: 1, c: -1} for c in self.den), {one: 1})
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return _sum(self.nvars, (self, other))

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivic import grring
 from motivic.errors import ChiUndefined
 from motivic.grring import (CompletionExpansion, HodgeRational, LaurentPoly,
                             MotClass, chi_realize, expand_completion,
                             filtration_degree, hodge_realize, hodge_sum,
-                            mot_arith, mot_eq, mot_sum)
+                            mot_eq, mot_sum)
 from motivic.parsing import format_motclass
 from motivic.series import RationalMotSeries
 
@@ -96,6 +97,21 @@ class TestCanonicalization:
         assert format_motclass(a) == "1/(L-1)"
 
 
+class TestCyclotomicFactors:
+    def test_divisors_and_totient(self):
+        for k in range(1, 400):
+            assert grring._divisors(k) == tuple(d for d in range(1, k + 1) if k % d == 0)
+            assert grring._totient(k) == sum(math.gcd(d, k) == 1 for d in range(1, k + 1))
+            assert grring._cyclotomic(k).degree == grring._totient(k)
+
+    @settings(max_examples=200)
+    @given(laurent_st, st.integers(min_value=1, max_value=40))
+    def test_phi_test_equals_division(self, p, k):
+        # the span test before building Phi_k never changes the answer
+        for q in (p, p * grring._cyclotomic(k)):
+            assert grring._phi_divides(k, q) == (q.divexact(grring._cyclotomic(k)) is not None)
+
+
 class TestRingAxioms:
     @settings(max_examples=150)
     @given(motclass_st, motclass_st, motclass_st)
@@ -108,14 +124,6 @@ class TestRingAxioms:
         assert mot_eq(a + MotClass.zero(), a)
         assert mot_eq(a * MotClass.one(), a)
         assert mot_eq(a - a, MotClass.zero())
-
-    def test_mot_arith_dispatch(self):
-        a, b = MotClass.L(), MotClass.one()
-        assert mot_eq(mot_arith(a, b, "add"), a + b)
-        assert mot_eq(mot_arith(a, b, "sub"), a - b)
-        assert mot_eq(mot_arith(a, b, "mul"), a * b)
-        with pytest.raises(ValueError):
-            mot_arith(a, b, "div")
 
 
 def _cross(a: MotClass, b: MotClass) -> MotClass:
@@ -245,6 +253,17 @@ class TestCompletionExpansion:
     def test_matches_through_common_order(self):
         a = MotClass(LaurentPoly.binom(1), (3,))
         assert expand_completion(a, 20).matches(expand_completion(a, 35))
+
+    @settings(max_examples=100)
+    @given(motclass_st)
+    def test_times_the_denominator_is_the_numerator(self, a):
+        # the orders above m that the expansion drops move down by at most
+        # sum(den) when multiplied by prod (L^i - 1) = prod (u^-i - 1)
+        m = sum(a.den) + 15
+        back = LaurentPoly({-n: c for n, c in expand_completion(a, m).coeffs.items()})
+        back = back * a.den_poly()
+        assert ({e: c for e, c in back.terms.items() if e >= -15}
+                == {e: c for e, c in a.num.terms.items() if e >= -15})
 
     @settings(max_examples=60)
     @given(motclass_st, motclass_st)

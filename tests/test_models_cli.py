@@ -156,6 +156,32 @@ DIAGNOSTICS = [
      "line 4: map 'i - 1' has a negative coefficient; image maps must have "
      "nonnegative coefficients"),
     (PRES + "condition = (>= i\n", "line 3: unbalanced parentheses in condition"),
+    (RES + "stratum | class = L$1\n", "line 3: unexpected character '$' at column 2"),
+    (RES + "stratum | class = (L 1\n", "line 3: expected ')' at column 4, got '1'"),
+    (RES + "stratum | class = L)\n", "line 3: trailing input ')' at column 2"),
+    (RES + "stratum | class = *L\n", "line 3: unexpected token '*' at column 1"),
+    (VAR + "dimension = 1\npoly = x^y\n", "line 4: exponent must be an integer at column 3"),
+    ("kind = variety\nvars = x y z\ndimension = 2\npoly = (x+y+z)^1000\n",
+     "line 4: expression multiplies more than 2000000 pairs of terms"),
+    (PRES + "condition = (>= i 0) (>= i 1)\n", "line 3: trailing input after condition"),
+    (PRES + "condition = (>= i {0)\n", "line 3: unmatched '{' at column 7 in condition"),
+    (PRES + "condition = )\n", "line 3: unexpected ')' in condition"),
+    (PRES + "condition = \n", "line 3: unexpected end of condition"),
+    (PRES + "condition = maybe\n", "line 3: bad condition token 'maybe'"),
+    (PRES + "condition = ()\n", "line 3: empty condition"),
+    (PRES + "condition = (not)\n", "line 3: 'not' needs exactly one argument"),
+    (PRES + "condition = (>= () 0)\n", "line 3: empty affine expression"),
+    (PRES + "condition = (>= (-) 0)\n", "line 3: '-' needs at least one argument"),
+    (PRES + "condition = (>= (* i) 0)\n", "line 3: '*' needs exactly two arguments"),
+    (PRES + "condition = (>= (/ i 2) 0)\n", "line 3: unknown affine operator '/'"),
+    (PRES + "condition = (mod i 2)\n", "line 3: 'mod' needs (mod expr modulus residue)"),
+    (VAR + "dimension = 1\ncondition = (ord>= (x) 1)\n",
+     "line 4: expected a {polynomial} literal, got ['x']"),
+    (VAR + "dimension = 1\ncondition = (ord>= {x})\n",
+     "line 4: 'ord>=' needs (op f [g] offset)"),
+    (VAR + "dimension = 1\ncondition = (ordmod {x} a 0)\n",
+     "line 4: 'ordmod' modulus and residue must be integers"),
+    (VAR + "dimension = 1\ncondition = (ac= {a1})\n", "line 4: 'ac=' needs (ac= h f1 ...)"),
 ]
 
 # a subcommand that reads each kind of model
@@ -313,6 +339,39 @@ class TestCliExitCodes:
         monkeypatch.setattr(cli, "chi_realize", broken)
         with pytest.raises(ValueError, match="not about digits"):
             main(["chi", "L"])
+
+
+class TestWorkBounds:
+    """Short inputs that once ran without end: each prints its value or one
+    error line."""
+
+    @pytest.mark.parametrize("literal, code, line", [
+        ("1/(L^30030-1)", 1, "error[ChiUndefined]: chi undefined for 1/(L^30030-1): "
+                             "(L-1)^1 does not divide the numerator"),
+        ("1/(L^10000000-1)", 1, "error[ChiUndefined]: chi undefined for "
+                                "1/(L^10000000-1): (L-1)^1 does not divide the numerator"),
+        ("(L^100000000-1)/(L-1)", 1,
+         "error[BudgetExceeded]: exact division over 100000001 exponents, more than "
+         "the bound of 2000000"),
+        ("(L^7-1)/(L^30030-1)", 0, "1/4290"),
+        ("(L^1000000-1)/(L-1)", 0, "1000000"),
+        ("(L+1)^100000", 2,
+         "error[ParseError]: expression multiplies more than 2000000 pairs of terms"),
+    ])
+    def test_chi_literal(self, literal, code, line, capsys):
+        assert main(["chi", literal]) == code
+        assert capsys.readouterr() == ((line + "\n", "") if code == 0 else ("", line + "\n"))
+
+    def test_zdelta_past_the_division_span(self, tmp_path, capsys):
+        # two cones of ~10^5 parallelepiped points, whose sum has denominator
+        # exponents near 10^10
+        path = tmp_path / "wide.model"
+        path.write_text("kind = polyhedron\ngenerators = [[100000, 1], [1, 99999]]\n")
+        assert main(["zdelta", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[BudgetExceeded]: exact division over ")
+        assert err.count("\n") == 1
 
 
 class TestCliOutputs:
