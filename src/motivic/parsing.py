@@ -39,10 +39,12 @@ def tokenize(text: str) -> List[Tuple[str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
+        if not m:  # past the whitespace: the end, or a character no token starts with
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {text[pos]!r} at column {pos + 1}")
+            raise ParseError(f"unexpected character {rest[0]!r} "
+                             f"at column {len(text) - len(rest) + 1}")
         tok = m.group(1)
         tokens.append(("^" if tok == "**" else tok, m.start(1)))
         pos = m.end()

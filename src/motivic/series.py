@@ -1,7 +1,9 @@
 """Rational power series in T with coefficients in the localized ring.
 
 A series is num(T) / prod (1 - L^a T^b); this is the natural home of the
-arc-space Poincare series and of its coefficient limits.
+arc-space Poincare series and of its coefficient limits.  `expand` adds integer
+numerators per denominator and reduces each coefficient once, at the end;
+`specialize_at_q` specializes L := q first, then runs the same recurrence.
 """
 from __future__ import annotations
 
@@ -10,9 +12,12 @@ from fractions import Fraction
 from operator import index
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import NoLimit
-from .grring import MotClass, fraction_sum, mot_sum
+from .errors import BudgetExceeded, NoLimit
+from .grring import LaurentPoly, MotClass, fraction_sum, mot_sum
 from .parsing import format_series_num
+
+# Coefficient slots plus term updates one `expand` may make; past it BudgetExceeded.
+MAX_UPDATES = 10 ** 6
 
 
 class RationalMotSeries:
@@ -61,12 +66,34 @@ def expand(P: RationalMotSeries, N: int) -> List[MotClass]:
     """Coefficients a_0 .. a_N of the formal expansion of P."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    coeffs: List[MotClass] = [P.num.get(n, MotClass.zero()) for n in range(N + 1)]
+    too_long = BudgetExceeded(f"expanding a series to n = {N} takes more than "
+                              f"{MAX_UPDATES} coefficient slots and term updates")
+    if (work := N + 1) > MAX_UPDATES:  # the slots, charged before they are made
+        raise too_long
+    # a_n as {den: {exponent: coefficient}}: numerators added per denominator
+    coeffs = [{c.den: dict(c.num.terms)} if (c := P.num.get(n)) else {} for n in range(N + 1)]
     for a, b in P.den:
         # divide by 1 - L^a T^b: a_n += L^a a_{n-b}, with a_{n-b} already divided
         for n in range(b, N + 1):
-            coeffs[n] = coeffs[n] + coeffs[n - b].shift(a)
-    return coeffs
+            cur = coeffs[n]
+            for den, terms in coeffs[n - b].items():
+                work += len(terms)
+                if work > MAX_UPDATES:
+                    raise too_long
+                acc = cur.setdefault(den, {})
+                for e, c in terms.items():
+                    c += acc.get(e + a, 0)
+                    if c:
+                        acc[e + a] = c
+                    else:  # a cancelled term goes at once
+                        del acc[e + a]
+                if not acc:
+                    del cur[den]
+    # one denominator: the constructor reduces once; several: one mot_sum
+    zero = MotClass.zero()
+    return [MotClass(LaurentPoly._of(*g.values()), *g) if len(g) == 1 else
+            mot_sum((LaurentPoly._of(t), den) for den, t in g.items()) if g else zero
+            for g in coeffs]
 
 
 def limit_of_coefficients(P: RationalMotSeries, d: int) -> MotClass:
@@ -101,7 +128,15 @@ def specialize_at_q(P: RationalMotSeries, q: int, N: int) -> List[Fraction]:
     """The rational sequence a_n(L := q) for n = 0..N."""
     if q < 2:
         raise ValueError("q must be an integer >= 2")
-    return [c.eval_at(q) for c in expand(P, N)]
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    # L := q is a ring map: specialize the numerator, then run the recurrence
+    values = [c.eval_at(q) if (c := P.num.get(n)) else Fraction(0) for n in range(N + 1)]
+    for a, b in P.den:
+        qa = Fraction(q) ** a
+        for n in range(b, N + 1):
+            values[n] += qa * values[n - b]
+    return values
 
 
 @dataclass

@@ -20,7 +20,7 @@ def fx(name: str) -> str:
 
 ALL_FIXTURES = ["blowup.model", "ideal_a1.model", "crepant_chain.model",
                 "delta23.model", "polyvol.model", "node.model", "line.model",
-                "cusp.model", "a1_cond.model", "node.series",
+                "cusp.model", "a1_cond.model", "node.series", "den_num.series",
                 "pres_mixed.model", "pres_image.model"]
 
 
@@ -157,6 +157,7 @@ DIAGNOSTICS = [
      "nonnegative coefficients"),
     (PRES + "condition = (>= i\n", "line 3: unbalanced parentheses in condition"),
     (RES + "stratum | class = L$1\n", "line 3: unexpected character '$' at column 2"),
+    (RES + "stratum | class = L $ 1\n", "line 3: unexpected character '$' at column 3"),
     (RES + "stratum | class = (L 1\n", "line 3: expected ')' at column 4, got '1'"),
     (RES + "stratum | class = L)\n", "line 3: trailing input ')' at column 2"),
     (RES + "stratum | class = *L\n", "line 3: unexpected token '*' at column 1"),
@@ -362,6 +363,13 @@ class TestWorkBounds:
         assert main(["chi", literal]) == code
         assert capsys.readouterr() == ((line + "\n", "") if code == 0 else ("", line + "\n"))
 
+    def test_series_expand_past_the_bound(self, capsys):
+        # 10^8 + 1 coefficient slots are refused before any is made
+        assert main(["series-expand", fx("node.series"), "--n", "100000000"]) == 1
+        assert capsys.readouterr() == (
+            "", "error[BudgetExceeded]: expanding a series to n = 100000000 takes more "
+                "than 1000000 coefficient slots and term updates\n")
+
     def test_zdelta_past_the_division_span(self, tmp_path, capsys):
         # two cones of ~10^5 parallelepiped points, whose sum has denominator
         # exponents near 10^10
@@ -433,6 +441,17 @@ class TestCliOutputs:
         assert main(["series-check", fx("node.series"), str(csv_path),
                      "--q", "2"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+    @pytest.mark.parametrize("argv, code, pinned", [
+        (["series-expand", fx("den_num.series"), "--n", "12"], 0, "den_num_expand.txt"),
+        (["series-check", fx("den_num.series"), fx("den_num_counts.csv"), "--q", "3"], 1,
+         "den_num_check.txt"),
+    ])
+    def test_series_with_denominators_pinned(self, argv, code, pinned, capsys):
+        # numerator classes over (L-1) and (L^2-1): the bytes of the expansion
+        # that added whole classes at every step
+        assert main(argv) == code
+        assert capsys.readouterr() == ((FIXTURES / pinned).read_text(), "")
 
     @pytest.mark.parametrize("text", ["3\n7\n", "n,N_n\n0,3\n1,7\n"])
     def test_series_check_header_is_optional(self, text, tmp_path, capsys):

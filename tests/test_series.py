@@ -1,4 +1,5 @@
 """Rational motivic series: expansion, coefficient limits, count checks."""
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,12 @@ from hypothesis import strategies as st
 from motivic.errors import NoLimit
 from motivic.grring import (LaurentPoly, MotClass, chi_realize,
                             expand_completion, filtration_degree, mot_eq)
+from motivic.models import parse_model
 from motivic.series import (RationalMotSeries, compare_counts, expand,
                             limit_of_coefficients, specialize_at_q)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def node_series() -> RationalMotSeries:
@@ -86,6 +91,10 @@ class TestSpecialize:
         with pytest.raises(ValueError):
             specialize_at_q(node_series(), 1, 2)
 
+    def test_n_must_be_nonnegative(self):
+        with pytest.raises(ValueError):
+            specialize_at_q(node_series(), 2, -1)
+
 
 class TestCompareCounts:
     def test_pass(self):
@@ -129,3 +138,54 @@ class TestAlgebra:
         e_coeff = expand_completion(a12, 12)
         for n in range(-2, 13):
             assert e_lim.coeff(n) == e_coeff.coeff(n)
+
+
+def reference_expand(P: RationalMotSeries, N: int):
+    """The expansion that adds whole classes at every step."""
+    coeffs = [P.num.get(n, MotClass.zero()) for n in range(N + 1)]
+    for a, b in P.den:
+        for n in range(b, N + 1):
+            coeffs[n] = coeffs[n] + coeffs[n - b].shift(a)
+    return coeffs
+
+
+# a numerator class over a product of (L^i - 1) factors, i in 1..3
+CLASS = st.builds(lambda terms, den: MotClass(LaurentPoly(terms), den),
+                  st.dictionaries(st.integers(-2, 3), st.integers(-3, 3), max_size=3),
+                  st.lists(st.integers(1, 3), max_size=2))
+WIDE_FACTOR = st.tuples(st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def grouped_series(draw):
+    """A series whose numerator classes carry different denominators; each
+    factor in `cancelled` is also multiplied into the numerator, so the
+    coefficients it would have made sum to 0 along the recurrence."""
+    num = draw(st.dictionaries(st.integers(0, 3), CLASS, min_size=1, max_size=3))
+    den = draw(st.lists(WIDE_FACTOR, min_size=1, max_size=3))
+    for a, b in draw(st.lists(st.sampled_from(den), max_size=2)):
+        times = dict(num)
+        for e, c in num.items():
+            times[e + b] = times.get(e + b, MotClass.zero()) - c.shift(a)
+        num = times
+    return RationalMotSeries(num, den)
+
+
+class TestGroupedExpansion:
+    @settings(max_examples=80, deadline=None)
+    @given(grouped_series(), st.integers(0, 12))
+    def test_equals_the_class_by_class_recurrence(self, P, N):
+        assert expand(P, N) == reference_expand(P, N)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grouped_series(), st.integers(0, 12), st.sampled_from([2, 3, 5]))
+    def test_specialize_first_equals_specialize_last(self, P, N, q):
+        assert specialize_at_q(P, q, N) == [c.eval_at(q) for c in expand(P, N)]
+
+    def test_node_closed_form_survives_cancellation(self):
+        # a_n = 2L^(n+1) - 1: the constant terms cancel at every step
+        P = parse_model((FIXTURES / "node.series").read_text()).datum
+        coeffs = expand(P, 2000)
+        assert len(coeffs) == 2001
+        for n, c in enumerate(coeffs):
+            assert c == MotClass(LaurentPoly({n + 1: 2, 0: -1}))
