@@ -1,9 +1,9 @@
 """Rational power series in T with coefficients in the localized ring.
 
 A series is num(T) / prod (1 - L^a T^b); this is the natural home of the
-arc-space Poincare series and of its coefficient limits.  `expand` adds integer
-numerators per denominator and reduces each coefficient once, at the end;
-`specialize_at_q` specializes L := q first, then runs the same recurrence.
+arc-space Poincare series and of its coefficient limits.  `expand` runs the
+recurrence on integer numerators over one common denominator and reduces each
+coefficient once, at the end; `specialize_at_q` specializes L := q first.
 """
 from __future__ import annotations
 
@@ -68,32 +68,32 @@ def expand(P: RationalMotSeries, N: int) -> List[MotClass]:
         raise ValueError("N must be nonnegative")
     too_long = BudgetExceeded(f"expanding a series to n = {N} takes more than "
                               f"{MAX_UPDATES} coefficient slots and term updates")
-    if (work := N + 1) > MAX_UPDATES:  # the slots, charged before they are made
+    work = N + 1  # the coefficient slots, charged before they are made
+    if work > MAX_UPDATES:
         raise too_long
-    # a_n as {den: {exponent: coefficient}}: numerators added per denominator
-    coeffs = [{c.den: dict(c.num.terms)} if (c := P.num.get(n)) else {} for n in range(N + 1)]
+    # every a_n over the common denominator of the numerator, as {exponent: int}
+    num, den = fraction_sum(
+        (({(e, k): v for k, v in c.num.terms.items()}, c.den) for e, c in P.num.items()),
+        lambda i: {(0, i): 1, (0, 0): -1})
+    coeffs = [{} for _ in range(N + 1)]
+    for (e, k), v in num.items():
+        if e <= N:
+            coeffs[e][k] = v
     for a, b in P.den:
         # divide by 1 - L^a T^b: a_n += L^a a_{n-b}, with a_{n-b} already divided
         for n in range(b, N + 1):
-            cur = coeffs[n]
-            for den, terms in coeffs[n - b].items():
-                work += len(terms)
-                if work > MAX_UPDATES:
-                    raise too_long
-                acc = cur.setdefault(den, {})
-                for e, c in terms.items():
-                    c += acc.get(e + a, 0)
-                    if c:
-                        acc[e + a] = c
-                    else:  # a cancelled term goes at once
-                        del acc[e + a]
-                if not acc:
-                    del cur[den]
-    # one denominator: the constructor reduces once; several: one mot_sum
-    zero = MotClass.zero()
-    return [MotClass(LaurentPoly._of(*g.values()), *g) if len(g) == 1 else
-            mot_sum((LaurentPoly._of(t), den) for den, t in g.items()) if g else zero
-            for g in coeffs]
+            acc, prev = coeffs[n], coeffs[n - b]
+            work += len(prev)
+            if work > MAX_UPDATES:
+                raise too_long
+            for e, c in prev.items():
+                c += acc.get(e + a, 0)
+                if c:
+                    acc[e + a] = c
+                else:  # drop a cancelled term at once, or cancelled terms pile up
+                    del acc[e + a]
+    # one reduction per coefficient, in the constructor
+    return [MotClass(LaurentPoly._of(terms), den) for terms in coeffs]
 
 
 def limit_of_coefficients(P: RationalMotSeries, d: int) -> MotClass:

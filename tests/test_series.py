@@ -157,7 +157,7 @@ WIDE_FACTOR = st.tuples(st.integers(-2, 2), st.integers(1, 3))
 
 
 @st.composite
-def grouped_series(draw):
+def mixed_den_series(draw):
     """A series whose numerator classes carry different denominators; each
     factor in `cancelled` is also multiplied into the numerator, so the
     coefficients it would have made sum to 0 along the recurrence."""
@@ -171,14 +171,14 @@ def grouped_series(draw):
     return RationalMotSeries(num, den)
 
 
-class TestGroupedExpansion:
+class TestCommonDenominatorExpansion:
     @settings(max_examples=80, deadline=None)
-    @given(grouped_series(), st.integers(0, 12))
+    @given(mixed_den_series(), st.integers(0, 12))
     def test_equals_the_class_by_class_recurrence(self, P, N):
         assert expand(P, N) == reference_expand(P, N)
 
     @settings(max_examples=80, deadline=None)
-    @given(grouped_series(), st.integers(0, 12), st.sampled_from([2, 3, 5]))
+    @given(mixed_den_series(), st.integers(0, 12), st.sampled_from([2, 3, 5]))
     def test_specialize_first_equals_specialize_last(self, P, N, q):
         assert specialize_at_q(P, q, N) == [c.eval_at(q) for c in expand(P, N)]
 
