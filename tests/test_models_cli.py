@@ -448,8 +448,8 @@ class TestCliOutputs:
          "den_num_check.txt"),
     ])
     def test_series_with_denominators_pinned(self, argv, code, pinned, capsys):
-        # numerator classes over (L-1) and (L^2-1): the bytes of the expansion
-        # that added whole classes at every step
+        # numerator classes over (L-1) and (L^2-1); the bytes were printed by
+        # the expansion that added whole classes at every step
         assert main(argv) == code
         assert capsys.readouterr() == ((FIXTURES / pinned).read_text(), "")
 

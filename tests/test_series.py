@@ -158,9 +158,9 @@ WIDE_FACTOR = st.tuples(st.integers(-2, 2), st.integers(1, 3))
 
 @st.composite
 def mixed_den_series(draw):
-    """A series whose numerator classes carry different denominators; each
-    factor in `cancelled` is also multiplied into the numerator, so the
-    coefficients it would have made sum to 0 along the recurrence."""
+    """A series whose numerator classes carry different denominators; up to
+    two of its den factors are also multiplied into the numerator, so the
+    terms they would add cancel to 0 along the recurrence."""
     num = draw(st.dictionaries(st.integers(0, 3), CLASS, min_size=1, max_size=3))
     den = draw(st.lists(WIDE_FACTOR, min_size=1, max_size=3))
     for a, b in draw(st.lists(st.sampled_from(den), max_size=2)):
