@@ -2,15 +2,15 @@
 
 Three independent computations are compared:
 
-1. brute-force jet enumeration over small prime fields, with stabilization
-   in the lifting depth, giving the counts |pi_n(L(X))(F_q)|;
+1. jet enumeration over small prime fields, with each count certified on
+   the jet tree, giving the counts |pi_n(L(X))(F_q)|;
 2. the declared rational series P(T) = 2L/(1 - LT) - 1/(1 - T), whose
    coefficients specialize (L -> q) to those counts;
 3. the closed-form coefficient limit, whose Euler characteristic is the
    number of branches.
 """
 from motivic.grring import LaurentPoly, MotClass, chi_realize, filtration_degree
-from motivic.jets import JetVariety, greenberg_estimate, stabilized_count
+from motivic.jets import JetVariety, stabilized_count, stabilized_table
 from motivic.parsing import format_motclass, parse_int_poly
 from motivic.series import (RationalMotSeries, compare_counts, expand,
                             limit_of_coefficients)
@@ -29,7 +29,7 @@ for q in (2, 3):
     for n in range(5):
         res = stabilized_count(node, n, q, j_max=n + 2)
         counts.append(res.N_n)
-    print(f"q = {q}: stabilized counts {counts} "
+    print(f"q = {q}: certified counts {counts} "
           f"(formula 2q^(n+1) - 1: {[2 * q ** (n + 1) - 1 for n in range(5)]})")
     report = compare_counts(P, q, counts)
     print(f"        series check: {report.lines()[-1]}")
@@ -46,6 +46,7 @@ for n, a_n in enumerate(expand(P, 8)):
     print(f"  n = {n}: degree {deg}")
 print()
 
-print("stabilization levels (empirical Greenberg function):")
-for n in (1, 2, 3):
-    print(f"  gamma-hat({n}) = {greenberg_estimate(node, n, 2, 2 * n + 2)}")
+print("Greenberg function gamma(n) over F_2, read off the certified table:")
+for n, row in enumerate(stabilized_table(node, 2, 3, 2)):
+    assert row.stable and row.gamma == 2 * n
+    print(f"  gamma({n}) = {row.gamma}")

@@ -30,8 +30,7 @@ from .motvol import (Divisor, PolyhedralStratum, ResolutionData, Stratum,
                      volume_from_polyhedra, volume_from_resolution,
                      volume_with_ideal)
 from .jets import (JetPoint, JetVariety, count_semialg, enumerate_jets,
-                   eval_semialg, greenberg_estimate, image_count,
-                   oesterle_sequence, parse_semialg, poincare_table,
-                   stabilized_count)
+                   eval_semialg, image_count, oesterle_sequence, parse_semialg,
+                   poincare_table, stabilized_count)
 
 __version__ = "1.0.0"

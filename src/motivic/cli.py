@@ -132,7 +132,7 @@ def _jets_poincare(vm, args) -> None:
 def _jets_greenberg(vm, args) -> int:
     table = stabilized_table(vm.variety, args.q, args.n_max, args.j_max,
                              budget=args.budget)
-    rows = [(n, res.N_n, n + res.j_star if res.stable else "", int(res.stable))
+    rows = [(n, res.N_n, res.gamma if res.stable else "", int(res.stable))
             for n, res in enumerate(table)]
     _emit_csv(rows, ("n", "N_n", "gamma_hat", "stable"), args.output)
     return EXIT_OK if all(res.stable for res in table) else EXIT_DOMAIN
@@ -195,7 +195,7 @@ J = _flag("--j", type=_nonnegative_int, default=0,
           help="count the level-n truncations of level-(n+J) jets "
                "(default 0: all level-n jets)")
 J_MAX = _flag("--j-max", type=_nonnegative_int, default=6, dest="j_max",
-              help="maximum extra lifting depth (default 6)")
+              help="levels searched below the last row to certify it (default 6)")
 BUDGET = _flag("--budget", type=_nonnegative_int, default=None,
                help="node-expansion budget for the whole command (default "
                     "from MOTIVIC_JETS_BUDGET or 10^8)")
@@ -253,9 +253,9 @@ COMMANDS: Dict[str, Command] = {
         "count level-n jets", "variety", _jets_count,
         (MODEL, Q, N, J, BUDGET, THREADS)),
     "jets-poincare": Command(
-        "stabilized count table", "variety", _jets_poincare, TABLE_FLAGS),
+        "certified table of arc counts", "variety", _jets_poincare, TABLE_FLAGS),
     "jets-greenberg": Command(
-        "stabilization-level table", "variety", _jets_greenberg, TABLE_FLAGS),
+        "certified table with Greenberg's gamma(n)", "variety", _jets_greenberg, TABLE_FLAGS),
     "jets-oesterle": Command(
         "scaled count sequence N_n / q^{(n+1)d}", "variety", _jets_oesterle,
         TABLE_FLAGS),

@@ -38,7 +38,7 @@ class BudgetExceeded(MotivicError):
 
 
 class Unstable(MotivicError):
-    """Image counts did not stabilize within the allowed lifting depth."""
+    """A count of arc truncations is not certified within the search depth."""
 
 
 class DigitLimit(MotivicError):

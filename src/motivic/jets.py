@@ -34,16 +34,17 @@ equation gets the record that decides its scan from its parent: a child
 of a closed jet inherits it, and a child z + a t^s of an open jet z gets
 it from one Taylor step of f at z, in O(N^2) (see `_Lifter`).  Counting
 level-n jets searches to level n // 2; deciding whether a jet lifts to
-level n searches to level n // 2 below it.  Truncation images, their
-stabilization in the lifting depth, and three-valued evaluation of
-ord/angular-component conditions are built on top of the enumerator.
+level n searches to level n // 2 below it.  Truncation images, the
+truncations of arcs pi_n(L(X))(F_q) with Greenberg's gamma(n), certified on
+the jet tree, and three-valued evaluation of ord/angular-component
+conditions are built on top of the enumerator.
 
-A jet extends to level m exactly when one of its children does, so a table
-for n = 0..n_max searches only its open level-n_max jets and each row reads
-its lifting depths off the row below.  Conditions read ord and ac of their
-atom polynomials off the atoms' own series, carried like the monomials of f.
-A condition decided on a jet inside a closed subtree cuts out a cylinder,
-counted in closed form: no jet below it is built.
+An arc lies over a jet exactly when it lies over one of its children, so a
+table for n = 0..n_max searches only below its open level-n_max jets and
+each row reads its verdicts off the row below.  Conditions read ord and ac
+of their atom polynomials off the atoms' own series, carried like the
+monomials of f.  A condition decided on a jet inside a closed subtree cuts
+out a cylinder, counted in closed form: no jet below it is built.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -366,6 +367,7 @@ class _Lifter:
         self.expansions = 0
         self.polys = [{m: c % q for m, c in p.items() if c % q} for p in X.polys]
         self.polys = [p for p in self.polys if p]
+        self.degree = max((sum(m) for p in self.polys for m in p), default=1)
         self.jacobian = [[_poly_derivative(p, v) for v in range(X.N)]
                          for p in self.polys]
         # one equation: its Hessian and Hasse second derivatives, which
@@ -600,15 +602,16 @@ class _Lifter:
                 for row in self.derivs]
 
     def _f_coeffs(self, node: Node, d: int) -> List[int]:
-        """Coefficient t^(length + d) of each f_i(x(t)) over the node last
-        charged, with the coefficients of the node's x from length on zero.
-        `_high` keeps each chain monomial's coefficients length,
-        length + 1, ..., its levels filled in order up to the one asked."""
+        """Coefficient t^(length + d) of each f_i(x(t)) over the node, with
+        the coefficients of its x from length on zero; charged as
+        `_residual`.  `_high` keeps each chain monomial's coefficients
+        length, length + 1, ..., its levels filled in order up to the one
+        asked."""
         q, N = self.q, self.X.N
         series = node[0]
+        top = self._residual(node)[1]
         if self._high is None:
-            self._high = [[c] if k >= N else None
-                          for k, c in enumerate(self._residual(node)[1])]
+            self._high = [[c] if k >= N else None for k, c in enumerate(top)]
         high = self._high
         length = len(series[0])
         while self.steps and len(high[N]) <= d:
@@ -620,6 +623,22 @@ class _Lifter:
                     h += sum(map(mul, x, high[ref][::-1]))
                 high[k].append(h % q)
         return [sum(c * high[k][d] for c, k in terms) % q for terms in self.terms]
+
+    def is_arc(self, node: Node) -> bool:
+        """Whether the node's polynomial representative x is an arc: no
+        f_i(x(t)), of degree <= s deg f_i, has a nonzero coefficient above
+        level s.  Its top coefficient is read first, off the leading terms
+        of x: f_i's monomials of greatest degree in t at the leading
+        coefficients.  Charged as `_residual`."""
+        s = len(node[0][0]) - 1
+        lead = [max(((i, c) for i, c in enumerate(x) if c), default=(-math.inf, 0))
+                for x in node[0][:self.X.N]]
+        for p in self.polys:
+            deg = {m: sum(e * i for e, (i, _) in zip(m, lead) if e) for m in p}
+            top = {m: c for m, c in p.items() if deg[m] == max(deg.values())}
+            if _poly_eval_point(top, [c for _, c in lead], self.q):
+                return False
+        return not any(any(self._f_coeffs(node, d)) for d in range(s * (self.degree - 1)))
 
     def ord_ac(self, f: FrozenPoly, series) -> Tuple[Optional[int], Optional[int]]:
         """(ord, ac) of the atom f on a node, read off its carried series."""
@@ -687,24 +706,19 @@ class _Lifter:
         """The nodes depth levels below node, depth first and in order."""
         return (nd for nd, _ in self.walk(node, depth, prune=False))
 
-    def can_extend(self, node: Node, n: int,
-                   deepest: int = 0) -> Optional[Tuple[Node, int]]:
+    def can_extend(self, node: Node, n: int) -> bool:
         """Whether node extends to level n: a depth-first search over the
         open nodes to the level s = max(level of node, n // 2), where `lift`
         decides the rest; a closed node (s, e, k*) on the way decides its
-        subtree at once, since it extends to level n iff n < k*.  Returns the first node found that extends, as a witness, with
-        the deepest level up to max(n, deepest) that it extends to (up to
-        2s + 1 for an open one); or None."""
+        subtree at once, since it extends to level n iff n < k*."""
         depth = max(0, n // 2 - len(node[0][0]) + 1)
         for found, info in self.walk(node, depth):
             if info is not None:
                 if n < info[2]:
-                    return found, min(info[2] - 1, max(n, deepest))
-                continue
-            reach, _ = self.lift(found, min(max(n, deepest), 2 * len(found[0][0]) - 1))
-            if reach >= n:
-                return found, reach
-        return None
+                    return True
+            elif self.lift(found, min(n, 2 * len(found[0][0]) - 1))[0] >= n:
+                return True
+        return False
 
 
 def _is_affine_space(X: JetVariety, q: int) -> bool:
@@ -746,7 +760,7 @@ def image_count(X: JetVariety, n: int, j: int, q: int,
             if info is not None:
                 total += lifter.closed_count(info, n, j)
             elif j:
-                total += lifter.can_extend(node, n + j) is not None
+                total += lifter.can_extend(node, n + j)
             else:
                 reach, dim = lifter.lift(node, n)
                 total += q ** dim if reach == n else 0
@@ -755,165 +769,143 @@ def image_count(X: JetVariety, n: int, j: int, q: int,
 
 @dataclass
 class StabilizedResult:
+    """Row n of a certified table: N_n = |pi_n(L(X))(F_q)| where `stable`,
+    else that count plus the level-n jets left unknown, an upper bound;
+    Greenberg's gamma(n) where stable, else None; and `counts`, the number
+    of level-n jets and the number of those left unknown."""
     N_n: int
-    j_star: int
     stable: bool
-    counts: List[int] = field(default_factory=list)
+    gamma: Optional[int]
+    counts: List[int]
 
-    def __iter__(self):
-        return iter((self.N_n, self.j_star, self.stable))
+
+def _join(a: Optional[float], b: Optional[float]) -> Optional[float]:
+    """The verdict of a jet from those of two of its branches (see `_Tree`)."""
+    if math.inf in (a, b):
+        return math.inf
+    return None if None in (a, b) else max(a, b)
 
 
 class _Tree:
-    """The open jets over the level-0 points, levels 0..n_max, and the
-    closed jets among their children, each kept as (node, (s, e, k*)) and
-    not expanded.
+    """The arc certificate of every row n <= n_max, from one search.
 
-    A level-l jet extends to level m > l exactly when one of its children
-    does.  A closed child answers by its k* alone, so an open jet starts out
-    reaching the largest k* - 1 of its closed children; its open children,
-    contiguous in the next level, are asked in turn, and its level keeps
-    only where they start.  Only the open leaves, at level n_max, are
-    searched: the one unit that finds a leaf open settles it up to level
-    2 n_max + 1, and deeper levels are searched from a witness kept per
-    leaf.  Each open jet keeps the deepest level it is known to reach and
-    the one it fails at.  Row n adds, for each closed jet at a level s <= n,
-    the count `closed_dim` gives: Newton's lemma for one equation where
-    e = min_u ord df/dx_u(x(t)) <= s, Hensel's (e = 0) at full-rank points.
+    The open jets over the level-0 points, levels 0..n_max, are kept with
+    the closed jets among their children, (node, (s, e, k*)), which are not
+    expanded.  Each open jet gets a verdict, one value in `reach`:
+    - math.inf, *in*: an arc lies over it, since its polynomial
+      representative, or that of an open descendant, is one, or since a
+      descendant is closed with k* = inf and lifts by Newton's lemma
+      (Hensel's at a full-rank point);
+    - its reach m, *out*: no arc does, and m is the deepest level it
+      extends to, since every branch below it ends in a closed jet with
+      finite k* (which reaches k* - 1) or dies inside the linear range of
+      `lift`;
+    - None, *unknown*: a branch is still open at level n_max + j_max.
+    A jet is in when one of its children is, and out when all are; only the
+    open jets at level n_max are searched, depth first, each up to its first
+    descendant that is in.
     """
 
     def __init__(self, lifter: _Lifter, n_max: int, j_max: int):
-        self.lifter, self.j_max = lifter, j_max
-        self.deepest = deepest = n_max + j_max + 2  # the deepest level a row asks
-        top = min(deepest, 2 * n_max + 1)
+        self.lifter, self.bottom = lifter, n_max + j_max
         self.closed: List[Tuple[Node, Closed]] = []
-        self.starts: List[List[int]] = []
-        self.reach: List[List[int]] = []
+        self.reach: List[List[Optional[float]]] = []
         self.leaves: List[Node] = []
-        # (index of the parent, node), under one stand-in parent at level 0
-        level = [(0, root) for root in lifter.level0()]
-        above = [0]
+        parents: List[List[int]] = []
+        # (index of the open parent, node); the roots have none
+        level = [(None, root) for root in lifter.level0()]
         for l in range(n_max + 1):
-            reach, opened, nxt = [], [0] * (len(above) + 1), []
+            reach, nxt = [], []
+            parents.append([])
             for parent, node in level:
                 info = lifter.closed(node)
                 if info is not None:
                     self.closed.append((node, info))
-                    above[parent] = max(above[parent], min(info[2] - 1, deepest))
+                    if parent is not None:
+                        above[parent] = _join(above[parent], info[2] - 1)
                     continue
-                opened[parent + 1] += 1
+                parents[l].append(parent)
                 if l < n_max:
                     nxt += [(len(reach), child) for child in lifter.children(node)]
-                    reach.append(l)
+                    reach.append(math.inf if lifter.is_arc(node) else l)
                 else:
                     self.leaves.append(node)
-                    reach.append(lifter.lift(node, top)[0])
-            if l:
-                self.starts.append(list(itertools.accumulate(opened)))
+                    reach.append(self._search(node))
             self.reach.append(reach)
             above, level = reach, nxt
-        self.fail = [[deepest + 1] * len(r) for r in self.reach]
-        self.fail[-1] = [m + 1 if m < top else deepest + 1 for m in self.reach[-1]]
+        for l in range(n_max, 0, -1):
+            above = self.reach[l - 1]
+            for parent, verdict in zip(parents[l], self.reach[l]):
+                above[parent] = _join(above[parent], verdict)
         self.kinds = Counter(info for _, info in self.closed)
-        self.witness: Dict[int, Node] = {}
 
-    def extends(self, l: int, i: int, m: int) -> bool:
-        """Whether open jet i of level l extends to level m."""
-        reach, fail = self.reach[l], self.fail[l]
-        if m <= reach[i]:
-            return True
-        if m >= fail[i]:
-            return False
-        if l == len(self.starts):
-            node = self.leaves[i]
-            wit = self.witness.pop(i, node)
-            found = self.lifter.can_extend(wit, m, self.deepest)
-            if found is None and wit is not node:
-                found = self.lifter.can_extend(node, m, self.deepest)
-            if found is not None:
-                if found[0] is not node:
-                    self.witness[i] = found[0]
-                reach[i] = found[1]
-                return True
-        else:
-            below = self.reach[l + 1]
-            for k in range(self.starts[l][i], self.starts[l][i + 1]):
-                if self.extends(l + 1, k, m):
-                    reach[i] = max(m, below[k])
-                    return True
-        fail[i] = m
-        return False
+    def _search(self, leaf: Node) -> Optional[float]:
+        """The verdict of an open jet, from a depth-first search below it to
+        level `bottom` that stops at the first jet that is in."""
+        lifter, verdict, stack = self.lifter, len(leaf[0][0]) - 1, [leaf]
+        while stack:
+            node = stack.pop()
+            s = len(node[0][0]) - 1
+            info = lifter.closed(node)
+            if info is not None and info[2] < math.inf:
+                verdict = _join(verdict, info[2] - 1)
+                continue
+            if info is not None or lifter.is_arc(node):
+                return math.inf
+            reach = lifter.lift(node, 2 * s + 1)[0]
+            if reach <= 2 * s:
+                verdict = _join(verdict, reach)
+            elif s < self.bottom:
+                stack += lifter.children(node)
+            else:
+                verdict = None
+        return verdict
 
-    def row(self, n: int) -> Tuple[StabilizedResult, List[int]]:
-        """Image counts of the level-n jets at lifting depths j = 0, 1, ...,
-        j_max + 2, up to the first three equal consecutive counts, and the
-        open level-n jets that lift to the last depth reached; the jets over
-        the closed ones at levels s <= n are counted in closed form.  The
-        survivor sets shrink as j grows, so equal counts mean equal sets."""
+    def row(self, n: int) -> StabilizedResult:
+        """Row n, read off the verdicts of the open level-n jets and the
+        closed jets (s, e, k*) at levels s <= n.  Over a closed one, the
+        level-n truncations of the level-(n+j) jets are those of arcs once
+        n + j >= k* (none then) when k* is finite, and once j >= e, or
+        s = n, when k* = inf; an out jet stops at level reach + 1.  So
+        gamma(n) = n + max(0, k* - n, e, reach + 1 - n) over these, and the
+        closed jets add their counts at depth gamma(n) - n."""
+        lifter, verdicts = self.lifter, self.reach[n]
         kinds = [(info, mult) for info, mult in self.kinds.items() if info[0] <= n]
-
-        def count(j: int, alive: List[int]) -> int:
-            return len(alive) + sum(mult * self.lifter.closed_count(info, n, j)
-                                    for info, mult in kinds)
-
-        alive = list(range(len(self.reach[n])))
-        counts = [count(0, alive)]
-        for j in range(1, self.j_max + 3):
-            alive = [i for i in alive if self.extends(n, i, n + j)]
-            counts.append(count(j, alive))
-            if j >= 2 and counts[j - 2] == counts[j - 1] == counts[j]:
-                return StabilizedResult(counts[j], j - 2, True, counts), alive
-        return StabilizedResult(counts[-1], len(counts) - 1, False, counts), alive
-
-
-def _table(X: JetVariety, q: int, n_max: int, j_max: int, budget: Optional[int],
-           rows: Sequence[int]) -> List[StabilizedResult]:
-    """The given rows n <= n_max of the stabilized table, in that order."""
-    _check_q(q)
-    if _is_affine_space(X, q):
-        return [StabilizedResult(q ** (X.N * (n + 1)), 0, True,
-                                 [q ** (X.N * (n + 1))] * 3) for n in rows]
-    tree = _Tree(_Lifter(X, q, budget), n_max, j_max)
-    return [tree.row(n)[0] for n in rows]
+        gamma = n + max([0] + [k - n if k < math.inf else e
+                               for (s, e, k), _ in kinds if k < math.inf or s < n]
+                        + [m + 1 - n for m in verdicts if m is not None and m < math.inf])
+        unknown = verdicts.count(None)
+        arcs = sum(mult * lifter.closed_count(info, n, gamma - n) for info, mult in kinds)
+        jets = sum(mult * lifter.closed_count(info, n, 0) for info, mult in kinds)
+        return StabilizedResult(arcs + verdicts.count(math.inf) + unknown, not unknown,
+                                None if unknown else gamma, [jets + len(verdicts), unknown])
 
 
 def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
                      budget: Optional[int] = None) -> StabilizedResult:
-    """Smallest j_star <= j_max with image counts equal at j_star, j_star+1,
-    j_star+2 (two confirmations); the count there approximates the truncated
-    arc space |pi_n(L(X))(F_q)|."""
-    if n < 0 or j_max < 0:
-        raise ValueError("n and j_max must be nonnegative")
-    return _table(X, q, n, j_max, budget, [n])[0]
+    """|pi_n(L(X))(F_q)|, the level-n truncations of arcs, certified by a
+    search to level n + j_max (see `_Tree`)."""
+    return stabilized_table(X, q, n, j_max, budget)[n]
 
 
 def stabilized_table(X: JetVariety, q: int, n_max: int, j_max: int,
                      budget: Optional[int] = None) -> List[StabilizedResult]:
-    """stabilized_count(X, n, q, j_max) for n = 0..n_max from one traversal
-    and one budget; the jets over the points where J has full rank are
-    counted in closed form.  A jet lifts to a depth exactly when one of its
-    children does, so the rows are taken from n_max down: row n reads its
-    answers off the jets that row n + 1 settled, and only the level-n_max
-    jets are searched."""
+    """The rows n = 0..n_max from one search to level n_max + j_max and one
+    budget; the jets over the points where J has full rank are counted in
+    closed form."""
     if n_max < 0 or j_max < 0:
         raise ValueError("n_max and j_max must be nonnegative")
-    return _table(X, q, n_max, j_max, budget, range(n_max, -1, -1))[::-1]
-
-
-def greenberg_estimate(X: JetVariety, n: int, q: int, j_max: int,
-                       budget: Optional[int] = None) -> int:
-    """Empirical estimate n + j_star of the level from which jets detect
-    liftability to genuine arcs; a heuristic, not a certificate."""
-    res = stabilized_count(X, n, q, j_max, budget=budget)
-    if not res.stable:
-        raise Unstable(
-            f"image counts did not stabilize within j_max={j_max}: {res.counts}")
-    return n + res.j_star
+    _check_q(q)
+    if _is_affine_space(X, q):
+        return [StabilizedResult(q ** (X.N * (n + 1)), True, n, [q ** (X.N * (n + 1)), 0])
+                for n in range(n_max + 1)]
+    tree = _Tree(_Lifter(X, q, budget), n_max, j_max)
+    return [tree.row(n) for n in range(n_max + 1)]
 
 
 def poincare_table(X: JetVariety, q: int, n_max: int, j_max: int,
                    budget: Optional[int] = None) -> List[Tuple[int, int, bool]]:
-    """Rows (n, N_n, stable) of stabilized truncation counts."""
+    """Rows (n, N_n, stable) of the certified table."""
     return [(n, res.N_n, res.stable)
             for n, res in enumerate(stabilized_table(X, q, n_max, j_max, budget))]
 
@@ -1105,34 +1097,36 @@ def parse_semialg(text: str, names: Sequence[str],
 def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
                   params: Sequence[int] = (), j_max: int = 6,
                   budget: Optional[int] = None) -> Tuple[int, int]:
-    """(definitely_true, unknown) over the stabilized level-n image points.
+    """(definitely_true, unknown) over the level-n truncations of arcs.
 
-    The open level-n jets that survive come from the table's row n.  Under
-    each closed jet with survivors, a depth-first walk evaluates the
-    condition on each jet x at its own level s.  That is monotone: an
-    undetermined ord lies in [s+1, inf], and a longer jet only narrows it.
-    So x, once decided, adds its closed count at depth j* to its value and
-    is not expanded.  A level-n jet counts if it survives to depth j*:
-    every one when the closed form at j* equals the one at depth 0 (e = 0,
-    for one), else each by its own k*.  Ord and ac of an atom are read
-    off the series that each jet carries."""
+    They are read off the certificate of row n (see `_Tree`): the open
+    level-n jets that are in, and the jets at depth j = gamma(n) - n over
+    the closed ones.  Under each closed jet with some, a depth-first walk
+    evaluates the condition on each jet x at its own level s.  That is
+    monotone: an undetermined ord lies in [s+1, inf], and a longer jet only
+    narrows it.  So x, once decided, adds its closed count at depth j to its
+    value and is not expanded.  A level-n jet counts if it lifts to depth j:
+    every one when the closed form at j equals the one at depth 0 (e = 0,
+    for one), else each by its own k*.  Ord and ac of an atom are read off
+    the series that each jet carries."""
     if n < 0 or j_max < 0:
         raise ValueError("n and j_max must be nonnegative")
     polys = _atom_polys(c)
     lifter = _Lifter(X, q, budget, polys)
     tree = _Tree(lifter, n, j_max)
-    res, survivors = tree.row(n)
+    res = tree.row(n)
     if not res.stable:
         raise Unstable(
-            f"image counts did not stabilize within j_max={j_max}: {res.counts}")
+            f"level-{n} arcs not certified: {res.counts[1]} open level-{n} jets"
+            f" undecided after a search to level {tree.bottom}")
     counts = {True: 0, UNKNOWN: 0, False: 0}
 
     def value(node, s: int):
         return _eval_semialg(c, {f: lifter.ord_ac(f, node[0]) for f in polys}, s, q, params)
 
-    depth = n + res.j_star
+    j = res.gamma - n
     for top, info in tree.closed:
-        some = lifter.closed_dim(info, n, res.j_star)
+        some = lifter.closed_dim(info, n, j)
         if some is None:
             continue
         every = some == lifter.closed_dim(info, n, 0)
@@ -1143,11 +1137,12 @@ def count_semialg(X: JetVariety, c: SemiAlgCondition, n: int, q: int,
             s = len(node[0][0]) - 1
             v = value(node, s)
             if s == n:
-                counts[v] += every or depth < (known or lifter.closed(node))[2]
+                counts[v] += every or res.gamma < (known or lifter.closed(node))[2]
             elif v is not UNKNOWN:
-                counts[v] += lifter.closed_count(known or lifter.closed(node), n, res.j_star)
+                counts[v] += lifter.closed_count(known or lifter.closed(node), n, j)
             else:
                 stack += [(child, None) for child in lifter.children(node)[::-1]]
-    for i in survivors:
-        counts[value(tree.leaves[i], n)] += 1
+    for node, verdict in zip(tree.leaves, tree.reach[n]):
+        if verdict == math.inf:
+            counts[value(node, n)] += 1
     return counts[True], counts[UNKNOWN]

@@ -162,7 +162,7 @@ def test_criterion_08_hensel_smoothness_suite():
     t0 = time.time()
     plane = JetVariety(2, [], 2, ("x", "y"))
     hyper = JetVariety(2, [parse_int_poly("y", ("x", "y"))], 1, ("x", "y"))
-    from motivic.jets import greenberg_estimate, image_count
+    from motivic.jets import image_count
 
     for X in (plane, hyper):
         for q in (2, 3, 5):
@@ -171,9 +171,9 @@ def test_criterion_08_hensel_smoothness_suite():
                 assert base == q ** ((n + 1) * X.d)
                 for j in (1, 2):
                     assert image_count(X, n, j, q) == base
-                assert greenberg_estimate(X, n, q, 4) == n
+                assert stabilized_count(X, n, q, 4).gamma == n
     _report(8, "affine plane and hyperplane: image counts j-independent, "
-               "N_n = q^{(n+1)d}, greenberg estimate = n for n <= 4, "
+               "N_n = q^{(n+1)d}, gamma(n) = n for n <= 4, "
                "q in {2, 3, 5}", t0)
 
 
@@ -184,13 +184,15 @@ def test_criterion_09_greenberg_on_the_node():
     for n in range(4):
         res = stabilized_count(node, n, 2, j_max=2 * n + 2)
         assert res.stable
-        estimates.append(n + res.j_star)
+        estimates.append(res.gamma)
     assert estimates[1] == 2
     assert estimates[2] == 4
     assert estimates == sorted(estimates)          # nondecreasing
     assert all(g <= 2 * n + 1 for n, g in enumerate(estimates))  # linear envelope
-    _report(9, f"node over F_2: gamma-hat = {estimates} for n = 0..3 "
-               "(gamma-hat(1) = 2, gamma-hat(2) = 4), nondecreasing, "
+    # the level-n jets (c t^n, d t^n), cd != 0, reach level 2n - 1
+    assert estimates == [2 * n for n in range(4)]
+    _report(9, f"node over F_2: gamma = {estimates} for n = 0..3 "
+               "(gamma(1) = 2, gamma(2) = 4), nondecreasing, "
                "within the linear envelope 2n + 1", t0)
 
 

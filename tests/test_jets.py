@@ -11,9 +11,9 @@ from motivic import jets
 from motivic.errors import BudgetExceeded, Unstable, ValidationError
 from motivic.jets import (UNKNOWN, JetPoint, JetVariety, count_semialg,
                           enumerate_jet_points, enumerate_jets, eval_semialg,
-                          greenberg_estimate, image_count, oesterle_sequence,
-                          ord_cmp, ord_mod, parse_semialg, poincare_table,
-                          stabilized_count, stabilized_table)
+                          image_count, oesterle_sequence, ord_cmp, ord_mod,
+                          parse_semialg, poincare_table, stabilized_count,
+                          stabilized_table)
 from motivic.parsing import parse_int_poly
 from motivic.presburger import And, Not, Or
 
@@ -126,7 +126,7 @@ class TestImageCount:
 class TestStabilized:
     def test_smooth(self):
         res = stabilized_count(LINE, 3, 2, 4)
-        assert (res.N_n, res.j_star, res.stable) == (2 ** 4, 0, True)
+        assert (res.N_n, res.gamma, res.stable) == (2 ** 4, 3, True)
 
     def test_node_counts(self):
         for q in (2, 3):
@@ -136,30 +136,36 @@ class TestStabilized:
                 assert res.N_n == 2 * q ** (n + 1) - 1
 
     def test_unstable_flag(self):
-        res = stabilized_count(NODE, 3, 2, j_max=0)
-        assert not res.stable
+        # the four level-3 jets (a t^2, 0), a != 0, of y^2 - x^3 at q = 5
+        # are open, and a search to level 3 leaves them undecided: the count
+        # is the upper bound 521 + 4 (the node's rows are certified at
+        # j_max = 0, since its one open jet, the zero jet, is an arc)
+        res = stabilized_count(CUSP, 3, 5, j_max=0)
+        assert (res.N_n, res.stable, res.gamma, res.counts) == (525, False, None, [1125, 4])
+        assert stabilized_count(NODE, 3, 2, j_max=0).stable
 
-    def test_iterable(self):
-        N_n, j_star, stable = stabilized_count(NODE, 1, 2, 4)
-        assert (N_n, j_star, stable) == (7, 1, True)
+    def test_counts_level_n_jets(self):
+        res = stabilized_count(NODE, 1, 2, 4)
+        assert (res.N_n, res.gamma, res.stable, res.counts) == (7, 2, True, [8, 0])
 
 
 class TestGreenberg:
     def test_smooth_equals_n(self):
-        assert greenberg_estimate(LINE, 3, 2, 4) == 3
+        assert stabilized_count(LINE, 3, 2, 4).gamma == 3
 
     def test_node(self):
-        assert greenberg_estimate(NODE, 1, 2, 4) == 2
-        assert greenberg_estimate(NODE, 2, 2, 6) == 4
+        # level-n jets (c t^n, d t^n), cd != 0, of xy reach level 2n - 1
+        assert stabilized_count(NODE, 1, 2, 4).gamma == 2
+        assert stabilized_count(NODE, 2, 2, 6).gamma == 4
 
-    def test_unstable_raises(self):
-        with pytest.raises(Unstable):
-            greenberg_estimate(NODE, 3, 2, 0)
+    def test_unstable_row_has_no_gamma(self):
+        assert stabilized_count(CUSP, 3, 5, 0).gamma is None
 
-    def test_semialg_unstable_lists_counts(self):
+    def test_semialg_unstable_names_level_and_depth(self):
         cond = parse_semialg("(ordmod {x} 2 0)", ("x", "y"))
-        with pytest.raises(Unstable, match=r"within j_max=0: \[6, 4, 3\]$"):
-            count_semialg(CUSP, cond, 1, 2, j_max=0)
+        with pytest.raises(Unstable, match=r"^level-3 arcs not certified: 4 open level-3 "
+                                           r"jets undecided after a search to level 3$"):
+            count_semialg(CUSP, cond, 3, 5, j_max=0)
 
 
 class TestTables:
@@ -190,10 +196,11 @@ class TestTables:
 
     def test_determinism_across_worker_counts(self):
         res = stabilized_count(NODE, 2, 2, 5)
-        assert (res.N_n, res.j_star, res.stable) == (15, 2, True)
+        assert (res.N_n, res.gamma, res.stable) == (15, 4, True)
 
-    # CUSP is y^2 - x^3; at q = 3 the rows n = 2, 3 of y^3 - x^4 do not
-    # stabilize within j_max = 5
+    # CUSP is y^2 - x^3.  A table searches its row n to level n_max + j_max,
+    # and one row to level n + j_max, so the table decides every jet that
+    # the row decides, the same way
     @pytest.mark.parametrize("X, q", [
         (X, q) for X in (NODE, CUSP, LINE, CONIC,
                          variety(["y^2 - x^5"], 1, ("x", "y")),
@@ -204,34 +211,36 @@ class TestTables:
         assert len(table) == 4
         for n, row in enumerate(table):
             res = stabilized_count(X, n, q, 5)
-            assert (row.N_n, row.j_star, row.stable, row.counts) == \
-                (res.N_n, res.j_star, res.stable, res.counts)
+            assert row == res if res.stable else row.N_n <= res.N_n
+            assert row.counts[0] == res.counts[0] == enumerate_jets(X, n, q)
 
-    @pytest.mark.parametrize("X", [PLANE, A1, LINE, NODE])
-    def test_stable_rows_stop_at_three_equal_counts(self, X):
-        for row in stabilized_table(X, 2, 4, 4):
-            assert row.stable
-            assert len(row.counts) == row.j_star + 3
-            assert row.counts[-3:] == [row.N_n] * 3
+    # gamma(n) = n on smooth varieties, where every jet lifts; the node's
+    # arcs are its two lines, and its jets (c t^n, d t^n), cd != 0, reach
+    # level 2n - 1
+    @pytest.mark.parametrize("X, counts, gamma", [
+        (PLANE, lambda n: 4 ** (n + 1), lambda n: n),
+        (A1, lambda n: 2 ** (n + 1), lambda n: n),
+        (LINE, lambda n: 2 ** (n + 1), lambda n: n),
+        (NODE, lambda n: 2 ** (n + 2) - 1, lambda n: 2 * n)])
+    def test_smooth_and_node_rows_are_certified(self, X, counts, gamma):
+        for n, row in enumerate(stabilized_table(X, 2, 4, 4)):
+            assert (row.N_n, row.stable, row.gamma) == (counts(n), True, gamma(n))
 
+    # the rows are the closed form of the arcs (sigma^2, sigma^3) (see
+    # test_arcs.py): (q - 1) q^n + 1 + sum_{1 <= k <= n/2} (q - 1) q^(n-2k),
+    # halved where 3k > n, with gamma(n) = 3n
     def test_cusp_table_at_five(self):
-        rows = [(row.N_n, row.j_star, row.stable, row.counts)
-                for row in stabilized_table(CUSP, 5, 5, 4)]
-        assert rows == [
-            (5, 0, True, [5, 5, 5]),
-            (21, 2, True, [45, 25, 21, 21, 21]),
-            (103, 4, True, [225, 125, 105, 105, 103, 103, 103]),
-            (525, 3, True, [1125, 625, 625, 525, 525, 525]),
-            (2605, 6, False, [5625, 5625, 3125, 2725, 2625, 2605, 2605]),
-            (13025, 6, False, [90625, 28125, 18125, 13625, 13125, 13025, 13025])]
+        rows = [(row.N_n, row.gamma, row.stable) for row in stabilized_table(CUSP, 5, 5, 4)]
+        assert rows == [(5, 0, True), (21, 3, True), (103, 6, True), (521, 9, True),
+                        (2603, 12, True), (13011, 15, True)]
 
     def test_cusp_table_at_six_within_budget(self):
         # only the open jets over the origin (grad f = 0 mod t^(s+1) and
         # f = 0 mod t^(2s+2)) are expanded; a search of all 390,625 level-6
         # jets over the origin needs 472,676 units
         rows = stabilized_table(CUSP, 5, 6, 4, budget=10_000)
-        assert [row.N_n for row in rows] == [5, 21, 103, 525, 2605, 13025, 65125]
-        assert [row.stable for row in rows] == [True] * 4 + [False] * 3
+        assert [row.N_n for row in rows] == [5, 21, 103, 521, 2603, 13011, 65103]
+        assert all(row.stable for row in rows)
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     @pytest.mark.parametrize("n", range(1, 6))
@@ -342,7 +351,7 @@ class TestTailKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(X=small_varieties(), q=st.sampled_from([2, 3]), data=st.data())
-    def test_witness_exactly_when_search_finds_one(self, X, q, data):
+    def test_extends_exactly_when_search_finds_a_jet(self, X, q, data):
         level = data.draw(st.integers(0, 2), label="level")
         lifter = jets._Lifter(X, q, budget=1000)
         try:
@@ -350,15 +359,7 @@ class TestTailKernel:
                 for node in lifter.descendants(root, level):
                     for n in range(level, 2 * level + 5):
                         plain = next(lifter.descendants(node, n - level), None)
-                        found = lifter.can_extend(node, n)
-                        assert (found is None) == (plain is None)
-                        if found is not None:
-                            witness, reach = found
-                            assert reach == n
-                            assert all(a[:level + 1] == b
-                                       for a, b in zip(witness[0], node[0]))
-                            assert next(lifter.descendants(
-                                witness, n - len(witness[0][0]) + 1), None) is not None
+                        assert lifter.can_extend(node, n) == (plain is not None)
         except BudgetExceeded:
             assume(False)
 
@@ -387,8 +388,52 @@ class TestOnePassTable:
                     for n in range(n_max + 1)]
         except BudgetExceeded:
             assume(False)
-        assert [(r.N_n, r.j_star, r.stable, r.counts) for r in table] == \
-            [(r.N_n, r.j_star, r.stable, r.counts) for r in rows]
+        # the table searches deeper below its lower rows, and decides
+        # every jet that a row alone decides, the same way
+        for row, res in zip(table, rows):
+            assert row == res if res.stable else row.N_n <= res.N_n
+
+
+class TestCertificate:
+    # the cusp has the arcs (a t^2, b t^3), a^3 = b^2, among its level-3 jets
+    @settings(max_examples=40, deadline=None)
+    @example(X=CUSP, q=5, depth=3)
+    @given(X=small_varieties(), q=st.sampled_from([2, 3]), depth=st.integers(0, 3))
+    def test_arcs_are_the_evaluation(self, X, q, depth):
+        # each node asked after another one: f(x(t)) from scratch on its
+        # polynomial representative x, of degree <= s deg f
+        lifter = jets._Lifter(X, q, budget=3000)
+        try:
+            nodes = [node for root in lifter.level0() for node in lifter.descendants(root, depth)]
+            for node in nodes[::-1]:
+                coords = node[0][:X.N]
+                assert lifter.is_arc(node) == (not any(
+                    any(jets._poly_eval_series(p, coords, depth * max(map(sum, p)), q))
+                    for p in lifter.polys))
+        except BudgetExceeded:
+            assume(False)
+
+    # a plane curve to n = 3, or two equations in three variables to n = 1;
+    # 3x^2 + 2 at q = 2 is x^2 with its double line, where every jet over
+    # x = 0 stays open and only the exact arcs (0, y) are in
+    @settings(max_examples=40, deadline=None)
+    @example(X=variety(["3*x^2 + 2"], 1, ("x", "y")), q=2, n_max=2)
+    @example(X=variety(["y^2 - x^3", "z^2 - x*y"], 1, ("x", "y", "z")), q=2, n_max=1)
+    @given(X=small_varieties(), q=st.sampled_from([2, 3]), n_max=st.integers(0, 3))
+    def test_certified_rows_are_image_counts(self, X, q, n_max):
+        # a certified N_n is at most the image count at every depth j, and
+        # equals it from depth gamma(n) - n on; one depth less counts more,
+        # unless gamma(n) = n
+        assume(X.N == 2 or n_max <= 1)
+        try:
+            for n, row in enumerate(stabilized_table(X, q, n_max, 3, budget=3000)):
+                if row.stable:
+                    j = row.gamma - n
+                    counts = [image_count(X, n, i, q, budget=20_000) for i in range(j + 2)]
+                    assert min(counts) == counts[j] == counts[j + 1] == row.N_n
+                    assert j == 0 or counts[j - 1] > row.N_n
+        except BudgetExceeded:
+            assume(False)
 
 
 @st.composite
@@ -408,32 +453,36 @@ class TestClosedSubtrees:
     @given(X=one_equation(), q=st.sampled_from([2, 3, 5]),
            n_max=st.integers(0, 2), j_max=st.integers(0, 2))
     def test_rows_match_built_jets(self, X, q, n_max, j_max):
-        # each count is the number of level-n truncations of the level-(n+j)
-        # jets built one by one, and enumerate_jets counts that stream
+        # counts[0] is the number of level-n jets, and a certified N_n the
+        # number of level-n truncations of the level-gamma(n) jets, each
+        # built one by one; enumerate_jets counts that stream
         try:
             table = stabilized_table(X, q, n_max, j_max, budget=3000)
             built = {}
             for n, row in enumerate(table):
-                for j, count in enumerate(row.counts):
-                    if n + j not in built:
-                        built[n + j] = [p.coords for p in
-                                        enumerate_jet_points(X, n + j, q, budget=300)]
+                for m, count in ((n, row.counts[0]), (row.gamma, row.N_n)):
+                    if m is None:
+                        continue
+                    if m not in built:
+                        built[m] = [p.coords for p in enumerate_jet_points(X, m, q, budget=300)]
                     assert count == len({tuple(c[:n + 1] for c in coords)
-                                         for coords in built[n + j]})
+                                         for coords in built[m]})
             for m, coords in built.items():
                 assert enumerate_jets(X, m, q, budget=3000) == len(coords)
         except BudgetExceeded:
             assume(False)
 
-    @pytest.mark.parametrize("n_max, units", [(6, 1_076), (8, 2_326)])
+    @pytest.mark.parametrize("n_max, units", [(6, 3_149), (8, 14_484)])
     def test_cusp_table_budget(self, n_max, units):
         # one unit per node asked, whether its scan is read off its record
-        # or computed from its series
+        # or computed from its series: the tree to level n_max, and below
+        # its open level-n_max jets the search to level n_max + 4
         lifter = jets._Lifter(CUSP, 5, budget=10 ** 6)
         tree = jets._Tree(lifter, n_max, 4)
+        before = lifter.expansions
         for n in range(n_max, -1, -1):
             tree.row(n)
-        assert lifter.expansions == units
+        assert lifter.expansions == before == units
 
     def test_closed_nodes_are_not_expanded(self):
         # a level-s jet of y^2 - x^3 at q = 5 is open when grad f = 0 mod
@@ -682,15 +731,15 @@ def plane_conditions(draw, depth=0, names=("x", "y"), params=()):
     return parse_semialg(text, names, params)
 
 
-def scratch_tally(X, c, n, q, j_star):
+def scratch_tally(X, c, n, q, m):
     """(definitely_true, unknown) over the level-n jets that extend to level
-    n + j_star, each jet built and asked on its own and the condition
-    evaluated on it from scratch."""
+    m, each jet built and asked on its own and the condition evaluated on it
+    from scratch."""
     lifter = jets._Lifter(X, q, budget=10 ** 5)
     tally = {True: 0, UNKNOWN: 0, False: 0}
     for root in lifter.level0():
         for node in lifter.descendants(root, n):
-            if lifter.can_extend(node, n + j_star) is not None:
+            if lifter.can_extend(node, m):
                 point = JetPoint(q=q, n=n, coords=node[0][:X.N])
                 tally[eval_semialg(c, point)] += 1
     return tally[True], tally[UNKNOWN]
@@ -719,7 +768,7 @@ class TestCarriedAtoms:
             res = stabilized_count(X, n, q, j_max, budget=5000)
             assume(res.stable)
             got = count_semialg(X, c, n, q, j_max=j_max, budget=5000)
-            assert got == scratch_tally(X, c, n, q, res.j_star)
+            assert got == scratch_tally(X, c, n, q, res.gamma)
         except BudgetExceeded:
             assume(False)
 
@@ -739,15 +788,15 @@ class TestCarriedAtoms:
         try:
             lifter = jets._Lifter(X, q, budget=5000)
             tree = jets._Tree(lifter, n, j_max)
-            res, _ = tree.row(n)
+            res = tree.row(n)
             assume(res.stable)
             # on a split example, some closed jet has level-n jets that do
-            # not survive to depth j*
+            # not lift to level gamma(n)
             assert split <= any(
-                lifter.closed_dim(info, n, res.j_star) not in
+                lifter.closed_dim(info, n, res.gamma - n) not in
                 (None, lifter.closed_dim(info, n, 0)) for _, info in tree.closed)
             got = count_semialg(X, c, n, q, j_max=j_max, budget=5000)
-            assert got == scratch_tally(X, c, n, q, res.j_star)
+            assert got == scratch_tally(X, c, n, q, res.gamma)
         except BudgetExceeded:
             assume(False)
 

@@ -78,7 +78,8 @@ SER = "kind = series\n"
 PRES = "kind = presburger\nvars = i\n"
 
 # One single-fault model file per diagnostic of the model reader, with the
-# whole error line it prints.
+# whole error line it prints after 'error[ParseError]: ', and a model on
+# which the computation stops, with its whole line.
 DIAGNOSTICS = [
     ("", "empty model file"),
     ("# only a comment\n", "empty model file"),
@@ -183,11 +184,18 @@ DIAGNOSTICS = [
     (VAR + "dimension = 1\ncondition = (ordmod {x} a 0)\n",
      "line 4: 'ordmod' modulus and residue must be integers"),
     (VAR + "dimension = 1\ncondition = (ac= {a1})\n", "line 4: 'ac=' needs (ac= h f1 ...)"),
+    # a model that reads well, on which the computation stops: at q = 2 the
+    # level-1 jets (0, t), (t, 0) and (t, t) of y^4 - x^9 are open, and a
+    # search to level 1 does not decide them
+    ("kind = variety\nvars = x y\ndimension = 1\npoly = y^4 - x^9\n"
+     "condition = (ordmod {x} 2 0)\n",
+     "error[Unstable]: level-1 arcs not certified: 3 open level-1 jets undecided after "
+     "a search to level 1"),
 ]
 
 # a subcommand that reads each kind of model
 READER = {"resolution": ["volume"], "polyhedron": ["zdelta"],
-          "variety": ["jets-count", "--q", "2", "--n", "1"],
+          "variety": ["semialg-count", "--q", "2", "--n", "1", "--j-max", "0"],
           "series": ["series-limit", "--d", "1"], "presburger": ["genfun"]}
 
 
@@ -198,8 +206,9 @@ class TestModelDiagnostics:
         path.write_text(body)
         kind = body.partition("\n")[0].partition("= ")[2]
         argv = READER.get(kind, READER["resolution"])
-        assert main([argv[0], str(path)] + argv[1:]) == 2
-        assert capsys.readouterr() == ("", f"error[ParseError]: {message}\n")
+        line = message if message.startswith("error[") else f"error[ParseError]: {message}"
+        assert main([argv[0], str(path)] + argv[1:]) == (2 if "[ParseError]" in line else 1)
+        assert capsys.readouterr() == ("", line + "\n")
 
     def test_wrong_kind(self, capsys):
         assert main(["zdelta", fx("node.model")]) == 2
