@@ -7,9 +7,9 @@ direct-summation oracle.
 
 The partition refines the normal fan: the chamber of a minimal generator is
 where that generator attains the support function.  Chambers are found and
-dissected in integer arithmetic by one routine that does not depend on the
-dimension k; ``linearity_partition`` still refuses k > 3, the dimensions
-its oracle tests cover.
+dissected in integer arithmetic by one routine for every k, on cofactor
+vectors in closed form for k <= 3; ``linearity_partition`` refuses k > 3,
+the dimensions its oracle tests cover.
 """
 from __future__ import annotations
 
@@ -41,7 +41,12 @@ def _det(rows: Sequence[Vec]) -> int:
 
 
 def _cofactors(rows: Sequence[Vec]) -> Vec:
-    """The vector v with v . x = det(x, *rows), for k - 1 rows of length k."""
+    """The v with v . x = det(x, *rows), k - 1 rows of length k; closed for k <= 3."""
+    if len(rows) < 2:
+        return (rows[0][1], -rows[0][0]) if rows else (1,)
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     return tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
                  for j in range(len(rows) + 1))
 
@@ -88,14 +93,9 @@ class NewtonPolyhedron:
 
     def minimal_generators(self) -> Tuple[Vec, ...]:
         """Generators with componentwise-dominated ones removed."""
-        out = []
-        for g in set(self.generators):
-            dominated = any(
-                h != g and all(h_i <= g_i for h_i, g_i in zip(h, g))
-                for h in set(self.generators))
-            if not dominated:
-                out.append(g)
-        return tuple(sorted(out))
+        gens = set(self.generators)
+        return tuple(sorted(g for g in gens if not any(
+            h != g and all(h_i <= g_i for h_i, g_i in zip(h, g)) for h in gens)))
 
     def __repr__(self) -> str:
         return f"NewtonPolyhedron(k={self.k}, generators={list(self.generators)})"
@@ -195,10 +195,15 @@ def _chamber_cones(gens: Sequence[Vec], k: int) -> List[Tuple[Vec, ...]]:
         rays = set()
         for rows in itertools.combinations(normals, k - 1):
             v = _cofactors(rows)
-            dots = [_dot(n, v) for n in normals]
-            s = -1 if min(dots) < 0 else 1
-            if any(v) and all(s * d >= 0 for d in dots):
-                rays.add(_primitive(tuple(s * x for x in v)))
+            if any(v):
+                s = 0  # the first nonzero n . v; one of the other sign rejects v
+                for n in normals:
+                    d = _dot(n, v)
+                    if d * s < 0:
+                        break
+                    s = s or d
+                else:
+                    rays.add(_primitive(v if s > 0 else tuple(-x for x in v)))
         if any(_det(c) for c in itertools.combinations(rays, k)):
             faces = [frozenset(r for r in rays if _dot(n, r) == 0) for n in normals]
             cones += _pulling(frozenset(rays), faces)

@@ -2,18 +2,69 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motivic.errors import DimensionUnsupported
 from motivic.grring import (CompletionExpansion, LaurentPoly, MotClass,
                             expand_completion, mot_eq)
 from motivic.parsing import format_motclass
-from motivic.polyhedra import (HalfOpenCone, NewtonPolyhedron, _det, _dot,
-                               linearity_partition, support_eval, z_of_delta,
-                               z_truncated)
+from motivic.polyhedra import (HalfOpenCone, NewtonPolyhedron, _cofactors, _det,
+                               _dot, _primitive, _pulling, linearity_partition,
+                               support_eval, z_of_delta, z_truncated)
+
+STRESS = [json.loads(line.split("\t")[0]) for line in
+          (Path(__file__).parent / "fixtures" / "zdelta_stress.txt").read_text().splitlines()]
+
+
+def _leibniz(rows):
+    """det of a square matrix as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for row, j in zip(rows, perm):
+            term *= row[j]
+        total += term
+    return total
+
+
+def _reference_fan(delta):
+    """Multiset of (rays, linear_value) over the cones of the partition, by
+    the ray test of the recursive code: Leibniz cofactors, then every dot
+    product with the normals in one list, its min for the sign and all()."""
+    k = delta.k
+    gens = delta.minimal_generators()
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    cones = []
+    for g in gens:
+        normals = [tuple(a - b for a, b in zip(h, g)) for h in gens if h != g] + units
+        rays = set()
+        for rows in itertools.combinations(normals, k - 1):
+            v = tuple(_leibniz((e,) + rows) for e in units)
+            dots = [_dot(n, v) for n in normals]
+            s = -1 if min(dots) < 0 else 1
+            if any(v) and all(s * d >= 0 for d in dots):
+                rays.add(_primitive(tuple(s * x for x in v)))
+        if any(_leibniz(c) for c in itertools.combinations(rays, k)):
+            faces = [frozenset(r for r in rays if _dot(n, r) == 0) for n in normals]
+            cones += _pulling(frozenset(rays), faces)
+    return Counter((c, tuple(support_eval(delta, r) for r in c)) for c in cones)
+
+
+@st.composite
+def _generator_sets(draw):
+    k = draw(st.sampled_from((2, 3)))
+    gens = draw(st.lists(st.tuples(*[st.integers(1, 6)] * k), min_size=1, max_size=5))
+    if 2 <= len(gens) < 5 and draw(st.booleans()):
+        # the midpoint of two generators rounded up lies in the polyhedron, so
+        # it is dominated or not a vertex
+        gens.append(tuple(-(-(a + b) // 2) for a, b in zip(gens[0], gens[1])))
+    return gens
 
 
 class TestNewtonPolyhedron:
@@ -116,6 +167,34 @@ class TestLinearityPartition:
     def test_dimension_unsupported(self):
         with pytest.raises(DimensionUnsupported):
             linearity_partition(NewtonPolyhedron(4, [(1, 1, 1, 1)]))
+
+
+class TestCofactors:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.tuples(*[st.integers(-4, 4)] * k), min_size=k, max_size=k)))
+    @example([(2, -1, 3), (1, 2, 3), (4, 5, 6)])
+    def test_against_leibniz(self, rows):
+        # v . x = det(x, *rows): the unit vectors pin each entry and its sign
+        k = len(rows)
+        v = _cofactors(rows[1:])
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        assert v == tuple(_leibniz([e] + rows[1:]) for e in units)
+        assert _dot(v, rows[0]) == _det(rows) == _leibniz(rows)
+
+
+class TestFan:
+    @settings(max_examples=100, deadline=None)
+    @given(_generator_sets())
+    @example(STRESS[0])
+    @example(STRESS[1])
+    def test_against_reference_and_truncation(self, gens):
+        delta = NewtonPolyhedron(len(gens[0]), gens)
+        cones = linearity_partition(delta)
+        assert Counter((c.rays, c.linear_value) for c in cones) == _reference_fan(delta)
+        order = min(map(sum, gens)) + 6  # the expansion starts at sum - k
+        closed = expand_completion(z_of_delta(delta), order)
+        assert closed.matches(z_truncated(delta, order))
 
 
 class TestZeta:
