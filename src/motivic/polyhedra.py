@@ -41,7 +41,7 @@ def _det(rows: Sequence[Vec]) -> int:
 
 
 def _cofactors(rows: Sequence[Vec]) -> Vec:
-    """The v with v . x = det(x, *rows), k - 1 rows of length k; closed for k <= 3."""
+    """v with v . x = det(x, *rows) for k - 1 rows of length k; closed form if k <= 3."""
     if len(rows) < 2:
         return (rows[0][1], -rows[0][0]) if rows else (1,)
     if len(rows) == 2:

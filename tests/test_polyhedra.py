@@ -34,9 +34,9 @@ def _leibniz(rows):
 
 
 def _reference_fan(delta):
-    """Multiset of (rays, linear_value) over the cones of the partition, by
-    the ray test of the recursive code: Leibniz cofactors, then every dot
-    product with the normals in one list, its min for the sign and all()."""
+    """Multiset of (rays, linear_value) over the cones of the partition, by a
+    direct ray test: Leibniz cofactors, then every dot product with the
+    normals in one list, its min for the sign and all()."""
     k = delta.k
     gens = delta.minimal_generators()
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
