@@ -26,8 +26,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import BudgetExceeded, ChiUndefined
 
-# Exact division runs over a dense list of the dividend's exponents; one that
-# spans more exponents than this raises BudgetExceeded.
+# Exact division runs over a dense list of the dividend's exponents: spanning more
+# than this many, or making more term updates than this, raises BudgetExceeded.
 MAX_SPAN = 2 * 10 ** 6
 
 
@@ -143,12 +143,15 @@ class LaurentPoly:
             return self
         # normalize both to ordinary polynomials
         slow, shigh, olow = self.low, self.degree, other.low
-        if shigh - slow >= MAX_SPAN:
-            raise BudgetExceeded(f"exact division over {shigh - slow + 1} exponents, "
+        span, terms, dd = shigh - slow + 1, len(other.terms), other.degree - olow
+        if span > MAX_SPAN:
+            raise BudgetExceeded(f"exact division over {span} exponents, "
                                  f"more than the bound of {MAX_SPAN}")
+        if (span - dd) * terms > MAX_SPAN:
+            raise BudgetExceeded(f"exact division over {span} exponents by {terms} terms, "
+                                 f"more than the bound of {MAX_SPAN} term updates")
         rem = [self.terms.get(e, 0) for e in range(slow, shigh + 1)]
         den = [(e - olow, c) for e, c in other.terms.items()]
-        dd = other.degree - olow
         lead = other.terms[other.degree]
         quot: Dict[int, int] = {}
         for top in range(len(rem) - 1, dd - 1, -1):
@@ -312,6 +315,8 @@ class MotClass:
     def __add__(self, other: "MotClass") -> "MotClass":
         if self.den == other.den:
             return MotClass(self.num + other.num, self.den)
+        if self.is_zero or other.is_zero:  # the zero class has den ()
+            return other if self.is_zero else self
         return mot_sum(((self.num, self.den), (other.num, other.den)))
 
     def __neg__(self) -> "MotClass":

@@ -5,7 +5,9 @@ expressions over `^`, `*`, `+`, `-` and parentheses, parsed into one tuple
 AST that one evaluator maps to its target: classes over `L` with divisors
 written `/(L^i-1)` (repeatable), polynomials in T with class coefficients,
 or integer polynomials in named variables (`presburger` builds the same AST
-from its s-expression affine forms).  Conditions are s-expressions
+from its s-expression affine forms).  The evaluator computes on sums of integer
+fractions {den: {monomial: int}}; classes are made at the end, and for a factor
+over a denominator before it multiplies on.  Conditions are s-expressions
 whose `and`/`or`/`not` skeleton one reader parses, leaving the atoms to the
 caller; one walker, `fold`, evaluates such a tree, substitutes into it or
 evaluates it three-valued, and `atoms` lists its leaves.  The printers
@@ -20,43 +22,35 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 from .errors import ParseError
 from .grring import HodgeRational, LaurentPoly, MotClass, poly_mul
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+_TOKEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S)")
 
 # Nesting deeper than this is a parse error.  The bound keeps the recursive
 # parser and the recursive walks over the parsed trees far from Python's
 # recursion limit.
 MAX_DEPTH = 100
 
-# The products of one expression may pair at most this many terms, a class
-# coefficient counting its numerator terms and denominator factors, since
-# `(L+1)^e` grows inside one coefficient; past it the expression is refused.
+# The products of one expression may pair at most this many terms, a fraction
+# counting its numerator terms and denominator factors; base^e adds e pairs per
+# bit past the first of its largest coefficient.  Past it the expression is refused.
 MAX_TERMS = 2 * 10 ** 6
 
 
 def tokenize(text: str) -> List[Tuple[str, int]]:
     """Token stream as (token, position) pairs; raises ParseError on junk."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:  # past the whitespace: the end, or a character no token starts with
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} "
-                             f"at column {len(text) - len(rest) + 1}")
-        tok = m.group(1)
-        tokens.append(("^" if tok == "**" else tok, m.start(1)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if (tok := m[1]) is None:
+            raise ParseError(f"unexpected character {m[2]!r} at column {m.start() + 1}")
+        tokens.append(("^" if tok == "**" else tok, m.start()))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser producing a small tuple AST."""
+    """Recursive-descent parser producing a small tuple AST; (None, end) ends the tokens."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) + [(None, len(text))]
         self.i = 0
         self.depth = 0
 
@@ -66,47 +60,40 @@ class _Parser:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels "
                              f"at column {pos + 1}")
 
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
     def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError(f"unexpected end of expression in {self.text!r}")
         tok = self.tokens[self.i]
+        if tok[0] is None:
+            raise ParseError(f"unexpected end of expression in {self.text!r}")
         self.i += 1
         return tok
 
-    def expect(self, tok: str):
-        got, pos = self.next()
-        if got != tok:
-            raise ParseError(f"expected {tok!r} at column {pos + 1}, got {got!r}")
-
     def parse(self):
         node = self.expr()
-        if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
+        tok, pos = self.tokens[self.i]
+        if tok is not None:
             raise ParseError(f"trailing input {tok!r} at column {pos + 1}")
         return node
 
     def expr(self):
         # flat n-ary nodes: a long sum or product must not nest deeply
         terms = [(1, self.term())]
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
+        while (op := self.tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             terms.append((1 if op == "+" else -1, self.term()))
         return terms[0][1] if len(terms) == 1 else ("add", tuple(terms))
 
     def term(self):
         factors = [("*", self.unary())]
-        while self.peek() in ("*", "/"):
-            op, _ = self.next()
+        while (op := self.tokens[self.i][0]) in ("*", "/"):
+            self.i += 1
             factors.append((op, self.unary()))
         return factors[0][1] if len(factors) == 1 else ("mul", tuple(factors))
 
     def unary(self):
-        if self.peek() not in ("-", "+"):
+        op, pos = self.tokens[self.i]
+        if op not in ("-", "+"):
             return self.power()
-        op, pos = self.next()
+        self.i += 1
         self.descend(pos)
         node = self.unary()
         self.depth -= 1
@@ -114,12 +101,12 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.next()
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
             # exponent: optionally signed integer literal
             sign = 1
-            if self.peek() == "-":
-                self.next()
+            if self.tokens[self.i][0] == "-":
+                self.i += 1
                 sign = -1
             tok, pos = self.next()
             if not tok.isdigit():
@@ -132,12 +119,14 @@ class _Parser:
         if tok == "(":
             self.descend(pos)
             node = self.expr()
-            self.expect(")")
+            tok, pos = self.next()
+            if tok != ")":
+                raise ParseError(f"expected ')' at column {pos + 1}, got {tok!r}")
             self.depth -= 1
             return node
         if tok.isdigit():
             return ("num", int(tok))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+        if tok.isidentifier():
             return ("var", tok)
         raise ParseError(f"unexpected token {tok!r} at column {pos + 1}")
 
@@ -268,7 +257,21 @@ def atoms(cond) -> set:
 
 # -- evaluation -------------------------------------------------------------
 
-Poly = Dict[Tuple[int, ...], object]
+# A value: a sum of fractions {den: {monomial: int}}, den the sorted i of its
+# (L^i - 1) factors; a class monomial ends in the exponent of L.
+Frac = Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]
+
+
+def _merge(out: Frac, den: Tuple[int, ...], num: Dict, sign: int = 1) -> None:
+    """out += sign * num / den, without zero coefficients or empty groups."""
+    acc = out.setdefault(den, {})
+    for m, c in num.items():
+        if c := acc.get(m, 0) + sign * c:
+            acc[m] = c
+        else:
+            del acc[m]
+    if not acc:
+        del out[den]
 
 
 class _Target:
@@ -280,50 +283,55 @@ class _Target:
 
     def __init__(self, names: Tuple[str, ...], classes: bool, where: str):
         self.names, self.classes, self.where = names, classes, where
-        self.unit = (0,) * len(names)
-        self.one, self.zero = (MotClass.one(), MotClass.zero()) if classes else (1, 0)
+        self.unit = (0,) * (len(names) + classes)
         self.spent = 0
 
-    def product(self, a: Poly, b: Poly) -> Poly:
-        """a * b, charged to `spent` first."""
-        sizes = [sum(len(c.num.terms) + len(c.den) for c in p.values()) if self.classes
-                 else len(p) for p in (a, b)]
-        self.spent += sizes[0] * sizes[1]
+    def charge(self, pairs: int) -> None:
+        self.spent += pairs
         if self.spent > MAX_TERMS:
             raise ParseError(f"expression multiplies more than {MAX_TERMS} pairs of terms")
-        return poly_mul(a, b, self.zero)
+
+    def product(self, a: Frac, b: Frac) -> Frac:
+        """a * b, charged first: numerators multiply, denominators join.  A left
+        factor with a denominator is reduced first: left to the end, the
+        cancelling in a long product or power costs far more than its terms."""
+        a = _reduced(a) if any(a) else a
+        sizes = [sum(len(num) + len(den) for den, num in f.items()) for f in (a, b)]
+        self.charge(sizes[0] * sizes[1])
+        out: Frac = {}
+        for da, pa in a.items():
+            for db, pb in b.items():
+                _merge(out, tuple(sorted(da + db)) if da and db else da or db,
+                       poly_mul(pa, pb))
+        return out
 
 
-def _evaluate(node, target: _Target) -> Poly:
-    """The polynomial that a parsed expression denotes in target, without
-    zero coefficients."""
-    names, classes, unit = target.names, target.classes, target.unit
-    one, zero = target.one, target.zero
-    kind = node[0]
+def _evaluate(node, target: _Target) -> Frac:
+    """The sum of fractions that a parsed expression denotes in target."""
+    kind, unit, classes = node[0], target.unit, target.classes
     if kind == "num":
-        return {unit: MotClass.const(node[1]) if classes else node[1]} if node[1] else {}
+        return {(): {unit: node[1]}} if node[1] else {}
     if kind == "var":
-        if node[1] in names:
-            v = names.index(node[1])
-            return {unit[:v] + (1,) + unit[v + 1:]: one}
-        if classes and node[1] == "L":
-            return {unit: MotClass.L()}
-        raise ParseError(f"unknown {'symbol' if classes else 'variable'} "
-                         f"{node[1]!r} {target.where}")
+        names = target.names + ("L",) * classes  # the layout of a monomial
+        if node[1] not in names:
+            raise ParseError(f"unknown {'symbol' if classes else 'variable'} "
+                             f"{node[1]!r} {target.where}")
+        v = names.index(node[1])
+        return {(): {unit[:v] + (1,) + unit[v + 1:]: 1}}
     if kind == "neg":
-        return {m: -c for m, c in _evaluate(node[1], target).items()}
+        return {den: {m: -c for m, c in num.items()}
+                for den, num in _evaluate(node[1], target).items()}
     if kind == "add":
-        out: Poly = {}
+        out: Frac = {}
         for sign, child in node[1]:
-            for m, c in _evaluate(child, target).items():
-                c = c if sign > 0 else -c
-                out[m] = out[m] + c if m in out else c
-        return {m: c for m, c in out.items() if c != zero}
+            for den, num in _evaluate(child, target).items():
+                _merge(out, den, num, sign)
+        return out
     if kind == "mul":
         if not classes and any(op == "/" for op, _ in node[1]):
             raise ParseError("division is not allowed in polynomials")
-        out = {unit: one}
-        for op, child in node[1]:
+        out = _evaluate(node[1][0][1], target)  # the first factor is no divisor
+        for op, child in node[1][1:]:
             if op == "*":
                 out = target.product(out, _evaluate(child, target))
                 continue
@@ -342,30 +350,54 @@ def _evaluate(node, target: _Target) -> Poly:
                         den.append(power[2])
                         continue
                 raise ParseError("denominators must be products of (L^i-1) factors")
-            inverse = MotClass(LaurentPoly.const(1), den)
-            out = target.product(out, {unit: inverse})
+            target.charge(sum(len(n) + len(d) for d, n in out.items()) * (1 + len(den)))
+            out = {tuple(sorted(d + tuple(den))): num for d, num in out.items()}
         return out
     base, e = node[1], node[2]  # kind == "pow"
     if classes and base == ("var", "L"):
-        return {unit: MotClass.L(e)}
+        return {(): {unit[:-1] + (e,): 1}}
     if e < 0:
         raise ParseError("negative powers are only allowed for L" if classes
                          else "negative powers are not allowed in polynomials")
-    value, out = _evaluate(base, target), {unit: one}
-    for _ in range(e):
-        out = target.product(out, value)
+    value, out = _evaluate(base, target), {(): {unit: 1}}
+    target.charge(e * (max((abs(c).bit_length() for num in value.values()
+                            for c in num.values()), default=1) - 1))
+    for bit in bin(e)[2:]:  # by squaring, from the top bit down
+        out = target.product(out, out)
+        if bit == "1":
+            out = target.product(out, value)
+    return out
+
+
+def _classes(value: Frac) -> Dict[Tuple[int, ...], MotClass]:
+    """{monomial in the names: class} of a class value, without zero classes;
+    each is the ring's sum of one class per denominator."""
+    coeffs: Dict[Tuple[int, ...], Dict] = {}
+    for den, num in value.items():
+        for m, c in num.items():
+            coeffs.setdefault(m[:-1], {}).setdefault(den, {})[m[-1]] = c
+    sums = {m: sum((MotClass(LaurentPoly._of(p), den) for den, p in groups.items()),
+                   MotClass.zero()) for m, groups in coeffs.items()}
+    return {m: c for m, c in sums.items() if not c.is_zero}
+
+
+def _reduced(value: Frac) -> Frac:
+    """A class value with its classes in canonical form."""
+    out: Frac = {}
+    for m, c in _classes(value).items():
+        _merge(out, c.den, {m + (e,): k for e, k in c.num.terms.items()})
     return out
 
 
 def parse_motclass(text: str) -> MotClass:
-    target = _Target((), True, "in ring expression")
-    return _evaluate(parse_expr(text), target).get((), target.zero)
+    value = _evaluate(parse_expr(text), _Target((), True, "in ring expression"))
+    return _classes(value).get(()) or MotClass.zero()
 
 
 def parse_series_num(text: str) -> Dict[int, MotClass]:
     """A polynomial in T with class coefficients, as {exponent: class}."""
-    target = _Target(("T",), True, "in series expression")
-    return {m[0]: c for m, c in _evaluate(parse_expr(text), target).items()}
+    value = _evaluate(parse_expr(text), _Target(("T",), True, "in series expression"))
+    return {m[0]: c for m, c in _classes(value).items()}
 
 
 def parse_int_poly(text: str, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
@@ -375,7 +407,7 @@ def parse_int_poly(text: str, names: Sequence[str]) -> Dict[Tuple[int, ...], int
 def eval_int_poly(node, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
     """The integer polynomial in names that a parsed expression denotes."""
     names = tuple(names)
-    return _evaluate(node, _Target(names, False, f"(declared: {', '.join(names)})"))
+    return _evaluate(node, _Target(names, False, f"(declared: {', '.join(names)})")).get((), {})
 
 
 def split_affine(poly: Dict[Tuple[int, ...], int], n: int,

@@ -367,6 +367,15 @@ class TestWorkBounds:
         ("(L^1000000-1)/(L-1)", 0, "1000000"),
         ("(L+1)^100000", 2,
          "error[ParseError]: expression multiplies more than 2000000 pairs of terms"),
+        # a power is computed by squaring and charged for the bits its
+        # coefficients grow by, so neither runs e products of growing integers
+        ("3^1999999", 2,
+         "error[ParseError]: expression multiplies more than 2000000 pairs of terms"),
+        ("(L^2)^1999999", 0, "1"),
+        # the factors over a denominator cancel as the power is built, not at the end
+        ("((L^30-1)/(L^30-1))^400", 0, "1"),
+        pytest.param("7" * 4000 + "^1000", 2, "error[ParseError]: expression multiplies "
+                     "more than 2000000 pairs of terms", id="4000-digit-base^1000"),
     ])
     def test_chi_literal(self, literal, code, line, capsys):
         assert main(["chi", literal]) == code
@@ -389,6 +398,27 @@ class TestWorkBounds:
         assert out == ""
         assert err.startswith("error[BudgetExceeded]: exact division over ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("generators, code, out, err", [
+        # one cone of 99,999 points: its class is printed
+        pytest.param("[[100000, 1], [1, 2]]", 0,
+                     ("(L^199998 - L^199997 + ", "+ L^2 - 1)/(L^199999-1)\n"), "", id="value"),
+        # one cone of 999,999 points, whose denominator exponent 1999999 lies
+        # just inside the division span; dividing by L - 1 alone would make about
+        # 4 * 10^6 term updates, and dividing by the cyclotomic factors up to
+        # Phi_117647 ran for minutes before the update bound
+        pytest.param("[[1000000, 1], [1, 2]]", 1, ("", ""),
+                     "error[BudgetExceeded]: exact division over 2000000 exponents by 2 "
+                     "terms, more than the bound of 2000000 term updates\n", id="refused"),
+    ])
+    def test_zdelta_near_the_division_bounds(self, generators, code, out, err, tmp_path,
+                                             capsys):
+        path = tmp_path / "cone.model"
+        path.write_text(f"kind = polyhedron\ngenerators = {generators}\n")
+        assert main(["zdelta", str(path)]) == code
+        got = capsys.readouterr()
+        assert got.out.startswith(out[0]) and got.out.endswith(out[1])
+        assert got.err == err
 
 
 class TestCliOutputs:

@@ -1,5 +1,7 @@
 """The text layer: printed forms pinned as strings, parse/print round trips,
 and the parse errors of each syntax."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from motivic.jets import parse_semialg
 from motivic.models import ModelFile, parse_model, print_model
 from motivic.parsing import (And, Not, Or, atoms, fold, format_hodge,
                              format_int_poly, format_motclass, parse_int_poly,
-                             parse_motclass)
+                             parse_motclass, parse_series_num, tokenize)
 from motivic.presburger import RatFunc, format_ratfunc
 from motivic.series import RationalMotSeries
 
@@ -225,3 +227,153 @@ def test_fold_is_kleene_logic(tree, values):
 def test_fold_with_bool_atoms_evaluates(tree, values):
     value = dict(zip(NAMES, values))
     assert fold(tree, value.__getitem__) is plain(tree, value)
+
+
+# -- the infix reader against a reference fold in the ring -------------------
+
+def expr_trees(names, classes):
+    """(tree, text) pairs: numbers, names, L^e, sums, differences, negations,
+    products, small powers and, over classes, divisions by (L^i-1) products."""
+    leaves = st.integers(0, 40).map(lambda n: ("num", n)) | st.sampled_from(names).map(
+        lambda v: ("var", v))
+    if classes:
+        leaves |= st.integers(-3, 3).map(lambda e: ("Lpow", e))
+
+    def extend(sub):
+        out = (st.builds(lambda x: ("neg", x), sub)
+               | st.builds(lambda xs: ("add", tuple(xs)),
+                           st.lists(st.tuples(st.sampled_from([1, -1]), sub),
+                                    min_size=2, max_size=3))
+               | st.builds(lambda x, y: ("mul", x, y), sub, sub)
+               | st.builds(lambda x, e: ("pow", x, e), sub, st.integers(0, 3)))
+        if classes:
+            out |= st.builds(lambda x, den: ("div", x, tuple(den)), sub,
+                             st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        return out
+    return st.recursive(leaves, extend, max_leaves=8).map(lambda t: (t, render(t)))
+
+
+def render(t, wrap=("add",)):
+    """Infix text of a tree; a child of a kind in wrap is parenthesized."""
+    kind = t[0]
+    if kind in ("num", "var"):
+        return str(t[1])
+    if kind == "Lpow":
+        text = "L" if t[1] == 1 else f"L^{t[1]}"
+    elif kind == "neg":
+        text = "-" + render(t[1])
+    elif kind == "add":
+        text = "".join(("-" if s < 0 else "") + render(x) if not i else
+                       (" - " if s < 0 else " + ") + render(x)
+                       for i, (s, x) in enumerate(t[1]))
+    elif kind == "mul":
+        text = render(t[1]) + "*" + render(t[2])
+    elif kind == "div":
+        factors = ["(L-1)" if i == 1 else f"(L^{i}-1)" for i in t[2]]
+        den = factors[0] if len(factors) == 1 else "(" + "*".join(factors) + ")"
+        text = render(t[1]) + "/" + den
+    else:  # a power's base is an atom
+        text = render(t[1], ("add", "neg", "mul", "div", "pow", "Lpow")) + f"^{t[2]}"
+    return f"({text})" if kind in wrap else text
+
+
+def fold_ring(t, names, classes):
+    """The tree's value as {monomial in names: coefficient}, the coefficients
+    MotClass or int, by ring operations on the coefficients; no zeros."""
+    zero, unit = (MotClass.zero() if classes else 0), (0,) * len(names)
+
+    def const(n):
+        return MotClass.const(n) if classes else n
+
+    def clean(p):
+        return {m: c for m, c in p.items() if c != zero}
+
+    def mul(a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                out[m] = out.get(m, zero) + c1 * c2
+        return clean(out)
+
+    def fold(t):
+        kind = t[0]
+        if kind == "num":
+            return clean({unit: const(t[1])})
+        if kind == "var":  # L is a class, not one of the names
+            if t[1] not in names:
+                return {unit: MotClass.L()}
+            return {tuple(int(v == t[1]) for v in names): const(1)}
+        if kind == "Lpow":
+            return {unit: MotClass.L(t[1])}
+        if kind == "neg":
+            return {m: -c for m, c in fold(t[1]).items()}
+        if kind == "add":
+            out = {}
+            for s, x in t[1]:
+                for m, c in fold(x).items():
+                    out[m] = out.get(m, zero) + (c if s > 0 else -c)
+            return clean(out)
+        if kind == "mul":
+            return mul(fold(t[1]), fold(t[2]))
+        if kind == "div":
+            return mul(fold(t[1]), {unit: MotClass(LaurentPoly.const(1), t[2])})
+        out = {unit: const(1)}
+        for _ in range(t[2]):
+            out = mul(out, fold(t[1]))
+        return out
+    return fold(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees(("L",), True))
+def test_parse_motclass_is_the_ring_fold(tree_text):
+    tree, text = tree_text
+    assert parse_motclass(text) == fold_ring(tree, (), True).get((), MotClass.zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees(("T", "L"), True))
+def test_parse_series_num_is_the_ring_fold(tree_text):
+    tree, text = tree_text
+    want = {m[0]: c for m, c in fold_ring(tree, ("T",), True).items()}
+    assert parse_series_num(text) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees(("x", "y"), False))
+def test_parse_int_poly_is_the_ring_fold(tree_text):
+    tree, text = tree_text
+    assert parse_int_poly(text, ("x", "y")) == fold_ring(tree, ("x", "y"), False)
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+
+
+def reference_tokenize(text):
+    """A match-per-token loop that skips whitespace before each token."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r} "
+                             f"at column {len(text) - len(rest) + 1}")
+        tokens.append(("^" if m.group(1) == "**" else m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+def outcome(f, text):
+    try:
+        return f(text)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=500)
+@given(st.text(st.sampled_from("L x_9 07+-*/^()** \t\n\u00a0\u2003#é€٣²."), max_size=25))
+def test_tokenize_matches_the_reference_loop(text):
+    assert outcome(tokenize, text) == outcome(reference_tokenize, text)
