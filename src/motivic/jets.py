@@ -33,11 +33,11 @@ which `_Lifter.lift` solves without building a jet.  A jet of one
 equation gets the record that decides its scan from its parent: a child
 of a closed jet inherits it, and a child z + a t^s of an open jet z gets
 it from one Taylor step of f at z, in O(N^2) (see `_Lifter`).  Counting
-level-n jets searches to level n // 2; deciding whether a jet lifts to
-level n searches to level n // 2 below it.  Truncation images, the
-truncations of arcs pi_n(L(X))(F_q) with Greenberg's gamma(n), certified on
-the jet tree, and three-valued evaluation of ord/angular-component
-conditions are built on top of the enumerator.
+level-n jets searches to level n // 2, where one equation's jets are counted
+off their records and built only when open at odd n; deciding whether a jet
+lifts to level n searches to level n // 2 below it.  Truncation images, the
+truncations of F_q[[t]]-arcs with Greenberg's gamma(n), certified on the
+jet tree, and three-valued ord/angular-component conditions build on this.
 
 An arc lies over a jet exactly when it lies over one of its children, so a
 table for n = 0..n_max searches only below its open level-n_max jets and
@@ -329,14 +329,14 @@ class _Lifter:
     of a node of length s + 1 to any level up to 2s + 1 with one solve, and
     `closed` tells whether the whole subtree has a closed count.
     One lifter serves one whole computation, so its budget caps all of it:
-    one unit per node, which `closed`, `children` and `lift` share.
+    one unit per node, which `closed`, `children`, `lift` and `count` share.
     Each of `atoms`, the polynomials a condition reads ord and ac of, is
     carried the same way as one more series, a child adding grad f(x0) . a
     to the part its nonlinear monomials give, so `ord_ac` reads it off a node.
 
     For one equation f at a singular point, `closed` and `lift` read the
     scan of grad f(x(t)) and f(x(t)) off the node's record (g, k, lo), which
-    `children` builds once per parent from the parent's answer.  A root is
+    `_records` builds once per parent from the parent's answer.  A root is
     open: J(x0) = 0, and [f]_1 = 0 on a constant jet.  A child y of a
     closed level-s node x (s, e, k*) inherits.  With finite k*,
     f(y) = f(x) mod t^(k*+1) and grad f(y) = 0 mod t^(k*-s), so a level-s'
@@ -355,7 +355,7 @@ class _Lifter:
     Where the first is nonzero, y has e = s and k* = 2s; else, where the
     second is, e = s and k* = inf; else y reads only [f(y)]_(2s+1) off its
     series, and is open where it vanishes.  A child answered from its
-    record is charged its unit when it is asked.
+    record is charged its unit when it is asked, or counted by `count`.
     """
 
     def __init__(self, X: JetVariety, q: int, budget: Optional[int] = None,
@@ -435,20 +435,19 @@ class _Lifter:
         self._state: Optional[Tuple[List[int], List[int]]] = None
         self._high: Optional[List[Optional[List[int]]]] = None
 
-    def _charge(self, node: Optional[Node] = None) -> None:
-        """One budget unit for node, or for a point of the level-0 scan."""
-        self.expansions += 1
+    def _charge(self, level: Optional[int] = None, units: int = 1) -> None:
+        """One unit for each of units nodes at level (None: level-0 points), up to budget + 1."""
+        self.expansions = min(self.expansions + units, self.budget + 1)
         if self.expansions > self.budget:
-            where = ("scanning level-0 points" if node is None
-                     else f"expanding a level-{len(node[0][0]) - 1} jet")
+            at = "scanning level-0 points" if level is None else f"expanding a level-{level} jet"
             raise BudgetExceeded(
                 f"jet enumeration exceeded the budget of {self.budget} node expansions:"
-                f" all {self.budget} units used, stopped while {where}")
+                f" all {self.budget} units used, stopped while {at}")
 
     def _enter(self, node: Node) -> None:
         """Charge node its one budget unit, unless it was the last one charged."""
         if node is not self._node:
-            self._charge(node)
+            self._charge(len(node[0][0]) - 1)
             self._node, self._state, self._high = node, None, None
 
     def level0(self) -> List[Node]:
@@ -644,48 +643,70 @@ class _Lifter:
         """(ord, ac) of the atom f on a node, read off its carried series."""
         return _first_nonzero(series[self.atoms[f]])
 
-    def children(self, node: Node) -> List[Node]:
-        """All one-level extensions of a solution jet, with their records
-        (see `_Lifter`): one record shared by all, built from the node's own
-        answer, unless the node z of length s is open.  Then each child's
-        comes from a Taylor step, with [f(z)]_2s one more level of z's scan
-        and [grad f(z)]_s read off the chain's coefficients t^s."""
-        q = self.q
+    def _records(self, node: Node) -> Iterable[Record]:
+        """The records of a node's children, in the order of `_Base.kernel`:
+        one for all from its answer, or an open node's from a Taylor step."""
         series, base, record = node
+        if base.second is None:  # a record is read only at a singular point of one equation
+            return itertools.repeat(record)
+        q, s = self.q, len(series[0])
+        found = self._scan(node)
+        if found is None:
+            top = self._residual(node)[1]
+            f2s = self._f_coeffs(node, s)[0]
+            g = [sum(c * top[k] for c, k in col) % q for col in self.top_derivs]
+            kinds = (None, 2 * s, 2 * s), (s, None, 2 * s + 1), (None, None, 2 * s + 1)
+            return [kinds[0] if (f2s + sum(map(mul, g, a)) + quad) % q
+                    else kinds[1] if any((x + y) % q for x, y in zip(g, ha))
+                    else kinds[2]
+                    for a, (quad, ha) in zip(base.kernel(), base.taylor())]
+        e, k = found
+        return itertools.repeat((None, k, k) if k < math.inf else (e, None, s + e))
+
+    def children(self, node: Node, pairs: Optional[Iterable] = None) -> List[Node]:
+        """All one-level extensions z + a t^s of a solution jet z, with their
+        records; or those of the (kernel vector a, record) pairs given."""
+        q = self.q
+        series, base, _ = node
         rhs, top = self._residual(node)
         if not base.consistent(rhs):
             return []
-        # a record is read only at a singular point of one equation
-        records: Iterable[Record] = itertools.repeat(record)
-        if base.second is not None:
-            s = len(series[0])
-            found = self._scan(node)
-            if found is None:
-                f2s = self._f_coeffs(node, s)[0]
-                g = [sum(c * top[k] for c, k in col) % q for col in self.top_derivs]
-                kinds = (None, 2 * s, 2 * s), (s, None, 2 * s + 1), (None, None, 2 * s + 1)
-                records = [kinds[0] if (f2s + sum(map(mul, g, a)) + quad) % q
-                           else kinds[1] if any((x + y) % q for x, y in zip(g, ha))
-                           else kinds[2]
-                           for a, (quad, ha) in zip(base.kernel(), base.taylor())]
-            elif found[1] < math.inf:
-                records = itertools.repeat((None, found[1], found[1]))
-            else:
-                records = itertools.repeat((found[0], None, s + found[0]))
+        if pairs is None:
+            pairs = zip(base.kernel(), self._records(node))
         particular = base.particular(rhs)
         top = top + [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
         start = particular + [top[ref] + sum(map(mul, g, particular))
                               for ref, g in zip(self.carried, base.grads)]
         return [(tuple([c + ((a + d) % q,) for c, a, d in zip(series, start, delta)]),
                  base, record)
-                for delta, record in zip(base.kernel(), records)]
+                for delta, record in pairs]
+
+    def count(self, node: Node, n: int) -> int:
+        """The number of level-n extensions of a level-s node, n <= 2s + 3:
+        `lift`'s to 2s + 1, else its children's, each charged a unit.  Those
+        of one equation at a singular point are counted off their records: 0
+        for k* = 2s + 2, else as (s + 1, s + 1, inf), but open ones at odd n."""
+        q, s = self.q, len(node[0][0]) - 1
+        if n <= 2 * s + 1:
+            reach, dim = self.lift(node, n)
+            return q ** dim if reach == n else 0
+        if (info := self.closed(node)) is not None:
+            return self.closed_count(info, n, 0)
+        if node[1].second is None:
+            return sum(self.count(child, n) for child in self.children(node))
+        records = self._records(node)  # open, so consistent: [f]_(s+1) = 0
+        built = [(a, r) for a, r in zip(node[1].kernel(), records) if r == (None, None, n)]
+        self._charge(s + 1, len(records) - len(built))
+        decided = len(records) - len(built) - records.count((None, 2 * s + 2, 2 * s + 2))
+        return (decided * q ** self.closed_dim((s + 1, s + 1, math.inf), n, 0)
+                + sum(self.count(child, n) for child in built and self.children(node, built)))
 
     def walk(self, node: Node, depth: int,
              prune: bool = True) -> Iterator[Tuple[Node, Optional[Closed]]]:
         """Depth first and in order, each node depth levels below node with
         None, and with prune each closed node above them with its `closed`
         answer; a closed node is not expanded, and the nodes at depth are
-        not asked, since `lift` answers for them within the same unit."""
+        not asked, since `lift` or `count` answers within the same unit."""
         stack = [[node]]
         while stack:
             level = stack[-1]
@@ -746,33 +767,26 @@ def enumerate_jet_points(X: JetVariety, n: int, q: int,
 def image_count(X: JetVariety, n: int, j: int, q: int,
                 budget: Optional[int] = None) -> int:
     """Number of distinct level-n truncations of level-(n+j) jets, closed
-    jets counted in closed form.  At j = 0 `lift` counts the level-n extensions
-    of the open level-(n // 2) jets; else each open level-n jet is searched."""
+    jets counted in closed form.  At j = 0 `count` counts the level-n extensions
+    of the open level-max(0, n // 2 - 1) jets; else each open level-n jet is searched."""
     if n < 0 or j < 0:
         raise ValueError("n and j must be nonnegative")
     _check_q(q)
     if _is_affine_space(X, q):
         return q ** (X.N * (n + 1))
     lifter = _Lifter(X, q, budget)
-    total = 0
-    for root in lifter.level0():
-        for node, info in lifter.walk(root, n if j else n // 2):
-            if info is not None:
-                total += lifter.closed_count(info, n, j)
-            elif j:
-                total += lifter.can_extend(node, n + j)
-            else:
-                reach, dim = lifter.lift(node, n)
-                total += q ** dim if reach == n else 0
-    return total
+    return sum(lifter.closed_count(info, n, j) if info is not None
+               else lifter.can_extend(node, n + j) if j else lifter.count(node, n)
+               for root in lifter.level0()
+               for node, info in lifter.walk(root, n if j else max(0, n // 2 - 1)))
 
 
 @dataclass
 class StabilizedResult:
-    """Row n of a certified table: N_n = |pi_n(L(X))(F_q)| where `stable`,
-    else that count plus the level-n jets left unknown, an upper bound;
-    Greenberg's gamma(n) where stable, else None; and `counts`, the number
-    of level-n jets and the number of those left unknown."""
+    """Row n of a certified table: N_n, the number of level-n truncations of
+    F_q[[t]]-arcs, where `stable` (see `stabilized_count`), else that count
+    plus the level-n jets left unknown, an upper bound; Greenberg's gamma(n)
+    where stable, else None; and `counts`: the level-n jets, and the unknown."""
     N_n: int
     stable: bool
     gamma: Optional[int]
@@ -883,8 +897,9 @@ class _Tree:
 
 def stabilized_count(X: JetVariety, n: int, q: int, j_max: int,
                      budget: Optional[int] = None) -> StabilizedResult:
-    """|pi_n(L(X))(F_q)|, the level-n truncations of arcs, certified by a
-    search to level n + j_max (see `_Tree`)."""
+    """N_n, the number of level-n truncations of F_q[[t]]-arcs, certified by a
+    search to level n + j_max (see `_Tree`): the point count of [pi_n(L(X))] for
+    smooth X and the node, not in general (y^2 = x^3, q = 5, n = 2: 103, not 105)."""
     return stabilized_table(X, q, n, j_max, budget)[n]
 
 
@@ -912,8 +927,8 @@ def poincare_table(X: JetVariety, q: int, n_max: int, j_max: int,
 
 def oesterle_sequence(X: JetVariety, q: int, n_max: int, j_max: int,
                       budget: Optional[int] = None) -> List[Fraction]:
-    """The exact rational sequence N_n / q^{(n+1)d}; converges for d equal to
-    the dimension of X."""
+    """The exact rational sequence N_n / q^{(n+1)d}, N_n as in `stabilized_count`
+    (arcs over F_q[[t]]); converges for d equal to the dimension of X."""
     return [Fraction(res.N_n, q ** ((n + 1) * X.d))
             for n, res in enumerate(stabilized_table(X, q, n_max, j_max, budget))]
 

@@ -311,13 +311,17 @@ def _evaluate(node, target: _Target) -> Frac:
     kind, unit, classes = node[0], target.unit, target.classes
     if kind == "num":
         return {(): {unit: node[1]}} if node[1] else {}
-    if kind == "var":
+    if kind == "pow" and node[2] < 0 and not (classes and node[1] == ("var", "L")):
+        raise ParseError("negative powers are only allowed for L" if classes
+                         else "negative powers are not allowed in polynomials")
+    if kind == "var" or kind == "pow" and node[1][0] == "var":  # v or v^e: one monomial
+        name, e = (node[1], 1) if kind == "var" else (node[1][1], node[2])
         names = target.names + ("L",) * classes  # the layout of a monomial
-        if node[1] not in names:
+        if name not in names:
             raise ParseError(f"unknown {'symbol' if classes else 'variable'} "
-                             f"{node[1]!r} {target.where}")
-        v = names.index(node[1])
-        return {(): {unit[:v] + (1,) + unit[v + 1:]: 1}}
+                             f"{name!r} {target.where}")
+        v = names.index(name)
+        return {(): {unit[:v] + (e,) + unit[v + 1:]: 1}}
     if kind == "neg":
         return {den: {m: -c for m, c in num.items()}
                 for den, num in _evaluate(node[1], target).items()}
@@ -353,12 +357,7 @@ def _evaluate(node, target: _Target) -> Frac:
             target.charge(sum(len(n) + len(d) for d, n in out.items()) * (1 + len(den)))
             out = {tuple(sorted(d + tuple(den))): num for d, num in out.items()}
         return out
-    base, e = node[1], node[2]  # kind == "pow"
-    if classes and base == ("var", "L"):
-        return {(): {unit[:-1] + (e,): 1}}
-    if e < 0:
-        raise ParseError("negative powers are only allowed for L" if classes
-                         else "negative powers are not allowed in polynomials")
+    base, e = node[1], node[2]  # kind == "pow", of anything but a variable
     value, out = _evaluate(base, target), {(): {unit: 1}}
     target.charge(e * (max((abs(c).bit_length() for num in value.values()
                             for c in num.values()), default=1) - 1))

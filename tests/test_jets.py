@@ -293,6 +293,72 @@ class TestTables:
         assert lifters[0].expansions == whole
 
 
+# image_count(X, n, 0, q) on four curves: the count, and where each budget
+# below the units it uses runs out, one character per budget from 0: "-"
+# while scanning level-0 points, else the level of the jet being expanded.
+# A stop string's length is the number of units the count uses; the double
+# line is 4(y + 1)^2 (2x + y - 1) at q = 3.
+LAST_LEVEL_CASES = [
+    pytest.param("y^3 - x^5", 2, 8, 8448,
+                 "----0123444434444344443444423333234444344443444434444233331122221",
+                 id="y3-x5-q2-n8"),
+    pytest.param("8*x*y^2 + 16*x*y + 8*x + 4*y^3 + 4*y^2 - 4*y - 4", 3, 4, 4293,
+                 "---------0122222222211122222222211122222222211012222222221112222222221"
+                 "22222222211222222222112222222220122222222211122222222211122222222211",
+                 id="double-line-q3-n4"),
+    pytest.param("x*y", 5, 7, 2890625, "-" * 25 + "012" + "3" * 25 + "2" * 24 + "1" * 24,
+                 id="node-q5-n7"),
+    pytest.param("y^2 - x^3", 5, 6, 453125,
+                 "-" * 25 + "012" + ("3" * 25 + "2" * 5) * 4 + "3" * 25 + "2" * 4 + "1" * 24,
+                 id="cusp-q5-n6"),
+]
+
+
+@st.composite
+def plane_curves(draw):
+    """One random plane curve; about half have no terms of degree below 2,
+    so that the origin is a singular point."""
+    low = draw(st.sampled_from([0, 2]), label="lowest degree")
+    monomials = [m for m in itertools.product(range(5), repeat=2) if low <= sum(m) <= 4]
+    poly = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-2, 2),
+                                min_size=1, max_size=4), label="f")
+    return JetVariety(2, [poly], 1)
+
+
+class TestLastLevel:
+    """The level-n jets over an open level-(n // 2 - 1) jet of one equation
+    are counted off their records; only an open one at odd n is built."""
+
+    @pytest.mark.parametrize("text, q, n, count, stops", LAST_LEVEL_CASES)
+    def test_count_units_and_refusals(self, text, q, n, count, stops):
+        X = variety([text], 1, ("x", "y"))
+        assert image_count(X, n, 0, q, budget=len(stops)) == count
+        for budget, stop in enumerate(stops):
+            where = ("scanning level-0 points" if stop == "-"
+                     else f"expanding a level-{stop} jet")
+            with pytest.raises(BudgetExceeded) as exc:
+                image_count(X, n, 0, q, budget=budget)
+            assert str(exc.value) == (
+                f"jet enumeration exceeded the budget of {budget} node expansions:"
+                f" all {budget} units used, stopped while {where}")
+
+    # x^4 stays open over x = 0 at every level, so at odd n the open
+    # children are built and lifted; the node and the cusp close
+    @settings(max_examples=50, deadline=None)
+    @example(X=variety(["x^4"], 1, ("x", "y")), q=3, n=5)
+    @example(X=variety(["x^4"], 1, ("x", "y")), q=2, n=6)
+    @example(X=CUSP, q=5, n=5)
+    @example(X=NODE, q=3, n=6)
+    @given(X=plane_curves(), q=st.sampled_from([2, 3, 5]), n=st.integers(0, 6))
+    def test_count_equals_built_jets(self, X, q, n):
+        try:
+            count = enumerate_jets(X, n, q, budget=500)
+            built = sum(1 for _ in enumerate_jet_points(X, n, q, budget=2000))
+        except BudgetExceeded:
+            assume(False)
+        assert count == built
+
+
 def random_poly(n_vars):
     monomials = [m for m in itertools.product(range(4), repeat=n_vars)
                  if sum(m) <= 3]

@@ -347,6 +347,31 @@ def test_parse_int_poly_is_the_ring_fold(tree_text):
     assert parse_int_poly(text, ("x", "y")) == fold_ring(tree, ("x", "y"), False)
 
 
+VAR_POWER_TERMS = st.lists(st.lists(st.tuples(st.sampled_from(("x", "y", "z")),
+                                                st.integers(0, 6)), min_size=1, max_size=4),
+                           min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VAR_POWER_TERMS, st.integers(-5, 5))
+def test_variable_powers_read_as_their_expanded_products(terms, c):
+    # v^e is read as one monomial: a sum of products of them parses to the
+    # polynomial of the same products written out as e factors v
+    names = ("x", "y", "z")
+    powered = " + ".join(f"{c}*" + "*".join(f"{v}^{e}" for v, e in term) for term in terms)
+    expanded = " + ".join(f"{c}*" + "*".join([v for v, e in term for _ in range(e)] or ["1"])
+                          for term in terms)
+    assert parse_int_poly(powered, names) == parse_int_poly(expanded, names)
+
+
+@given(st.lists(st.integers(-4, 6), min_size=1, max_size=4),
+       st.lists(st.integers(0, 5), min_size=1, max_size=3))
+def test_powers_of_L_and_T_read_as_one_monomial(l_exps, t_exps):
+    assert parse_motclass("*".join(f"L^{e}" for e in l_exps)) == MotClass.L(sum(l_exps))
+    assert parse_series_num("*".join(f"T^{e}" for e in t_exps) + "*L") == \
+        {sum(t_exps): MotClass.L()}
+
+
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
 
