@@ -313,10 +313,10 @@ class MotClass:
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other: "MotClass") -> "MotClass":
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
         if self.den == other.den:
             return MotClass(self.num + other.num, self.den)
-        if self.is_zero or other.is_zero:  # the zero class has den ()
-            return other if self.is_zero else self
         return mot_sum(((self.num, self.den), (other.num, other.den)))
 
     def __neg__(self) -> "MotClass":

@@ -315,6 +315,7 @@ Node = Tuple[Tuple[Tuple[int, ...], ...], _Base, Record]
 # A closed node's (s, e, k*): its level, the exponent e and the first level
 # k* it does not extend to (math.inf if none); see `_Lifter.closed`.
 Closed = Tuple[int, int, float]
+_UNSCANNED = object()  # a node's `_scan` answer, not yet asked
 
 
 class _Lifter:
@@ -643,14 +644,16 @@ class _Lifter:
         """(ord, ac) of the atom f on a node, read off its carried series."""
         return _first_nonzero(series[self.atoms[f]])
 
-    def _records(self, node: Node) -> Iterable[Record]:
+    def _records(self, node: Node, found=_UNSCANNED) -> Iterable[Record]:
         """The records of a node's children, in the order of `_Base.kernel`:
-        one for all from its answer, or an open node's from a Taylor step."""
+        one for all from its answer, or an open node's from a Taylor step.
+        found is the node's `_scan`, if it is known."""
         series, base, record = node
         if base.second is None:  # a record is read only at a singular point of one equation
             return itertools.repeat(record)
         q, s = self.q, len(series[0])
-        found = self._scan(node)
+        if found is _UNSCANNED:
+            found = self._scan(node)
         if found is None:
             top = self._residual(node)[1]
             f2s = self._f_coeffs(node, s)[0]
@@ -663,16 +666,18 @@ class _Lifter:
         e, k = found
         return itertools.repeat((None, k, k) if k < math.inf else (e, None, s + e))
 
-    def children(self, node: Node, pairs: Optional[Iterable] = None) -> List[Node]:
+    def children(self, node: Node, pairs: Optional[Iterable] = None,
+                 found=_UNSCANNED) -> List[Node]:
         """All one-level extensions z + a t^s of a solution jet z, with their
-        records; or those of the (kernel vector a, record) pairs given."""
+        records (found as in `_records`); or those of the (kernel vector a,
+        record) pairs given."""
         q = self.q
         series, base, _ = node
         rhs, top = self._residual(node)
         if not base.consistent(rhs):
             return []
         if pairs is None:
-            pairs = zip(base.kernel(), self._records(node))
+            pairs = zip(base.kernel(), self._records(node, found))
         particular = base.particular(rhs)
         top = top + [sum(c * top[k] for c, k in terms) for terms in self.atom_terms]
         start = particular + [top[ref] + sum(map(mul, g, particular))
@@ -694,7 +699,7 @@ class _Lifter:
             return self.closed_count(info, n, 0)
         if node[1].second is None:
             return sum(self.count(child, n) for child in self.children(node))
-        records = self._records(node)  # open, so consistent: [f]_(s+1) = 0
+        records = self._records(node, None)  # open, so consistent: [f]_(s+1) = 0
         built = [(a, r) for a, r in zip(node[1].kernel(), records) if r == (None, None, n)]
         self._charge(s + 1, len(records) - len(built))
         decided = len(records) - len(built) - records.count((None, 2 * s + 2, 2 * s + 2))
@@ -717,11 +722,12 @@ class _Lifter:
             if len(stack) > depth:
                 yield nd, None
                 continue
-            info = self.closed(nd) if prune else None
-            if info is not None:
-                yield nd, info
-            else:
+            if not prune:
                 stack.append(self.children(nd)[::-1])
+            elif (info := self.closed(nd)) is not None:
+                yield nd, info
+            else:  # open, so `_scan` found nothing
+                stack.append(self.children(nd, found=None)[::-1])
 
     def descendants(self, node: Node, depth: int) -> Iterator[Node]:
         """The nodes depth levels below node, depth first and in order."""
@@ -840,7 +846,8 @@ class _Tree:
                     continue
                 parents[l].append(parent)
                 if l < n_max:
-                    nxt += [(len(reach), child) for child in lifter.children(node)]
+                    nxt += [(len(reach), child)
+                            for child in lifter.children(node, found=None)]
                     reach.append(math.inf if lifter.is_arc(node) else l)
                 else:
                     self.leaves.append(node)
@@ -870,7 +877,7 @@ class _Tree:
             if reach <= 2 * s:
                 verdict = _join(verdict, reach)
             elif s < self.bottom:
-                stack += lifter.children(node)
+                stack += lifter.children(node, found=None)
             else:
                 verdict = None
         return verdict

@@ -1,13 +1,13 @@
 """Every text syntax of the package: reading and printing.
 
 Class literals, series numerators and integer polynomials are infix
-expressions over `^`, `*`, `+`, `-` and parentheses, parsed into one tuple
-AST that one evaluator maps to its target: classes over `L` with divisors
-written `/(L^i-1)` (repeatable), polynomials in T with class coefficients,
-or integer polynomials in named variables (`presburger` builds the same AST
-from its s-expression affine forms).  The evaluator computes on sums of integer
-fractions {den: {monomial: int}}; classes are made at the end, and for a factor
-over a denominator before it multiplies on.  Conditions are s-expressions
+expressions over `^`, `*`, `+`, `-` and parentheses, which one reader
+evaluates as it reads them, in its target: classes over `L` with divisors
+written `/(L^i-1)` (repeatable), polynomials in T with class coefficients, or
+integer polynomials in named variables.  The target's operations on sums of
+integer fractions {den: {monomial: int}} also evaluate the s-expression affine
+forms of `presburger`; classes are made at the end, and for a factor over a
+denominator before it multiplies on.  Conditions are s-expressions
 whose `and`/`or`/`not` skeleton one reader parses, leaving the atoms to the
 caller; one walker, `fold`, evaluates such a tree, substitutes into it or
 evaluates it three-valued, and `atoms` lists its leaves.  The printers
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+import operator
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import ParseError
@@ -25,7 +26,7 @@ from .grring import HodgeRational, LaurentPoly, MotClass, poly_mul
 _TOKEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])|(\S)")
 
 # Nesting deeper than this is a parse error.  The bound keeps the recursive
-# parser and the recursive walks over the parsed trees far from Python's
+# reader and the recursive walks over condition trees far from Python's
 # recursion limit.
 MAX_DEPTH = 100
 
@@ -46,13 +47,15 @@ def tokenize(text: str) -> List[Tuple[str, int]]:
 
 
 class _Parser:
-    """Recursive-descent parser producing a small tuple AST; (None, end) ends the tokens."""
+    """Recursive-descent reader that computes each production's value in its
+    target as it reads it; (None, end) ends the tokens.  `var` is the name of
+    the variable a production read, through parentheses and unary plus, and
+    None for any other production: v^e is then one monomial."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, target: _Target):
+        self.text, self.target = text, target
         self.tokens = tokenize(text) + [(None, len(text))]
-        self.i = 0
-        self.depth = 0
+        self.i, self.depth, self.var = 0, 0, None
 
     def descend(self, pos: int) -> None:
         self.depth += 1
@@ -67,72 +70,108 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Frac:
+        value = self.expr()
         tok, pos = self.tokens[self.i]
         if tok is not None:
             raise ParseError(f"trailing input {tok!r} at column {pos + 1}")
-        return node
+        return value
 
-    def expr(self):
-        # flat n-ary nodes: a long sum or product must not nest deeply
-        terms = [(1, self.term())]
-        while (op := self.tokens[self.i][0]) in ("+", "-"):
+    def expr(self) -> Frac:
+        out = self.term()
+        while (op := self.tokens[self.i][0]) == "+" or op == "-":
             self.i += 1
-            terms.append((1 if op == "+" else -1, self.term()))
-        return terms[0][1] if len(terms) == 1 else ("add", tuple(terms))
+            out = self.target.add(out, self.term(), 1 if op == "+" else -1)
+            self.var = None
+        return out
 
-    def term(self):
-        factors = [("*", self.unary())]
-        while (op := self.tokens[self.i][0]) in ("*", "/"):
+    def term(self) -> Frac:
+        out = self.unary()
+        while (op := self.tokens[self.i][0]) == "*" or op == "/":
             self.i += 1
-            factors.append((op, self.unary()))
-        return factors[0][1] if len(factors) == 1 else ("mul", tuple(factors))
+            if op == "*":
+                out = self.target.product(out, self.unary())
+            elif self.target.classes:
+                out = self.target.divided(out, self.divisor())
+            else:
+                raise ParseError("division is not allowed in polynomials")
+            self.var = None
+        return out
 
-    def unary(self):
+    def unary(self) -> Frac:
         op, pos = self.tokens[self.i]
-        if op not in ("-", "+"):
+        if op != "-" and op != "+":
             return self.power()
         self.i += 1
         self.descend(pos)
-        node = self.unary()
+        value = self.unary()
         self.depth -= 1
-        return ("neg", node) if op == "-" else node
+        if op == "-":
+            self.var, value = None, self.target.negated(value)
+        return value
 
-    def power(self):
-        base = self.atom()
-        if self.tokens[self.i][0] == "^":
-            self.i += 1
-            # exponent: optionally signed integer literal
-            sign = 1
-            if self.tokens[self.i][0] == "-":
-                self.i += 1
-                sign = -1
-            tok, pos = self.next()
-            if not tok.isdigit():
-                raise ParseError(f"exponent must be an integer at column {pos + 1}")
-            return ("pow", base, sign * int(tok))
-        return base
-
-    def atom(self):
+    def power(self) -> Frac:
         tok, pos = self.next()
+        value = None
         if tok == "(":
             self.descend(pos)
-            node = self.expr()
+            value = self.expr()
             tok, pos = self.next()
             if tok != ")":
                 raise ParseError(f"expected ')' at column {pos + 1}, got {tok!r}")
             self.depth -= 1
-            return node
-        if tok.isdigit():
-            return ("num", int(tok))
-        if tok.isidentifier():
-            return ("var", tok)
-        raise ParseError(f"unexpected token {tok!r} at column {pos + 1}")
+        elif tok.isdigit():
+            value, self.var = self.target.number(int(tok)), None
+        elif tok.isidentifier():
+            self.var = tok
+        else:
+            raise ParseError(f"unexpected token {tok!r} at column {pos + 1}")
+        if self.tokens[self.i][0] != "^":
+            return self.target.power(tok, 1) if value is None else value
+        self.i += 1
+        # exponent: optionally signed integer literal
+        sign = 1
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
+            sign = -1
+        tok, pos = self.next()
+        if not tok.isdigit():
+            raise ParseError(f"exponent must be an integer at column {pos + 1}")
+        name, self.var, e = self.var, None, sign * int(tok)
+        return self.target.raised(value, e) if name is None else self.target.power(name, e)
+
+    def divisor(self) -> List[int]:
+        """The i of the factors (L^i - 1), i >= 1, of the operand after `/`,
+        read by its syntax alone: a `*`-only product of them, parentheses and
+        unary plus transparent."""
+        self.target, target = _Shapes, self.target
+        den = self.unary()
+        self.target = target
+        return den if type(den) is list else _refuse()
 
 
-def parse_expr(text: str):
-    return _Parser(text).parse()
+def _refuse(*_):
+    raise ParseError("denominators must be products of (L^i-1) factors")
+
+
+class _Shapes:
+    """The target of a divisor, a namespace: the shape of L^i is i, of the
+    number 1 "1" and of L^i - 1, i >= 1, or of a `*`-only product of such,
+    the list of the i; any other operand is refused where it departs."""
+    classes = True
+    negated = divided = raised = _refuse
+
+    def number(n):
+        return "1" if n == 1 else _refuse()
+
+    def power(name, e):
+        return e if name == "L" and e >= 1 else _refuse()
+
+    def add(out, value, sign):
+        return [out] if sign < 0 and type(out) is int and value == "1" else _refuse()
+
+    def product(a, b):
+        return a + b if type(a) is list and type(b) is list else _refuse()
 
 
 # -- s-expressions ----------------------------------------------------------
@@ -262,28 +301,33 @@ def atoms(cond) -> set:
 Frac = Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]
 
 
-def _merge(out: Frac, den: Tuple[int, ...], num: Dict, sign: int = 1) -> None:
-    """out += sign * num / den, without zero coefficients or empty groups."""
-    acc = out.setdefault(den, {})
-    for m, c in num.items():
-        if c := acc.get(m, 0) + sign * c:
-            acc[m] = c
-        else:
-            del acc[m]
-    if not acc:
-        del out[den]
+def _add(out: Frac, value: Frac, sign: int = 1) -> Frac:
+    """out += sign * value, without zero coefficients or empty groups."""
+    for den, num in value.items():
+        acc = out.setdefault(den, {})
+        for m, c in num.items():
+            if c := acc.get(m, 0) + sign * c:
+                acc[m] = c
+            else:
+                del acc[m]
+        if not acc:
+            del out[den]
+    return out
 
 
 class _Target:
-    """What `_evaluate` computes: polynomials in `names` with class
+    """What the reader computes: polynomials in `names` with class
     coefficients (then `L`, negative powers of L and divisors that are
     products of (L^i - 1) factors are allowed) or integer ones; an unknown
     symbol is reported with `where` after it.  One target serves one
-    expression, and `spent` counts the pairs of terms its products form."""
+    expression, and `spent` counts the pairs of terms its products form.
+    `add` adds into its first value and `divided` keeps the numerators of
+    its value: the reader passes each value on once."""
 
-    def __init__(self, names: Tuple[str, ...], classes: bool, where: str):
-        self.names, self.classes, self.where = names, classes, where
-        self.unit = (0,) * (len(names) + classes)
+    def __init__(self, names: Sequence[str], classes: bool, where: str):
+        self.classes, self.where = classes, where
+        self.layout = tuple(names) + ("L",) * classes  # the variables of a monomial
+        self.unit = (0,) * len(self.layout)
         self.spent = 0
 
     def charge(self, pairs: int) -> None:
@@ -291,81 +335,69 @@ class _Target:
         if self.spent > MAX_TERMS:
             raise ParseError(f"expression multiplies more than {MAX_TERMS} pairs of terms")
 
+    def check_exponent(self, e: int, name: str = "") -> None:
+        """Refuse a negative e, but on L in a class target."""
+        if e < 0 and not (self.classes and name == "L"):
+            raise ParseError("negative powers are only allowed for L" if self.classes
+                             else "negative powers are not allowed in polynomials")
+
+    def number(self, n: int) -> Frac:
+        return {(): {self.unit: n}} if n else {}
+
+    def power(self, name: str, e: int) -> Frac:
+        """The monomial name^e."""
+        self.check_exponent(e, name)
+        if name not in self.layout:
+            raise ParseError(f"unknown {'symbol' if self.classes else 'variable'} "
+                             f"{name!r} {self.where}")
+        v, unit = self.layout.index(name), self.unit
+        return {(): {unit[:v] + (e,) + unit[v + 1:]: 1}}
+
+    add = staticmethod(_add)
+
+    @staticmethod
+    def negated(value: Frac) -> Frac:
+        return _add({}, value, -1)
+
     def product(self, a: Frac, b: Frac) -> Frac:
         """a * b, charged first: numerators multiply, denominators join.  A left
         factor with a denominator is reduced first: left to the end, the
         cancelling in a long product or power costs far more than its terms."""
+        if len(a) == 1 == len(b) and () in a and () in b:  # no denominators
+            pa, pb = a[()], b[()]
+            self.charge(len(pa) * len(pb))
+            if len(pa) == 1 == len(pb):  # one monomial
+                (ma, ca), = pa.items()
+                (mb, cb), = pb.items()
+                return {(): {tuple(map(operator.add, ma, mb)): ca * cb}}
+            return {(): p} if (p := poly_mul(pa, pb)) else {}
         a = _reduced(a) if any(a) else a
         sizes = [sum(len(num) + len(den) for den, num in f.items()) for f in (a, b)]
         self.charge(sizes[0] * sizes[1])
         out: Frac = {}
         for da, pa in a.items():
             for db, pb in b.items():
-                _merge(out, tuple(sorted(da + db)) if da and db else da or db,
-                       poly_mul(pa, pb))
+                _add(out, {tuple(sorted(da + db)) if da and db else da or db:
+                           poly_mul(pa, pb)})
         return out
 
+    def divided(self, value: Frac, den: List[int]) -> Frac:
+        """value / prod (L^i - 1) over the i in den."""
+        self.charge(sum(len(num) + len(d) for d, num in value.items()) * (1 + len(den)))
+        return {tuple(sorted(d + tuple(den))): num for d, num in value.items()}
 
-def _evaluate(node, target: _Target) -> Frac:
-    """The sum of fractions that a parsed expression denotes in target."""
-    kind, unit, classes = node[0], target.unit, target.classes
-    if kind == "num":
-        return {(): {unit: node[1]}} if node[1] else {}
-    if kind == "pow" and node[2] < 0 and not (classes and node[1] == ("var", "L")):
-        raise ParseError("negative powers are only allowed for L" if classes
-                         else "negative powers are not allowed in polynomials")
-    if kind == "var" or kind == "pow" and node[1][0] == "var":  # v or v^e: one monomial
-        name, e = (node[1], 1) if kind == "var" else (node[1][1], node[2])
-        names = target.names + ("L",) * classes  # the layout of a monomial
-        if name not in names:
-            raise ParseError(f"unknown {'symbol' if classes else 'variable'} "
-                             f"{name!r} {target.where}")
-        v = names.index(name)
-        return {(): {unit[:v] + (e,) + unit[v + 1:]: 1}}
-    if kind == "neg":
-        return {den: {m: -c for m, c in num.items()}
-                for den, num in _evaluate(node[1], target).items()}
-    if kind == "add":
-        out: Frac = {}
-        for sign, child in node[1]:
-            for den, num in _evaluate(child, target).items():
-                _merge(out, den, num, sign)
+    def raised(self, value: Frac, e: int) -> Frac:
+        """value^e, by squaring from the top bit down, charged first for the
+        bits its coefficients grow by."""
+        self.check_exponent(e)
+        self.charge(e * (max((abs(c).bit_length() for num in value.values()
+                              for c in num.values()), default=1) - 1))
+        out = {(): {self.unit: 1}}
+        for bit in bin(e)[2:]:
+            out = self.product(out, out)
+            if bit == "1":
+                out = self.product(out, value)
         return out
-    if kind == "mul":
-        if not classes and any(op == "/" for op, _ in node[1]):
-            raise ParseError("division is not allowed in polynomials")
-        out = _evaluate(node[1][0][1], target)  # the first factor is no divisor
-        for op, child in node[1][1:]:
-            if op == "*":
-                out = target.product(out, _evaluate(child, target))
-                continue
-            # the divisor must be a product of factors L^i - 1, i >= 1
-            den, todo = [], [child]
-            while todo:
-                f = todo.pop()
-                if f[0] == "mul" and all(op == "*" for op, _ in f[1]):
-                    todo += [g for _, g in f[1]]
-                    continue
-                if f[0] == "add" and len(f[1]) == 2 and f[1][1] == (-1, ("num", 1)):
-                    power = f[1][0][1]
-                    if power == ("var", "L"):
-                        power = ("pow", ("var", "L"), 1)
-                    if power[:2] == ("pow", ("var", "L")) and power[2] >= 1:
-                        den.append(power[2])
-                        continue
-                raise ParseError("denominators must be products of (L^i-1) factors")
-            target.charge(sum(len(n) + len(d) for d, n in out.items()) * (1 + len(den)))
-            out = {tuple(sorted(d + tuple(den))): num for d, num in out.items()}
-        return out
-    base, e = node[1], node[2]  # kind == "pow", of anything but a variable
-    value, out = _evaluate(base, target), {(): {unit: 1}}
-    target.charge(e * (max((abs(c).bit_length() for num in value.values()
-                            for c in num.values()), default=1) - 1))
-    for bit in bin(e)[2:]:  # by squaring, from the top bit down
-        out = target.product(out, out)
-        if bit == "1":
-            out = target.product(out, value)
-    return out
 
 
 def _classes(value: Frac) -> Dict[Tuple[int, ...], MotClass]:
@@ -384,29 +416,28 @@ def _reduced(value: Frac) -> Frac:
     """A class value with its classes in canonical form."""
     out: Frac = {}
     for m, c in _classes(value).items():
-        _merge(out, c.den, {m + (e,): k for e, k in c.num.terms.items()})
+        _add(out, {c.den: {m + (e,): k for e, k in c.num.terms.items()}})
     return out
 
 
 def parse_motclass(text: str) -> MotClass:
-    value = _evaluate(parse_expr(text), _Target((), True, "in ring expression"))
+    value = _Parser(text, _Target((), True, "in ring expression")).parse()
     return _classes(value).get(()) or MotClass.zero()
 
 
 def parse_series_num(text: str) -> Dict[int, MotClass]:
     """A polynomial in T with class coefficients, as {exponent: class}."""
-    value = _evaluate(parse_expr(text), _Target(("T",), True, "in series expression"))
+    value = _Parser(text, _Target(("T",), True, "in series expression")).parse()
     return {m[0]: c for m, c in _classes(value).items()}
 
 
+def int_target(names: Sequence[str]) -> _Target:
+    """The target of integer polynomials in names."""
+    return _Target(names, False, f"(declared: {', '.join(names)})")
+
+
 def parse_int_poly(text: str, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    return eval_int_poly(parse_expr(text), names)
-
-
-def eval_int_poly(node, names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    """The integer polynomial in names that a parsed expression denotes."""
-    names = tuple(names)
-    return _evaluate(node, _Target(names, False, f"(declared: {', '.join(names)})")).get((), {})
+    return _Parser(text, int_target(names)).parse().get((), {})
 
 
 def split_affine(poly: Dict[Tuple[int, ...], int], n: int,

@@ -20,8 +20,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .errors import BudgetExceeded, DimensionUnsupported, InfiniteFibers, ParseError
 from .jets import default_budget
 from .grring import fraction_sum, poly_mul
-from .parsing import (And, Not, Or, atoms, eval_int_poly, fold, format_fraction,
-                      format_monomial, read_condition, split_affine)
+from .parsing import (And, Not, Or, atoms, fold, format_fraction, format_monomial,
+                      int_target, read_condition, split_affine)
 
 Expo = Tuple[int, ...]
 
@@ -380,32 +380,35 @@ def _sweep(cond: Condition, maps: List[Affine],
 # s-expression syntax for conditions
 # ---------------------------------------------------------------------------
 
-def _expr_tree(node):
-    """The `parsing` expression tree of an affine s-expression."""
+def _affine_value(node, target):
+    """The value of an affine s-expression, computed as it is read with the
+    value operations of the `parsing` target that the infix reader uses."""
     if isinstance(node, str):
-        return ("num", int(node)) if re.fullmatch(r"-?\d+", node) else ("var", node)
+        return (target.number(int(node)) if re.fullmatch(r"-?\d+", node)
+                else target.power(node, 1))
     if not node:
         raise ParseError("empty affine expression")
-    head = node[0]
-    args = [_expr_tree(a) for a in node[1:]]
-    if head == "+":
-        return ("add", tuple((1, a) for a in args))
-    if head == "-":
-        if not args:
-            raise ParseError("'-' needs at least one argument")
-        if len(args) == 1:
-            return ("neg", args[0])
-        return ("add", ((1, args[0]),) + tuple((-1, a) for a in args[1:]))
+    head, *args = node
+    if head not in ("+", "-", "*"):
+        raise ParseError(f"unknown affine operator {head!r}")
+    if head == "*" and len(args) != 2:
+        raise ParseError("'*' needs exactly two arguments")
+    if head == "-" and not args:
+        raise ParseError("'-' needs at least one argument")
+    values = [_affine_value(arg, target) for arg in args]
     if head == "*":
-        if len(args) != 2:
-            raise ParseError("'*' needs exactly two arguments")
-        return ("mul", tuple(("*", a) for a in args))
-    raise ParseError(f"unknown affine operator {head!r}")
+        return target.product(*values)
+    if head == "-" and len(values) == 1:
+        return target.negated(values[0])
+    out = values[0] if values else {}
+    for value in values[1:]:
+        out = target.add(out, value, 1 if head == "+" else -1)
+    return out
 
 
 def _parse_affine(node, names: Sequence[str]) -> Affine:
-    return Affine(*split_affine(eval_int_poly(_expr_tree(node), names), len(names),
-                                "nonlinear product in affine expression"))
+    return Affine(*split_affine(_affine_value(node, int_target(names)).get((), {}),
+                                len(names), "nonlinear product in affine expression"))
 
 
 def _parse_atom(node, names: Sequence[str]) -> Optional[Condition]:

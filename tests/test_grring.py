@@ -160,6 +160,12 @@ class TestFastPaths:
         assert _same(-a, MotClass(-a.num, a.den))
         assert _same(a.shift(k), MotClass(a.num.shift(k), a.den))
 
+    @pytest.mark.parametrize("c", [MotClass(LaurentPoly({2: 1, 0: -3})),
+                                   MotClass(LaurentPoly.const(1), (2,))])
+    def test_adding_zero_returns_the_other_class_itself(self, c):
+        assert MotClass.zero() + c is c
+        assert c + MotClass.zero() is c
+
     def test_equal_denominators_can_still_cancel(self):
         # 1/(L^2-1) + L/(L^2-1) = 1/(L-1)
         a = MotClass(LaurentPoly.const(1), (2,))

@@ -629,6 +629,21 @@ class TestTaylorRecords:
         except BudgetExceeded:
             assume(False)
 
+    @pytest.mark.parametrize("X, q, n, count", [
+        (CUSP, 2, 8, 1792), (variety(["x*y^2"], 1, ("x", "y")), 3, 4, 4293),
+        (variety(["x^2*y - y^3"], 1, ("x", "y")), 2, 6, 1984)])
+    def test_an_open_jet_is_scanned_once(self, X, q, n, count, monkeypatch):
+        # the walk hands `closed`'s answer on to the records of the children
+        scan, scanned = jets._Lifter._scan, []
+
+        def counting(self, node, last=None):
+            if last is None:
+                scanned.append(node)
+            return scan(self, node, last)
+        monkeypatch.setattr(jets._Lifter, "_scan", counting)
+        assert enumerate_jets(X, n, q) == count
+        assert len({id(node) for node in scanned}) == len(scanned)
+
 
 def plane_points(X, q):
     return [pt for pt in itertools.product(range(q), repeat=2)

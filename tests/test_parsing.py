@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivic.errors import ParseError
+from motivic.errors import BudgetExceeded, ParseError
 from motivic.grring import HodgeRational, LaurentPoly, MotClass
 from motivic.jets import parse_semialg
 from motivic.models import ModelFile, parse_model, print_model
-from motivic.parsing import (And, Not, Or, atoms, fold, format_hodge,
+from motivic.parsing import (And, Not, Or, _Parser, _Target, atoms, fold, format_hodge,
                              format_int_poly, format_motclass, parse_int_poly,
                              parse_motclass, parse_series_num, tokenize)
-from motivic.presburger import RatFunc, format_ratfunc
+from motivic.presburger import RatFunc, format_ratfunc, parse_condition
 from motivic.series import RationalMotSeries
 
 LP = LaurentPoly
@@ -161,6 +161,58 @@ def test_series_model_round_trip(num, den):
 def test_parse_errors(parse, text, message):
     with pytest.raises(ParseError, match=message):
         parse(text)
+
+
+@pytest.mark.parametrize("divisor, den", [
+    ("(L-1)", [1]),
+    ("((L-1))", [1]),
+    ("((L-1)*(L^2-1))", [1, 2]),
+    ("((L^2-1)*((L-1)))", [1, 2]),
+    ("(L+1)", None),
+    ("(L^2-1)^2", None),
+    ("(L^0-1)", None),
+    ("-(L-1)", None),
+    ("L - 1", None),
+])
+def test_divisor_table(divisor, den):
+    # the operand after `/` is checked by its syntax: a `*`-only product of
+    # factors L^i - 1, i >= 1, with parentheses transparent
+    if den is None:
+        with pytest.raises(ParseError, match=r"products of \(L\^i-1\) factors"):
+            parse_motclass("L/" + divisor)
+    else:
+        assert parse_motclass("L/" + divisor) == MotClass(LP({1: 1}), den)
+
+
+@pytest.mark.parametrize("text, names, classes, spent", [
+    ("-2*L - 3", (), True, 1),
+    ("(x+y+1)^3", ("x", "y"), False, 31),
+    ("(L^2-L)/(L^2-1)*(L+1)/(L-1)", (), True, 16),
+    ("(L+T)^2*L/(L-1) - T^3/((L-1)*(L^2-1))", ("T",), True, 19),
+    ("3^1999960", (), True, 1999990),  # 10 pairs short of MAX_TERMS
+])
+def test_spent_is_pinned(text, names, classes, spent):
+    # the pairs of terms that an expression's products are charged
+    target = _Target(names, classes, "")
+    _Parser(text, target).parse()
+    assert target.spent == spent
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("LTxy0129+-*/^() "), max_size=20),
+       st.lists(st.sampled_from(["(", ")", " ", "+", "-", "*", ">=", "<=", "=", "mod",
+                                 "and", "or", "not", "i", "j", "k", "0", "2", "-1"]),
+                max_size=16).map("".join))
+def test_readers_never_raise_another_exception(infix, sexp):
+    # a value or a ParseError; a class whose exact division passes its bound
+    # is refused as BudgetExceeded
+    for parse, text in [(parse_motclass, infix), (parse_series_num, infix),
+                        (lambda t: parse_int_poly(t, ("x", "y")), infix),
+                        (lambda t: parse_condition(t, ("i", "j")), sexp)]:
+        try:
+            parse(text)
+        except (ParseError, BudgetExceeded):
+            pass
 
 
 # -- the condition-tree walker ---------------------------------------------
