@@ -458,9 +458,8 @@ class CompletionExpansion:
         return True
 
     def __repr__(self) -> str:
-        from .parsing import format_sum
-        body = format_sum((c, f"L^-{n}" if n else "")
-                          for n, c in sorted(self.coeffs.items()) if c)
+        from .parsing import format_laurent
+        body = format_laurent(LaurentPoly._of({-n: c for n, c in self.coeffs.items()}))
         return f"CompletionExpansion({body}; order {self.order})"
 
 

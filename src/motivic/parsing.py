@@ -10,8 +10,9 @@ forms of `presburger`; classes are made at the end, and for a factor over a
 denominator before it multiplies on.  Conditions are s-expressions
 whose `and`/`or`/`not` skeleton one reader parses, leaving the atoms to the
 caller; one walker, `fold`, evaluates such a tree, substitutes into it or
-evaluates it three-valued, and `atoms` lists its leaves.  The printers
-share one signed-sum writer, and printing then parsing reproduces the value.
+evaluates it three-valued, and `atoms` lists its leaves.  `format_laurent`
+prints class numerators in one pass and `format_sum` every other signed sum;
+printing then parsing reproduces the value.
 """
 from __future__ import annotations
 
@@ -492,17 +493,30 @@ def format_fraction(terms: Sequence[Tuple[int, str]], factors: Sequence[str]) ->
     return (f"({num})" if len(terms) > 1 else num) + "".join("/" + f for f in factors)
 
 
-def _laurent_terms(p: LaurentPoly, var: str) -> List[Tuple[int, str]]:
-    return [(p.terms[e], _power(var, e)) for e in sorted(p.terms, reverse=True)]
-
-
-def format_laurent(p: LaurentPoly, var: str = "L") -> str:
-    return format_sum(_laurent_terms(p, var))
+def format_laurent(p: LaurentPoly) -> str:
+    """`L^2 - 3*L + 1 - L^-1`: format_sum of p by descending exponent, in one pass."""
+    terms, parts = p.terms, []
+    for e in sorted(terms, reverse=True):
+        c, sign = terms[e], " + "
+        if c < 0:
+            c, sign = -c, " - "
+        if e == 0:
+            parts.append(f"{sign}{c}")
+        elif c == 1:
+            parts.append(f"{sign}L" if e == 1 else f"{sign}L^{e}")
+        else:
+            parts.append(f"{sign}{c}*L" if e == 1 else f"{sign}{c}*L^{e}")
+    text = "".join(parts)
+    return ("-" + text[3:] if text[1] == "-" else text[3:]) if text else "0"
 
 
 def format_motclass(a: MotClass) -> str:
-    return format_fraction(_laurent_terms(a.num, "L"),
-                           [f"({_power('L', i)}-1)" for i in a.den])
+    """The numerator, parenthesized if it has several terms, then /(L^i-1)s."""
+    num = format_laurent(a.num)
+    if not a.den or not a.num.terms:
+        return num
+    return (f"({num})" if len(a.num.terms) > 1 else num) + "".join(
+        ["/(L-1)" if i == 1 else f"/(L^{i}-1)" for i in a.den])
 
 
 def format_series_num(num: Dict[int, MotClass]) -> str:

@@ -3,7 +3,8 @@
 A series is num(T) / prod (1 - L^a T^b); this is the natural home of the
 arc-space Poincare series and of its coefficient limits.  `expand` runs the
 recurrence on integer numerators over one common denominator and reduces each
-coefficient once, at the end; `specialize_at_q` specializes L := q first.
+coefficient once, at the end (over the denominator 1 they are canonical as
+they stand); `specialize_at_q` specializes L := q first.
 """
 from __future__ import annotations
 
@@ -92,8 +93,9 @@ def expand(P: RationalMotSeries, N: int) -> List[MotClass]:
                     acc[e + a] = c
                 else:  # drop a cancelled term at once, or cancelled terms pile up
                     del acc[e + a]
-    # one reduction per coefficient, in the constructor
-    return [MotClass(LaurentPoly._of(terms), den) for terms in coeffs]
+    # one reduction per coefficient, in the constructor; over den = () none is needed
+    make = MotClass if den else MotClass._of
+    return [make(LaurentPoly._of(terms), den) for terms in coeffs]
 
 
 def limit_of_coefficients(P: RationalMotSeries, d: int) -> MotClass:

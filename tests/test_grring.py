@@ -260,6 +260,16 @@ class TestCompletionExpansion:
         a = MotClass(LaurentPoly.binom(1), (3,))
         assert expand_completion(a, 20).matches(expand_completion(a, 35))
 
+    def test_repr_prints_the_principal_part_as_positive_powers(self):
+        # (L^3 - 1)/(L - 1) = L^2 + L + 1: the terms at n = -2, -1, 0
+        e = expand_completion(MotClass(LaurentPoly({3: 1, 0: -1}), [1]), 2)
+        assert repr(e) == "CompletionExpansion(L^2 + L + 1; order 2)"
+
+    def test_repr_of_negative_powers_only(self):
+        # (L^-2 + 3*L^-5)/(L - 1) = L^-3 + L^-4 + L^-5 + 4*L^-6 + ...
+        e = expand_completion(MotClass(LaurentPoly({-2: 1, -5: 3}), [1]), 6)
+        assert repr(e) == "CompletionExpansion(L^-3 + L^-4 + L^-5 + 4*L^-6; order 6)"
+
     @settings(max_examples=100)
     @given(motclass_st)
     def test_times_the_denominator_is_the_numerator(self, a):

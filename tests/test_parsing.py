@@ -10,9 +10,10 @@ from motivic.errors import BudgetExceeded, ParseError
 from motivic.grring import HodgeRational, LaurentPoly, MotClass
 from motivic.jets import parse_semialg
 from motivic.models import ModelFile, parse_model, print_model
-from motivic.parsing import (And, Not, Or, _Parser, _Target, atoms, fold, format_hodge,
-                             format_int_poly, format_motclass, parse_int_poly,
-                             parse_motclass, parse_series_num, tokenize)
+from motivic.parsing import (And, Not, Or, _Parser, _Target, _power, atoms, fold,
+                             format_fraction, format_hodge, format_int_poly,
+                             format_laurent, format_motclass, format_sum,
+                             parse_int_poly, parse_motclass, parse_series_num, tokenize)
 from motivic.presburger import RatFunc, format_ratfunc, parse_condition
 from motivic.series import RationalMotSeries
 
@@ -21,6 +22,7 @@ LP = LaurentPoly
 
 @pytest.mark.parametrize("value, text", [
     (MotClass.zero(), "0"),
+    (MotClass._of(LP({}), (1, 1)), "0"),  # a zero numerator over factors, not canonical
     (MotClass.const(7), "7"),
     (MotClass.const(-1), "-1"),
     (MotClass(LP({2: -1, 0: 3})), "-L^2 + 3"),
@@ -104,6 +106,35 @@ def test_format_ratfunc(value, names, text):
 ])
 def test_print_model(text, printed):
     assert print_model(parse_model(text)) == printed
+
+
+def reference_terms(p: LaurentPoly):
+    return [(p.terms[e], _power("L", e)) for e in sorted(p.terms, reverse=True)]
+
+
+def reference_format_motclass(a: MotClass) -> str:
+    """The printer as a signed sum of (coefficient, monomial) pairs over
+    its denominator factors."""
+    return format_fraction(reference_terms(a.num), [f"({_power('L', i)}-1)" for i in a.den])
+
+
+# any pair the printer may meet, canonical or not: negative exponents, the
+# constant term, coefficients +-1, multi-digit and past 10^18, repeated
+# denominator factors and the zero numerator
+PRINT_COEFF = st.one_of(st.sampled_from([1, -1]), st.integers(-999, 999),
+                        st.integers(10 ** 18, 10 ** 40), st.integers(-10 ** 40, -10 ** 18)
+                        ).filter(bool)
+print_laurent_st = st.dictionaries(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-40, 40)),
+                                   PRINT_COEFF, max_size=6).map(LaurentPoly)
+print_pair_st = st.builds(lambda p, den: MotClass._of(p, tuple(sorted(den))), print_laurent_st,
+                          st.lists(st.integers(1, 4), max_size=4))
+
+
+@settings(max_examples=400)
+@given(print_pair_st)
+def test_one_pass_printers_equal_the_signed_sum_writer(a):
+    assert format_laurent(a.num) == format_sum(reference_terms(a.num))
+    assert format_motclass(a) == reference_format_motclass(a)
 
 
 laurent_st = st.dictionaries(st.integers(-4, 6), st.integers(-9, 9),

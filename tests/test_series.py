@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivic.cli import main
 from motivic.errors import NoLimit
 from motivic.grring import (LaurentPoly, MotClass, chi_realize,
                             expand_completion, filtration_degree, mot_eq)
 from motivic.models import parse_model
+from motivic.parsing import format_motclass
 from motivic.series import (RationalMotSeries, compare_counts, expand,
                             limit_of_coefficients, specialize_at_q)
 
@@ -171,11 +173,35 @@ def mixed_den_series(draw):
     return RationalMotSeries(num, den)
 
 
+# a series whose numerator classes have no denominator: its coefficients too
+POLY_SERIES = st.builds(
+    lambda num, den: RationalMotSeries({e: MotClass(LaurentPoly(t)) for e, t in num.items()}, den),
+    st.dictionaries(st.integers(0, 3), st.dictionaries(st.integers(-2, 3), st.integers(-3, 3),
+                                                        max_size=3), min_size=1, max_size=3),
+    st.lists(WIDE_FACTOR, max_size=3))
+
+
 class TestCommonDenominatorExpansion:
     @settings(max_examples=80, deadline=None)
     @given(mixed_den_series(), st.integers(0, 12))
     def test_equals_the_class_by_class_recurrence(self, P, N):
         assert expand(P, N) == reference_expand(P, N)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(POLY_SERIES, mixed_den_series()), st.integers(0, 12))
+    def test_coefficients_are_the_constructor_classes(self, P, N):
+        for c in expand(P, N):
+            built = MotClass(LaurentPoly(c.num.terms), c.den)
+            assert c == built and hash(c) == hash(built)
+            assert type(c.den) is tuple
+
+    def test_series_expand_prints_the_constructor_classes(self, capsys):
+        # a_n = 2L^(n+1) - 1
+        assert main(["series-expand", str(FIXTURES / "node.series"), "--n", "40"]) == 0
+        want = [f"{n}: {format_motclass(MotClass(LaurentPoly({n + 1: 2, 0: -1})))}"
+                for n in range(41)]
+        assert capsys.readouterr().out.splitlines() == want
+        assert want[0] == "0: 2*L - 1" and want[40] == "40: 2*L^41 - 1"
 
     @settings(max_examples=80, deadline=None)
     @given(mixed_den_series(), st.integers(0, 12), st.sampled_from([2, 3, 5]))
