@@ -37,7 +37,7 @@ def _read_model(path: str, kind: str) -> ModelFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     model = parse_model(text)
     if model.kind != kind:
@@ -52,8 +52,11 @@ def _emit_csv(rows: List[Sequence], header: Sequence[str],
     writer.writerow(header)
     writer.writerows(rows)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(buf.getvalue())
 
@@ -277,13 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for names, options in command.flags:
             p.add_argument(*names, **options)
+    top.commands = sub.choices  # each subcommand's parser, by name
     return top
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  A known command's flags
+    are parsed by its own parser, the one the top parser dispatches to; the
+    top parser (built in the first call) runs only for what it alone prints:
+    no or an unknown command, `-h`, and unrecognized arguments."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        sub = parser.commands.get(argv[0]) if argv else None
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+        if sub is None or rest:
+            args = parser.parse_args(argv)
+        else:
+            args.command = argv[0]
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     command = COMMANDS[args.command]

@@ -5,9 +5,9 @@ series (mod t^{n+1}) on which every defining polynomial vanishes.  Jets are
 searched depth first: extending a solution from level s to level s+1
 amounts to solving a linear system over F_q whose matrix is the Jacobian J
 at the constant term x0, so dead branches are pruned early.  J(x0) is
-row-reduced once per level-0 point, and each node computes only the new
-coefficient t^s of f(x(t)), from the series of the monomials of f carried
-along the path.
+row-reduced at most once per level-0 point, where a jet over it is
+expanded, and each node computes only the new coefficient t^s of f(x(t)),
+from the series of the monomials of f carried along the path.
 
 Most subtrees are counted in closed form (Newton's lemma, the key lemma of
 Denef-Loeser section 4 after Greenberg).  Over a level-s jet x of one
@@ -51,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,25 +181,37 @@ def _first_nonzero(coeffs: Iterable[int]) -> Tuple[Optional[int], Optional[int]]
 
 
 class _Base:
-    """J(x0) row-reduced once for one level-0 point x0.
-
-    Gauss-Jordan on [J | I] gives the transform E with E J = RREF(J); each
-    node over x0 then solves J a = b by one product E b, in the pivot order
-    that reducing [J | b] would take.  `jac0` is J(x0), its entries reduced
-    mod q, and `grads` holds the gradient at x0 of each carried series.
+    """J(x0) at one level-0 point x0 (`jac0`, reduced mod q).  `smooth`, set
+    at once, says it has full row rank (for one equation, J(x0) != 0): by
+    Hensel every jet over x0 lifts, with q^free children at every level.
     Where one equation f has J(x0) = 0, `second` holds the Hessian H of f
     at x0 and the Hasse second derivatives D_u f(x0): the quadratic part
     of f(x0 + a) is Q(a) = sum_u D_u a_u^2 + sum_{u<v} H_uv a_u a_v.
+    The rest is built on first use, so only where a jet over x0 is
+    expanded: Gauss-Jordan on [J | I] (`reduced`) gives the transform E
+    with E J = RREF(J), and each node solves J a = b by one product E b, in
+    the pivot order that reducing [J | b] would take; `grads` is the
+    gradient at x0 of each carried series.
     """
 
-    __slots__ = ("q", "n_vars", "jac0", "pivot_rows", "check_rows", "pivots",
-                 "basis", "free", "smooth", "grads", "second", "_kernel", "_taylor")
+    __slots__ = ("q", "n_vars", "point", "lifter", "jac0", "smooth", "second",
+                 "pivot_rows", "check_rows", "pivots", "basis", "_grads", "_kernel", "_taylor")
 
-    def __init__(self, rows: List[List[int]], n_vars: int, q: int,
-                 grads: List[List[int]],
+    def __init__(self, rows: List[List[int]], point: Tuple[int, ...], lifter: "_Lifter",
                  second: Optional[Tuple[List[List[int]], List[int]]] = None):
-        aug = [[x % q for x in row] + [int(i == k) for k in range(len(rows))]
-               for i, row in enumerate(rows)]
+        self.q, self.n_vars, self.point = lifter.q, len(point), point
+        self.lifter = weakref.ref(lifter)  # no cycle through the lifter's last node
+        self.jac0, self.second = rows, second
+        self.pivots = self._grads = self._kernel = self._taylor = None
+        self.smooth = any(rows[0]) if len(rows) == 1 else len(self.reduced().pivots) == len(rows)
+
+    def reduced(self) -> "_Base":
+        """This base, its reduction built on the first call."""
+        if self.pivots is not None:
+            return self
+        q, n_vars = self.q, self.n_vars
+        aug = [[x % q for x in row] + [int(i == k) for k in range(len(self.jac0))]
+               for i, row in enumerate(self.jac0)]
         pivots: List[int] = []
         r = 0
         for col in range(n_vars):
@@ -215,9 +228,6 @@ class _Base:
             pivots.append(col)
             r += 1
         transform = [row[n_vars:] for row in aug]
-        self.jac0 = rows
-        self.q = q
-        self.n_vars = n_vars
         self.pivot_rows = transform[:r]
         self.check_rows = transform[r:]
         self.pivots = pivots
@@ -228,22 +238,26 @@ class _Base:
             for i, col in enumerate(pivots):
                 vec[col] = (-aug[i][fc]) % q
             self.basis.append(vec)
-        self.free = len(self.basis)
-        # Hensel: with J(x0) of full row rank every jet over x0 lifts, with
-        # q^free children at every level
-        self.smooth = r == len(rows)
-        self.grads = grads
-        self.second = second
-        self._kernel: Optional[List[List[int]]] = None
-        self._taylor: Optional[List[Tuple[int, List[int]]]] = None
+        return self
+
+    @property
+    def free(self) -> int:
+        return len(self.reduced().basis)
+
+    @property
+    def grads(self) -> List[List[int]]:
+        if self._grads is None:
+            self._grads = [[_poly_eval_point(dp, self.point, self.q) for dp in row]
+                           for row in self.lifter().carried_grads()]
+        return self._grads
 
     def consistent(self, rhs: List[int]) -> bool:
-        return not any(sum(map(mul, row, rhs)) % self.q for row in self.check_rows)
+        return not any(sum(map(mul, row, rhs)) % self.q for row in self.reduced().check_rows)
 
     def particular(self, rhs: List[int]) -> List[int]:
         """The solution of J(x0) a = rhs that is zero off the pivots."""
         out = [0] * self.n_vars
-        for col, row in zip(self.pivots, self.pivot_rows):
+        for col, row in zip(self.reduced().pivots, self.pivot_rows):
             out[col] = sum(map(mul, row, rhs)) % self.q
         return out
 
@@ -371,13 +385,6 @@ class _Lifter:
         self.degree = max((sum(m) for p in self.polys for m in p), default=1)
         self.jacobian = [[_poly_derivative(p, v) for v in range(X.N)]
                          for p in self.polys]
-        # one equation: its Hessian and Hasse second derivatives, which
-        # `level0` evaluates where J(x0) = 0
-        self.second = None
-        if len(self.polys) == 1:
-            self.second = ([[_poly_derivative(d, v) for v in range(X.N)]
-                            for d in self.jacobian[0]],
-                           [_poly_derivative(self.polys[0], u, 2) for u in range(X.N)])
         # chain[k] = (m, v, ref): monomial m of degree >= 2 is x_v times the
         # coordinate ref < N or the monomial chain[ref - N]; in _residual the
         # coefficient t^s of coordinate v sits at top[v], of chain[k] at
@@ -424,17 +431,23 @@ class _Lifter:
         self.carried = monos + [X.N + len(chain) + i for i in range(len(atoms))]
         self.atoms = {f: X.N + len(monos) + i for i, f in enumerate(atoms)}
         self.carried_polys = [{chain[ref - X.N][0]: 1} for ref in monos] + list(map(dict, atoms))
-        self.carried_grads = [[_poly_derivative(p, v) for v in range(X.N)]
-                              for p in self.carried_polys]
         self.derivs = [[[(c, where[k]) for c, k in col] for col in row]
                        for row in derivs]
         # grad f over the chain's coefficients t^s, for `children`'s records
         self.top_derivs = derivs[0] if len(self.polys) == 1 else None
+        self._carried_grads: Optional[List[List[Poly]]] = None
         # the node last charged, and its `_residual` and `_f_coeffs` once
         # computed
         self._node: Optional[Node] = None
         self._state: Optional[Tuple[List[int], List[int]]] = None
         self._high: Optional[List[Optional[List[int]]]] = None
+
+    def carried_grads(self) -> List[List[Poly]]:
+        """The gradient of each carried series, built on the first call."""
+        if self._carried_grads is None:
+            self._carried_grads = [[_poly_derivative(p, v) for v in range(self.X.N)]
+                                   for p in self.carried_polys]
+        return self._carried_grads
 
     def _charge(self, level: Optional[int] = None, units: int = 1) -> None:
         """One unit for each of units nodes at level (None: level-0 points), up to budget + 1."""
@@ -452,24 +465,26 @@ class _Lifter:
             self._node, self._state, self._high = node, None, None
 
     def level0(self) -> List[Node]:
-        q = self.q
-        out = []
-        for point in itertools.product(range(q), repeat=self.X.N):
+        """A root per solution point x0, with J(x0), and its second derivatives
+        where one equation has J(x0) = 0; the rest of its `_Base` waits."""
+        q, N = self.q, self.X.N
+        out, derivs = [], None
+        for point in itertools.product(range(q), repeat=N):
             self._charge()
             if all(_poly_eval_point(p, point, q) == 0 for p in self.polys):
                 rows = [[_poly_eval_point(dp, point, q) for dp in row]
                         for row in self.jacobian]
-                grads = [[_poly_eval_point(dp, point, q) for dp in row]
-                         for row in self.carried_grads]
                 second = None
-                if self.second is not None and not any(rows[0]):
-                    hess, hasse = self.second
+                if len(rows) == 1 and not any(rows[0]):
+                    hess, hasse = derivs = derivs or (
+                        [[_poly_derivative(d, v) for v in range(N)] for d in self.jacobian[0]],
+                        [_poly_derivative(self.polys[0], u, 2) for u in range(N)])
                     second = ([[_poly_eval_point(p, point, q) for p in row] for row in hess],
                               [_poly_eval_point(p, point, q) for p in hasse])
                 out.append((tuple((x,) for x in point) +
                             tuple((_poly_eval_point(p, point, q),)
                                   for p in self.carried_polys),
-                            _Base(rows, self.X.N, q, grads, second), _ROOT))
+                            _Base(rows, point, self, second), _ROOT))
         return out
 
     def _residual(self, node: Node) -> Tuple[List[int], List[int]]:

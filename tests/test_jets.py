@@ -2,6 +2,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -264,12 +265,17 @@ class TestTables:
             assert row.N_n == points * 5 ** n
 
     def test_one_reduction_per_point(self, monkeypatch):
-        calls = []
-        original = jets._Base.__init__
+        # one base per point, and J(x0) is row-reduced once, only at the
+        # origin, the one point of the node over which jets are expanded
+        calls, reduced = [], []
+        original, reduce = jets._Base.__init__, jets._Base.reduced
         monkeypatch.setattr(jets._Base, "__init__",
                             lambda self, *args: calls.append(1) or original(self, *args))
+        monkeypatch.setattr(jets._Base, "reduced", lambda self: (
+            self.pivots is None and reduced.append(self.point)) or reduce(self))
         stabilized_table(NODE, 3, 3, 5)
         assert len(calls) == len(plane_points(NODE, 3)) == 5
+        assert reduced == [(0, 0)]
 
     def test_budget_caps_the_whole_table(self):
         # one budget covers every row, and the rows share their searches
@@ -440,6 +446,134 @@ class TestTailKernel:
             before = lifter.expansions
             lifter.lift(node, n)
             assert lifter.expansions == before + 1
+
+
+class EagerBase:
+    """The reduction of J(x0) with everything built up front: the oracle of
+    `_Base`, which builds all but `smooth` and `second` on first use."""
+
+    def __init__(self, rows, n_vars, q, grads, second):
+        aug = [[x % q for x in row] + [int(i == k) for k in range(len(rows))]
+               for i, row in enumerate(rows)]
+        pivots, r = [], 0
+        for col in range(n_vars):
+            piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+            if piv is None:
+                continue
+            aug[r], aug[piv] = aug[piv], aug[r]
+            inv = pow(aug[r][col], q - 2, q)
+            aug[r] = [(x * inv) % q for x in aug[r]]
+            for i in range(len(aug)):
+                if i != r and aug[i][col]:
+                    f = aug[i][col]
+                    aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
+            pivots.append(col)
+            r += 1
+        self.q, self.n_vars, self.pivots = q, n_vars, pivots
+        self.pivot_rows = [row[n_vars:] for row in aug[:r]]
+        self.check_rows = [row[n_vars:] for row in aug[r:]]
+        self.basis = []
+        for fc in (c for c in range(n_vars) if c not in pivots):
+            vec = [0] * n_vars
+            vec[fc] = 1
+            for i, col in enumerate(pivots):
+                vec[col] = (-aug[i][fc]) % q
+            self.basis.append(vec)
+        self.free, self.smooth = len(self.basis), r == len(rows)
+        self.grads, self.second = grads, second
+
+    def consistent(self, rhs):
+        return not any(sum(map(mul, row, rhs)) % self.q for row in self.check_rows)
+
+    def particular(self, rhs):
+        out = [0] * self.n_vars
+        for col, row in zip(self.pivots, self.pivot_rows):
+            out[col] = sum(map(mul, row, rhs)) % self.q
+        return out
+
+    def kernel(self):
+        q, out = self.q, []
+        for combo in itertools.product(range(q), repeat=self.free):
+            vec = [0] * self.n_vars
+            for coef, bvec in zip(combo, self.basis):
+                vec = [(x + coef * y) % q for x, y in zip(vec, bvec)]
+            out.append(vec + [sum(map(mul, g, vec)) for g in self.grads])
+        return out
+
+
+def eager_base(lifter, point):
+    """`EagerBase` at a level-0 point, its derivatives taken afresh."""
+    q, N = lifter.q, lifter.X.N
+
+    def at(p):
+        return jets._poly_eval_point(p, point, q)
+
+    def grad(p):
+        return [at(jets._poly_derivative(p, v)) for v in range(N)]
+
+    rows = [grad(p) for p in lifter.polys]
+    second = None
+    if len(rows) == 1 and not any(rows[0]):
+        f = lifter.polys[0]
+        second = ([grad(jets._poly_derivative(f, u)) for u in range(N)],
+                  [at(jets._poly_derivative(f, u, 2)) for u in range(N)])
+    return EagerBase(rows, N, q, [grad(p) for p in lifter.carried_polys], second)
+
+
+@st.composite
+def lazy_cases(draw):
+    """N in {2, 3}, one or two equations, with or without condition atoms."""
+    n_vars = draw(st.sampled_from([2, 3]), label="N")
+    polys = [draw(random_poly(n_vars), label=f"f{i}")
+             for i in range(draw(st.sampled_from([1, 2]), label="equations"))]
+    atoms = draw(st.lists(random_poly(n_vars).filter(bool), max_size=2), label="atoms")
+    return JetVariety(n_vars, polys, 1), [jets._freeze_poly(f) for f in atoms]
+
+
+class TestLazyBase:
+    """`_Base` builds its reduction and gradients on first use; each read
+    equals the eager reduction's, in any order of reads."""
+
+    READS = ("smooth", "free", "kernel", "particular", "consistent", "grads", "second")
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=lazy_cases(), q=st.sampled_from([2, 3, 5]), data=st.data())
+    def test_lazy_equals_eager(self, case, q, data):
+        X, atoms = case
+        lifter = jets._Lifter(X, q, budget=10 ** 6, atoms=atoms)
+        for root in lifter.level0():
+            base = root[1]
+            eager = eager_base(lifter, tuple(c[0] for c in root[0][:X.N]))
+            rhss = list(itertools.product(range(q), repeat=len(lifter.polys)))
+            reads = ("smooth",) + tuple(data.draw(st.permutations(self.READS[1:]),
+                                                   label="order of reads"))
+            for read in reads:
+                if read in ("particular", "consistent"):
+                    assert [getattr(base, read)(list(b)) for b in rhss] == \
+                        [getattr(eager, read)(list(b)) for b in rhss]
+                elif read == "kernel":
+                    assert base.kernel() == eager.kernel()
+                else:
+                    assert getattr(base, read) == getattr(eager, read), read
+
+    # (variety, q): a plane curve with 5 full-rank points of 6 at q = 7, and
+    # a curve in 3-space with all 4 points of full rank at q = 5; the units
+    # of image_count at (n, j) = (3, 0) and (2, 2), stabilized_table to
+    # n_max = 3, j_max = 2, enumerate_jet_points at n = 2, and, on the plane
+    # curve, count_semialg of (ordmod {x} 2 0) at n = 2
+    @pytest.mark.parametrize("X, q, units", [
+        (variety(["y^2 - x^3 - x^2 + x*y^3"], 1, ("x", "y")), 7, [99, 148, 197, 139, 148]),
+        (variety(["x*y - z", "x + y + z^2"], 1, ("x", "y", "z")), 5, [125, 125, 125, 149]),
+    ])
+    def test_budget_units_are_pinned(self, X, q, units):
+        runs = [lambda b: image_count(X, 3, 0, q, budget=b),
+                lambda b: image_count(X, 2, 2, q, budget=b),
+                lambda b: stabilized_table(X, q, 3, 2, budget=b),
+                lambda b: list(enumerate_jet_points(X, 2, q, budget=b))]
+        if X.N == 2:
+            cond = parse_semialg("(ordmod {x} 2 0)", ("x", "y"))
+            runs.append(lambda b: count_semialg(X, cond, 2, q, budget=b))
+        assert [least_budget(run) for run in runs] == units
 
 
 class TestOnePassTable:

@@ -2,11 +2,15 @@
 import os
 import pathlib
 import re
+import subprocess
 import sys
+import types
+from typing import List
 
 import pytest
 
-from motivic.cli import COMMANDS, main
+import motivic.cli as cli
+from motivic.cli import COMMANDS, build_parser, main
 from motivic.errors import ParseError
 from motivic.models import parse_model, print_model
 from motivic.parsing import parse_int_poly
@@ -341,6 +345,25 @@ class TestCliExitCodes:
         assert out == ""
         assert err.startswith("error[BudgetExceeded]") and err.count("\n") == 1
 
+    def test_undecodable_model_is_two(self, tmp_path, capsys):
+        path = tmp_path / "m.series"
+        path.write_bytes(b"kind = series\nnum = L\xff\n")
+        assert main(["series-expand", str(path), "--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error[ParseError]: cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("output", ["missing/x.csv", "."])
+    def test_unwritable_output_is_two(self, output, tmp_path, capsys):
+        target = tmp_path / output
+        assert main(["jets-oesterle", fx("node.model"), "--q", "3", "--n-max", "2",
+                     "--output", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error[ValidationError]: cannot write {target}: ")
+        assert err.count("\n") == 1
+
     def test_other_value_errors_propagate(self, monkeypatch):
         import motivic.cli as cli
 
@@ -349,6 +372,66 @@ class TestCliExitCodes:
         monkeypatch.setattr(cli, "chi_realize", broken)
         with pytest.raises(ValueError, match="not about digits"):
             main(["chi", "L"])
+
+
+def _valid_argv(name: str) -> List[str]:
+    """An argv that names every flag of the command, each with the value 2."""
+    argv = [name]
+    for names, options in COMMANDS[name].flags:
+        argv += [names[0], "2"] if names[0].startswith("-") else [names[0] + ".x"]
+    return argv
+
+
+def _refused_argvs(name: str) -> List[List[str]]:
+    """-h, a missing required flag (else the model), a bad integer where the
+    command takes one, and an unrecognized trailing argument."""
+    argv, flags = _valid_argv(name), COMMANDS[name].flags
+    required = [names[0] for names, options in flags if options.get("required")]
+    cut = argv.index(required[0]) if required else 1
+    out = [argv + ["-h"], argv[:cut] + argv[cut + 2 if required else cut + 1:],
+           argv + ["extra"]]
+    if any(options.get("type") for _, options in flags):
+        flag = next(names[0] for names, options in flags if options.get("type"))
+        out.append(argv + [flag, "x"])
+    return out
+
+
+class TestDispatch:
+    """`main` parses a known command with its own parser; the result equals
+    the top parser's, and every refusal prints what the top parser prints."""
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_valid_argv_gives_the_same_namespace(self, name, monkeypatch):
+        seen = []
+        monkeypatch.setitem(COMMANDS, name, COMMANDS[name]._replace(
+            run=lambda datum, args: seen.append(args), literal=False))
+        monkeypatch.setattr(cli, "_read_model",
+                            lambda path, kind: types.SimpleNamespace(datum=None))
+        argv = _valid_argv(name)
+        assert main(argv) == 0
+        assert seen == [build_parser().parse_args(argv)]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id=f"{name}-{i}")
+        for name in COMMANDS for i, argv in enumerate(_refused_argvs(name))]
+        + [pytest.param(["no-such-command", "x"], id="unknown"),
+           pytest.param([], id="empty"), pytest.param(["-h"], id="top-help")])
+    def test_refusal_prints_what_the_top_parser_prints(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        printed = capsys.readouterr()
+        assert main(argv) == exc.value.code
+        assert capsys.readouterr() == printed
+
+    def test_console_entry_reads_sys_argv(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(FIXTURES.parent.parent / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "motivic.cli", "jets-count", fx("node.model"),
+             "--q", "2", "--n", "1"], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n", "")
 
 
 class TestWorkBounds:
